@@ -298,9 +298,5 @@ def degree(ctx: GrassCtx) -> int:
     return d1
 
 
-def dual_class(ctx: GrassCtx, lam: BoxedPartition) -> BoxedPartition:
-    return dual(lam)
-
-
 def basis(ctx: GrassCtx, codim: int) -> list[BoxedPartition]:
     return enumerate_box(ctx.k, ctx.w, codim)

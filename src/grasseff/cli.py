@@ -45,22 +45,12 @@ def _load_json(path: str, what: str) -> object:
         raise UsageError("cannot read %s file %r: %s" % (what, path, exc))
 
 
-def _maybe_load_cache(k: int, n: int) -> None:
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return
-    path = os.path.join(cache_dir, "ring_%d_%d.json" % (k, n))
-    if os.path.exists(path):
-        ring_io.load_ring(path)
-
-
 def _ctx(args) -> GrassCtx:
     return GrassCtx(args.k, args.n)
 
 
 def cmd_product(args) -> int:
     ctx = _ctx(args)
-    _maybe_load_cache(args.k, args.n)
     a = chow.sigma(ctx, _parse_parts(args.a))
     b = chow.sigma(ctx, _parse_parts(args.b))
     _emit(chow.multiply(a, b).to_json())
@@ -83,7 +73,6 @@ def cmd_giambelli(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    _maybe_load_cache(args.k, args.n)
     _emit({"degree": chow.degree(_ctx(args))})
     return 0
 
@@ -110,7 +99,7 @@ def _load_cone(path: str) -> cones.ConeSpec:
             dim = len(gens[0][1])
             basis = ["x%d" % i for i in range(dim)]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise UsageError("malformed generator file: missing or bad field (%s)" % exc)
+        raise UsageError("malformed generator file %r: missing or bad field (%s)" % (path, exc))
     return cones.ConeSpec.build(dim, tuple(basis), gens)
 
 
@@ -119,8 +108,11 @@ def _load_vector(path: str) -> tuple:
     if isinstance(data, dict):
         data = data.get("vector")
     if not isinstance(data, list):
-        raise UsageError("malformed class file: expected field 'vector' or a JSON array")
-    return tuple(jsonio.parse_frac(x) for x in data)
+        raise UsageError("malformed class file %r: expected field 'vector' or a JSON array" % path)
+    try:
+        return tuple(jsonio.parse_frac(x) for x in data)
+    except ValueError as exc:
+        raise UsageError("malformed class file %r: bad coordinate (%s)" % (path, exc))
 
 
 def _membership_report(cone, result) -> dict:

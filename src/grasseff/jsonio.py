@@ -15,9 +15,16 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
+    """Exact rational from an int, a Fraction or text like '3/4'.
+
+    Raises ValueError on malformed text and on a zero denominator.
+    """
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None
 
 
 def jsonable(obj):
@@ -35,7 +42,3 @@ def jsonable(obj):
 
 def canonical_dumps(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
-
-
-def dump_pretty(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2)

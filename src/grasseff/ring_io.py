@@ -1,4 +1,4 @@
-"""Export and reimport of the full multiplication table of A*(G(k, n))."""
+"""Export of the full multiplication table of A*(G(k, n))."""
 
 from __future__ import annotations
 
@@ -36,18 +36,3 @@ def export_ring(k: int, n: int, path: str, cap: int = 16) -> dict:
         json.dump(table, fh, sort_keys=True, separators=(",", ":"))
     return table
 
-
-def load_ring(path: str) -> dict:
-    """Reimport an exported table into the product cache; returns the table."""
-    with open(path) as fh:
-        table = json.load(fh)
-    ctx = GrassCtx(int(table["k"]), int(table["n"]))
-    for rec in table["products"]:
-        lam = ctx.partition(rec["a"])
-        mu = ctx.partition(rec["b"])
-        coeffs = {ctx.partition(t["lambda"]): int(t["c"]) for t in rec["terms"]}
-        result = chow.ChowClass(ctx, lam.size + mu.size, coeffs)
-        with chow._product_lock:
-            chow._product_cache[(ctx.k, ctx.n, lam.parts, mu.parts)] = result
-            chow._product_cache[(ctx.k, ctx.n, mu.parts, lam.parts)] = result
-    return table

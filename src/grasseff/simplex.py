@@ -1,15 +1,22 @@
 """Exact rational LP feasibility for conic combinations.
 
 Decides whether a target vector is a nonnegative combination of given
-generators, by a phase-1 simplex over Fraction with Bland's anti-cycling
-rule. Failure comes with a Farkas certificate: a functional nonnegative on
-every generator and strictly negative on the target. Exactly one of witness
-or certificate is produced, and both are re-verified by substitution before
-being returned.
+generators, by a phase-1 simplex with Bland's anti-cycling rule. The tableau
+is fraction-free (Bareiss 1968, Edmonds 1967): generators and target are
+scaled once by the lcm L of their denominators, and the tableau is an integer
+matrix M over one positive common denominator D, with the cost row as the
+last row of M. Each pivot divides exactly by the previous D, and the new D is
+the pivot entry. A uniform positive scaling keeps every reduced-cost sign and
+every ratio order, so the pivots are the ones of the same simplex over
+Fraction. Failure comes with a Farkas certificate: a functional nonnegative
+on every generator and strictly negative on the target. Exactly one of
+witness or certificate is produced, and both are re-verified by substitution
+in integers before being returned as Fractions over D.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -17,100 +24,94 @@ class SimplexError(RuntimeError):
     pass
 
 
-def _to_frac(v):
-    return [x if isinstance(x, Fraction) else Fraction(x) for x in v]
-
-
 def solve_nonneg_combination(generators, target):
     """Find x >= 0 with sum x_i g_i = target, or a separating functional.
 
     Returns ("witness", [x_i]) or ("certificate", [phi_j]).
     """
-    gens = [_to_frac(g) for g in generators]
-    b = _to_frac(target)
-    dim = len(b)
+    gens = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in g]
+            for g in generators]
+    tgt = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in target]
+    dim = len(tgt)
     if any(len(g) != dim for g in gens):
         raise SimplexError("dimension mismatch")
     n = len(gens)
+    L = math.lcm(1, *(x.denominator for x in tgt), *(x.denominator for g in gens for x in g))
+    G = [[x.numerator * (L // x.denominator) for x in g] for g in gens]
+    b = [x.numerator * (L // x.denominator) for x in tgt]
 
-    # rows of A are coordinates, columns 0..n-1 the generators
-    A = [[gens[j][i] for j in range(n)] for i in range(dim)]
-    flips = [False] * dim
-    for i in range(dim):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-            flips[i] = True
-
-    # phase-1 tableau: columns [generators | artificials], minimize sum of artificials
+    # rows 0..dim-1: [generators | artificials | rhs] with negative-rhs rows
+    # flipped; row dim: reduced costs for c = (0,...,0,1,...,1). Tableau = M / D.
     ncols = n + dim
-    tab = [A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(dim)] + [b[i]]
-           for i in range(dim)]
+    M = []
+    for i in range(dim):
+        s = -1 if b[i] < 0 else 1
+        M.append([s * g[i] for g in G] + [int(j == i) for j in range(dim)] + [s * b[i]])
+    cost = [-sum(col) for col in zip(*M)] if M else [0] * (ncols + 1)
+    for j in range(n, ncols):
+        cost[j] += 1
+    M.append(cost)
     basis = [n + i for i in range(dim)]
-    cost = [Fraction(0)] * (ncols + 1)
-    # reduced costs c_j - z_j for c = (0,...,0,1,...,1)
-    for j in range(ncols):
-        cj = Fraction(1) if j >= n else Fraction(0)
-        cost[j] = cj - sum(tab[i][j] for i in range(dim))
-    cost[ncols] = -sum(row[ncols] for row in tab)
+    D = 1
 
     def pivot(r, c):
-        inv = Fraction(1) / tab[r][c]
-        tab[r] = [x * inv for x in tab[r]]
-        for i in range(dim):
-            if i != r and tab[i][c] != 0:
-                f = tab[i][c]
-                tab[i] = [a - f * p for a, p in zip(tab[i], tab[r])]
-        if cost[c] != 0:
-            f = cost[c]
-            for j in range(ncols + 1):
-                cost[j] -= f * tab[r][j]
+        nonlocal D
+        row = M[r]
+        p = row[c]
+        if p < 0:
+            p = -p
+            row = M[r] = [-a for a in row]
+        for i, other in enumerate(M):
+            if i == r:
+                continue
+            f = other[c]
+            if f:
+                M[i] = [(p * a - f * q) // D for a, q in zip(other, row)]
+            elif p != D:
+                M[i] = [p * a // D for a in other]
+        D = p
         basis[r] = c
 
     while True:
+        cost = M[dim]
         entering = next((j for j in range(ncols) if cost[j] < 0), None)
         if entering is None:
             break
-        ratios = [(tab[i][ncols] / tab[i][entering], basis[i], i)
-                  for i in range(dim) if tab[i][entering] > 0]
-        if not ratios:
+        leaving = None
+        for i in range(dim):
+            a = M[i][entering]
+            if a > 0:
+                rhs = M[i][ncols]
+                # Bland: lowest basis index among minimum ratios rhs / a
+                if leaving is None or rhs * best_a < best_rhs * a or (
+                        rhs * best_a == best_rhs * a and basis[i] < basis[leaving]):
+                    leaving, best_rhs, best_a = i, rhs, a
+        if leaving is None:
             raise SimplexError("phase-1 problem unbounded; should be impossible")
-        _, _, leaving = min(ratios)  # Bland: lowest basis index among min ratios
         pivot(leaving, entering)
 
-    objective = -cost[ncols]
-    if objective == 0:
+    if M[dim][ncols] == 0:
         # drive any degenerate artificials out of the basis
         for i in range(dim):
             if basis[i] >= n:
-                c = next((j for j in range(n) if tab[i][j] != 0), None)
+                c = next((j for j in range(n) if M[i][j] != 0), None)
                 if c is not None:
                     pivot(i, c)
-        x = [Fraction(0)] * n
+        xnum = [0] * n
         for i in range(dim):
             if basis[i] < n:
-                x[basis[i]] = tab[i][ncols]
-        _check_witness(gens, _to_frac(target), x)
-        return "witness", x
+                xnum[basis[i]] = M[i][ncols]
+        if any(v < 0 for v in xnum):
+            raise SimplexError("internal: witness has a negative coefficient")
+        if any(sum(v * g[i] for v, g in zip(xnum, G) if v) != D * b[i] for i in range(dim)):
+            raise SimplexError("internal: witness fails substitution")
+        return "witness", [Fraction(v, D) for v in xnum]
 
     # Farkas certificate from the dual values y_r = 1 - (reduced cost of artificial r)
-    y = [Fraction(1) - cost[n + r] for r in range(dim)]
-    phi = [-y[i] if not flips[i] else y[i] for i in range(dim)]
-    _check_certificate(gens, _to_frac(target), phi)
-    return "certificate", phi
-
-
-def _check_witness(gens, target, x):
-    for i in range(len(target)):
-        if sum(xj * g[i] for xj, g in zip(x, gens)) != target[i]:
-            raise SimplexError("internal: witness fails substitution")
-    if any(xj < 0 for xj in x):
-        raise SimplexError("internal: witness has a negative coefficient")
-
-
-def _check_certificate(gens, target, phi):
-    for g in gens:
-        if sum(p * gi for p, gi in zip(phi, g)) < 0:
-            raise SimplexError("internal: certificate negative on a generator")
-    if sum(p * t for p, t in zip(phi, target)) >= 0:
+    cost = M[dim]
+    pnum = [(D - cost[n + i]) * (1 if b[i] < 0 else -1) for i in range(dim)]
+    if any(sum(p * gi for p, gi in zip(pnum, g)) < 0 for g in G):
+        raise SimplexError("internal: certificate negative on a generator")
+    if sum(p * t for p, t in zip(pnum, b)) >= 0:
         raise SimplexError("internal: certificate not separating")
+    return "certificate", [Fraction(p, D) for p in pnum]

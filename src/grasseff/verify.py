@@ -10,6 +10,7 @@ once.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from fractions import Fraction
@@ -333,7 +334,8 @@ def run_all() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ring24.json")
         table = ring_io.export_ring(2, 4, path)
-        table2 = ring_io.load_ring(path)
+        with open(path) as fh:
+            table2 = json.load(fh)
         n_basis = sum(len(v) for v in table["basis"].values())
         add(_record("ring-export-roundtrip", "exported table reimports identically",
                     {"k": 2, "n": 4},

@@ -122,3 +122,39 @@ def test_export_ring_and_cache(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "degree", "--k", "2", "--n", "4")
     assert code == 0 and out == {"degree": 2}
     assert run(capsys, "export-ring", "--k", "3", "--n", "8", "--cap", "12")[0] == 2
+    # an exported table is never read back: a hand-edited sigma1*sigma1 = 7*sigma2 is ignored
+    ring = json.loads((cache / "ring_2_4.json").read_text())
+    entry = next(rec for rec in ring["products"] if rec["a"] == [1] and rec["b"] == [1])
+    entry["terms"] = [{"c": 7, "lambda": [2]}]
+    (cache / "ring_2_4.json").write_text(json.dumps(ring))
+    code, out, _ = run(capsys, "product", "--k", "2", "--n", "4", "--a", "1", "--b", "1")
+    assert code == 0
+    assert out["terms"] == [{"c": 1, "lambda": [2]}, {"c": 1, "lambda": [1, 1]}]
+
+
+def assert_usage_error_naming(err, path):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    msg = json.loads(lines[0])
+    assert lines[0] == json.dumps(msg, sort_keys=True, separators=(",", ":"))
+    assert str(path) in msg["error"] and "zero denominator" in msg["error"]
+
+
+def test_zero_denominator_in_generator_file(capsys, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([["1/0", "1"], ["0", "1"]]))
+    cls = tmp_path / "v.json"
+    cls.write_text(json.dumps({"vector": ["1", "1"]}))
+    code, out, err = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(cls))
+    assert code == 2 and out is None
+    assert_usage_error_naming(err, gens)
+
+
+def test_zero_denominator_in_class_file(capsys, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([[1, 0], [0, 1]]))
+    cls = tmp_path / "v.json"
+    cls.write_text(json.dumps({"vector": ["1", "3/0"]}))
+    code, out, err = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(cls))
+    assert code == 2 and out is None
+    assert_usage_error_naming(err, cls)

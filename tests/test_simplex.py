@@ -1,10 +1,72 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasseff.cli import run_subcommand
 from grasseff.simplex import SimplexError, solve_nonneg_combination
+
+
+def fraction_simplex(generators, target):
+    """Reference: the same phase-1 simplex with Bland's rule over a Fraction tableau."""
+    gens = [[Fraction(x) for x in g] for g in generators]
+    b = [Fraction(x) for x in target]
+    dim = len(b)
+    n = len(gens)
+    A = [[gens[j][i] for j in range(n)] for i in range(dim)]
+    flips = [False] * dim
+    for i in range(dim):
+        if b[i] < 0:
+            A[i] = [-x for x in A[i]]
+            b[i] = -b[i]
+            flips[i] = True
+    ncols = n + dim
+    tab = [A[i] + [Fraction(int(j == i)) for j in range(dim)] + [b[i]] for i in range(dim)]
+    basis = [n + i for i in range(dim)]
+    cost = [Fraction(int(j >= n)) - sum(tab[i][j] for i in range(dim)) for j in range(ncols)]
+    cost.append(-sum(row[ncols] for row in tab))
+
+    def pivot(r, c):
+        inv = 1 / tab[r][c]
+        tab[r] = [x * inv for x in tab[r]]
+        for i in range(dim):
+            if i != r and tab[i][c] != 0:
+                f = tab[i][c]
+                tab[i] = [a - f * p for a, p in zip(tab[i], tab[r])]
+        f = cost[c]
+        cost[:] = [a - f * p for a, p in zip(cost, tab[r])]
+        basis[r] = c
+
+    while True:
+        entering = next((j for j in range(ncols) if cost[j] < 0), None)
+        if entering is None:
+            break
+        ratios = [(tab[i][ncols] / tab[i][entering], basis[i], i)
+                  for i in range(dim) if tab[i][entering] > 0]
+        pivot(min(ratios)[2], entering)
+
+    if cost[ncols] == 0:
+        for i in range(dim):
+            if basis[i] >= n:
+                c = next((j for j in range(n) if tab[i][j] != 0), None)
+                if c is not None:
+                    pivot(i, c)
+        x = [Fraction(0)] * n
+        for i in range(dim):
+            if basis[i] < n:
+                x[basis[i]] = tab[i][ncols]
+        return "witness", x
+    y = [1 - cost[n + r] for r in range(dim)]
+    return "certificate", [y[i] if flips[i] else -y[i] for i in range(dim)]
+
+
+def assert_same_as_reference(gens, target):
+    got = solve_nonneg_combination(gens, target)
+    assert got == fraction_simplex(gens, target)
+    assert all(isinstance(v, Fraction) for v in got[1])
+    return got
 
 
 def test_witness_simple():
@@ -61,3 +123,73 @@ def test_random_targets_always_resolve(gens, target):
         for g in gens:
             assert sum(p * gi for p, gi in zip(data, g)) >= 0
         assert sum(p * t for p, t in zip(data, target)) < 0
+
+
+def test_empty_generator_list():
+    assert assert_same_as_reference([], (0, 0)) == ("witness", [])
+    kind, phi = assert_same_as_reference([], (1, -2))
+    assert kind == "certificate" and phi == [-1, 1]
+
+
+def test_drive_out_pivot_on_negative_entry():
+    # phase 1 ends with an artificial basic at level 0 whose row has -1 (then -3)
+    # in a generator column; driving it out pivots on a negative entry.
+    assert assert_same_as_reference([(1, 0), (0, -1)], (1, 0)) == ("witness", [1, 0])
+    kind, x = assert_same_as_reference([(2, 0), (0, -3)], (1, 0))
+    assert x == [Fraction(1, 2), 0]
+    kind, x = assert_same_as_reference([(-1, 0, 0), (0, 0, 1)], (0, 0, 1))
+    assert x == [0, 1]
+
+
+def test_rational_cone_through_cli(capsys, tmp_path):
+    gens = [["1/2", "0", "1/3"], ["0", "2/3", "-1/5"], ["1", "1", "1"]]
+    gpath = tmp_path / "gens.json"
+    gpath.write_text(json.dumps(gens))
+    vpath = tmp_path / "v.json"
+    for target, expected in ((["1/2", "17/36", "7/20"], {"g0": "1/2", "g1": "1/3", "g2": "1/4"}),
+                             (["3/4", "1/6", "2/7"], None)):
+        vpath.write_text(json.dumps({"vector": target}))
+        code = run_subcommand(["cone", "check", "--generators", str(gpath), "--class", str(vpath)])
+        out = json.loads(capsys.readouterr().out)
+        kind, data = fraction_simplex(gens, target)
+        if expected is not None:
+            assert kind == "witness" and code == 0 and out["witness"] == expected
+        else:
+            assert kind == "certificate" and code == 3
+            assert out["certificate"] == [str(x) for x in data]
+
+
+entries = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def lp_instances(draw):
+    dim = draw(st.integers(min_value=1, max_value=6))
+    vec = st.lists(entries, min_size=dim, max_size=dim)
+    gens = draw(st.lists(vec, min_size=0, max_size=9))
+    if gens and draw(st.booleans()):
+        gens.append(list(draw(st.sampled_from(gens))))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), [0] * dim)
+    gens = gens[:9]
+    if gens and draw(st.booleans()):
+        weights = draw(st.lists(st.sampled_from([0, Fraction(1, 2), 1, 2]),
+                                min_size=len(gens), max_size=len(gens)))
+        target = [sum(w * g[i] for w, g in zip(weights, gens)) for i in range(dim)]
+    else:
+        target = draw(vec)
+    return gens, target
+
+
+@settings(deadline=None, max_examples=200)
+@given(lp_instances())
+def test_matches_fraction_tableau(instance):
+    gens, target = instance
+    kind, data = assert_same_as_reference(gens, target)
+    if kind == "witness":
+        assert len(data) == len(gens)
+    else:
+        assert len(data) == len(target)
