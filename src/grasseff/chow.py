@@ -51,10 +51,6 @@ class GrassCtx:
     def point_class_partition(self) -> BoxedPartition:
         return BoxedPartition((self.w,) * self.k, self.k, self.w)
 
-    def line_class_partition(self) -> BoxedPartition:
-        """Index of the one-dimensional Schubert class (w, ..., w, w-1)."""
-        return BoxedPartition((self.w,) * (self.k - 1) + (self.w - 1,), self.k, self.w)
-
 
 class ChowClass:
     """A homogeneous integer combination of Schubert classes of one codimension."""

@@ -91,7 +91,7 @@ def _load_cone(path: str) -> cones.ConeSpec:
         if isinstance(data, dict):
             gens = [(g["label"], [jsonio.parse_frac(x) for x in g["vector"]])
                     for g in data["generators"]]
-            dim = int(data.get("dim", len(gens[0][1])))
+            dim = int(data["dim"]) if "dim" in data else len(gens[0][1])
             basis = data.get("basis", ["x%d" % i for i in range(dim)])
         else:
             gens = [("g%d" % i, [jsonio.parse_frac(x) for x in vec])
@@ -208,12 +208,16 @@ def cmd_export_ring(args) -> int:
         cache_dir = os.environ.get(CACHE_ENV)
         if cache_dir is None:
             raise UsageError("give --out or set %s" % CACHE_ENV)
-        os.makedirs(cache_dir, exist_ok=True)
         out = os.path.join(cache_dir, "ring_%d_%d.json" % (args.k, args.n))
     ctx = _ctx(args)
     if ctx.dim > args.cap:
         raise UsageError("k(n-k) = %d exceeds the cap %d" % (ctx.dim, args.cap))
-    table = ring_io.export_ring(args.k, args.n, out, cap=args.cap)
+    try:
+        if args.out is None:
+            os.makedirs(cache_dir, exist_ok=True)
+        table = ring_io.export_ring(args.k, args.n, out, cap=args.cap)
+    except OSError as exc:
+        raise UsageError("cannot write ring file %r: %s" % (out, exc.strerror or exc))
     _emit({"path": out, "basis_size": sum(len(v) for v in table["basis"].values())})
     return 0
 

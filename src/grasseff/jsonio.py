@@ -17,8 +17,11 @@ def frac_str(x) -> str:
 def parse_frac(s) -> Fraction:
     """Exact rational from an int, a Fraction or text like '3/4'.
 
-    Raises ValueError on malformed text and on a zero denominator.
+    Raises ValueError on malformed text, on a zero denominator and on a
+    bool, which is an int to Python but not a coordinate.
     """
+    if isinstance(s, bool):
+        raise ValueError("boolean %r is not a rational" % (s,))
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     try:

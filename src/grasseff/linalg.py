@@ -1,94 +1,101 @@
-"""Small exact linear algebra helpers: Bareiss determinants and rational rank."""
+"""One exact elimination kernel: the fraction-free pivot of Bareiss and Edmonds.
+
+An integer matrix M over one positive common denominator D stands for M / D.
+`pivot` clears a column in every other row with the update
+M'[i] = (piv * M[i] - M[i][c] * M[r]) // D, and the pivot entry becomes the
+new D; every division is exact (Bareiss 1968, Edmonds 1967). With a prime p
+the pivot row is first scaled to a leading 1, so piv = D = 1 and the same
+update runs mod p. `echelon` walks the columns with it, and rank, RREF,
+determinants and reduction modulo a row span are read off its result. The
+simplex tableau pivots with the same `pivot`.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
+
+def pivot(M: list[list[int]], D: int, r: int, c: int, p: int | None = None) -> int:
+    """Pivot M / D on entry (r, c) in place and return the new denominator.
+
+    A negative pivot entry first negates row r, so the new D is positive.
+    """
+    row = M[r]
+    piv = row[c]
+    if p:
+        inv = pow(piv, -1, p)
+        row = M[r] = [a * inv % p for a in row]
+        piv = D = 1
+    elif piv < 0:
+        piv = -piv
+        row = M[r] = [-a for a in row]
+    for i, other in enumerate(M):
+        f = other[c]
+        if i == r or not f and piv == D:
+            continue
+        if p:
+            M[i] = [(a - f * q) % p for a, q in zip(other, row)]
+        elif f:
+            M[i] = [(piv * a - f * q) // D for a, q in zip(other, row)]
+        else:
+            M[i] = [piv * a // D for a in other]
+    return piv
+
+
+def echelon(matrix: list[list[int]], p: int | None = None):
+    """Reduced row echelon form of an integer matrix, over Q or over F_p.
+
+    Returns (M, D, pivot_cols, sign): M / D is the RREF, its first
+    len(pivot_cols) rows are the nonzero ones, each with the entry D in its
+    pivot column, and sign is the sign change of det from row swaps and
+    negated pivot rows.
+    """
+    M = [[a % p for a in row] for row in matrix] if p else [list(row) for row in matrix]
+    D, sign, cols = 1, 1, []
+    for c in range(len(M[0]) if M else 0):
+        r = len(cols)
+        for s in range(r, len(M)):
+            if M[s][c]:
+                break
+        else:
+            continue
+        if s != r:
+            M[r], M[s] = M[s], M[r]
+            sign = -sign
+        if M[r][c] < 0:
+            sign = -sign
+        D = pivot(M, D, r, c, p)
+        cols.append(c)
+        if r + 1 == len(M):
+            break
+    return M, D, cols, sign
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination.
-
-    All intermediate values stay integral; no rationals appear.
-    """
+    """Determinant of an integer matrix; all intermediate values stay integral."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[n - 1][n - 1]
+    _, D, cols, sign = echelon(matrix)
+    return sign * D if len(cols) == n else 0
 
 
-def rank(matrix: list[list[Fraction]]) -> int:
-    """Rank of a rational matrix by Gaussian elimination."""
-    if not matrix:
-        return 0
-    m = [list(row) for row in matrix]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+def rank(matrix: list[list[int]], p: int | None = None) -> int:
+    """Rank of an integer matrix over Q, or over F_p for a prime p."""
+    return len(echelon(matrix, p)[2])
 
 
-def rref(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form, zero rows dropped."""
-    if not matrix:
-        return []
-    m = [list(row) for row in matrix]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return [row for row in m if any(x != 0 for x in row)]
+def rref(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(rows, D): rows / D is the reduced row echelon form, zero rows dropped."""
+    M, D, cols, _ = echelon(matrix)
+    return M[:len(cols)], D
 
 
-def reduce_mod(v: list[Fraction], basis_rref: list[list[Fraction]]) -> list[Fraction]:
-    """Reduce v modulo the row span of an RREF basis."""
-    v = list(v)
-    for row in basis_rref:
-        piv = next(i for i, x in enumerate(row) if x != 0)
-        if v[piv] != 0:
-            f = v[piv]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
+def reduce_mod(v: list[int], rows: list[list[int]], D: int) -> list[int]:
+    """D * (v modulo the row span), for (rows, D) as `rref` returns them.
+
+    Appended as the row D * v of M / D, v is reduced by pivoting on each
+    row's leading entry D, which leaves the other rows as they are.
+    """
+    M = rows + [[D * a for a in v]]
+    for r, row in enumerate(rows):
+        pivot(M, D, r, next(c for c, x in enumerate(row) if x))
+    return M[-1]

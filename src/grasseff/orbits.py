@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from grasseff.linalg import rank, reduce_mod, rref
 
@@ -177,15 +176,15 @@ def group_dimension(k: int, s: int = 0) -> int:
     return len(_lie_positions(k, s))
 
 
-def _rep_vectors(rep: OrbitRepresentative, n: int) -> list[list[Fraction]]:
+def _rep_vectors(rep: OrbitRepresentative, n: int) -> list[list[int]]:
     k = rep.k
     vecs = []
     for i, j in rep.pairs:
-        v = [Fraction(0)] * n
+        v = [0] * n
         if i > 0:
-            v[i - 1] = Fraction(1)
+            v[i - 1] = 1
         if j > 0:
-            v[k + j - 1] = Fraction(1)
+            v[k + j - 1] = 1
         vecs.append(v)
     return vecs
 
@@ -200,16 +199,11 @@ def orbit_dimension(rep: OrbitRepresentative, k: int | None = None, s: int = 0) 
         raise OrbitError("s must be nonnegative")
     n = 2 * k + s
     basis = _rep_vectors(rep, n)
-    basis_r = rref(basis)
-    rows = []
-    for (i, j) in _lie_positions(k, s):
-        # E_ij applied to each spanning vector, reduced modulo the subspace
-        row = []
-        for w in basis:
-            image = [Fraction(0)] * n
-            image[i] = w[j]
-            row.extend(reduce_mod(image, basis_r))
-        rows.append(row)
+    basis_r, D = rref(basis)
+    # E_ij maps w to w[j] e_i, so each e_i is reduced modulo W once; every
+    # entry carries the same factor D, which leaves the rank alone
+    reduced = [reduce_mod([int(a == i) for a in range(n)], basis_r, D) for i in range(n)]
+    rows = [[w[j] * x for w in basis for x in reduced[i]] for i, j in _lie_positions(k, s)]
     return rank(rows)
 
 
@@ -232,27 +226,8 @@ def dense_orbit_dimension_check(k: int, d: int) -> dict:
 # finite-field oracle
 
 def ff_rank(matrix, q: int) -> int:
-    """Rank over F_q (q prime) by Gaussian elimination."""
-    m = [[x % q for x in row] for row in matrix]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] % q != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], q - 2, q)
-        m[r] = [(x * inv) % q for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] % q != 0:
-                f = m[i][c]
-                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over F_q (q prime)."""
+    return rank(matrix, q)
 
 
 def ff_subspaces(n: int, d: int, q: int):

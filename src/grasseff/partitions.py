@@ -40,10 +40,6 @@ class BoxedPartition:
         """Parts without trailing zeros (the usual display convention)."""
         return tuple(p for p in self.parts if p != 0)
 
-    def contains(self, other: "BoxedPartition") -> bool:
-        """Componentwise >= against another partition in the same box."""
-        return self.parts >= tuple() and all(a >= b for a, b in zip(self.parts, other.parts))
-
     def to_json(self) -> list[int]:
         return list(self.trimmed())
 

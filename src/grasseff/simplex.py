@@ -2,22 +2,25 @@
 
 Decides whether a target vector is a nonnegative combination of given
 generators, by a phase-1 simplex with Bland's anti-cycling rule. The tableau
-is fraction-free (Bareiss 1968, Edmonds 1967): generators and target are
-scaled once by the lcm L of their denominators, and the tableau is an integer
-matrix M over one positive common denominator D, with the cost row as the
-last row of M. Each pivot divides exactly by the previous D, and the new D is
-the pivot entry. A uniform positive scaling keeps every reduced-cost sign and
-every ratio order, so the pivots are the ones of the same simplex over
-Fraction. Failure comes with a Farkas certificate: a functional nonnegative
-on every generator and strictly negative on the target. Exactly one of
-witness or certificate is produced, and both are re-verified by substitution
-in integers before being returned as Fractions over D.
+is fraction-free: generators and target are scaled once by the lcm L of
+their denominators, and the tableau is an integer matrix M over one positive
+common denominator D, with the cost row as the last row of M. Each pivot is
+`linalg.pivot`, the Bareiss/Edmonds update that divides exactly by the
+previous D and makes the pivot entry the new D. A uniform positive scaling
+keeps every reduced-cost sign and every ratio order, so the pivots are the
+ones of the same simplex over Fraction. Failure comes with a Farkas
+certificate: a functional nonnegative on every generator and strictly
+negative on the target. Exactly one of witness or certificate is produced,
+and both are re-verified by substitution in integers before being returned
+as Fractions over D.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from grasseff.linalg import pivot
 
 
 class SimplexError(RuntimeError):
@@ -54,24 +57,6 @@ def solve_nonneg_combination(generators, target):
     basis = [n + i for i in range(dim)]
     D = 1
 
-    def pivot(r, c):
-        nonlocal D
-        row = M[r]
-        p = row[c]
-        if p < 0:
-            p = -p
-            row = M[r] = [-a for a in row]
-        for i, other in enumerate(M):
-            if i == r:
-                continue
-            f = other[c]
-            if f:
-                M[i] = [(p * a - f * q) // D for a, q in zip(other, row)]
-            elif p != D:
-                M[i] = [p * a // D for a in other]
-        D = p
-        basis[r] = c
-
     while True:
         cost = M[dim]
         entering = next((j for j in range(ncols) if cost[j] < 0), None)
@@ -88,7 +73,8 @@ def solve_nonneg_combination(generators, target):
                     leaving, best_rhs, best_a = i, rhs, a
         if leaving is None:
             raise SimplexError("phase-1 problem unbounded; should be impossible")
-        pivot(leaving, entering)
+        D = pivot(M, D, leaving, entering)
+        basis[leaving] = entering
 
     if M[dim][ncols] == 0:
         # drive any degenerate artificials out of the basis
@@ -96,7 +82,8 @@ def solve_nonneg_combination(generators, target):
             if basis[i] >= n:
                 c = next((j for j in range(n) if M[i][j] != 0), None)
                 if c is not None:
-                    pivot(i, c)
+                    D = pivot(M, D, i, c)
+                    basis[i] = c
         xnum = [0] * n
         for i in range(dim):
             if basis[i] < n:

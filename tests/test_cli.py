@@ -158,3 +158,36 @@ def test_zero_denominator_in_class_file(capsys, tmp_path):
     code, out, err = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(cls))
     assert code == 2 and out is None
     assert_usage_error_naming(err, cls)
+
+
+def test_boolean_coordinate_in_class_file(capsys, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([[1, 0], [0, 1]]))
+    cls = tmp_path / "v.json"
+    cls.write_text(json.dumps({"vector": [True, False]}))
+    code, out, err = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(cls))
+    assert code == 2 and out is None
+    msg = json.loads(err)
+    assert str(cls) in msg["error"] and "boolean" in msg["error"]
+
+
+def test_cone_with_no_generators(capsys, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"generators": [], "dim": 2}))
+    zero, unit = tmp_path / "zero.json", tmp_path / "unit.json"
+    zero.write_text(json.dumps([0, 0]))
+    unit.write_text(json.dumps([1, 0]))
+    code, out, _ = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(zero))
+    assert code == 0 and out == {"verdict": "in-span", "witness": {}}
+    code, out, _ = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(unit))
+    assert code == 3 and out["verdict"] == "not-in-span"
+    # the functional is negative on the target; there is no generator to check
+    assert sum(int(c) * x for c, x in zip(out["certificate"], [1, 0])) < 0
+
+
+def test_export_ring_to_unwritable_path(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "export-ring", "--k", "2", "--n", "4", "--out", str(path))
+    assert code == 2 and out is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and str(path) in json.loads(lines[0])["error"]

@@ -18,6 +18,13 @@ def test_parse_frac_rejects_zero_denominator():
         jsonio.parse_frac("1/0")
 
 
+def test_parse_frac_rejects_bool():
+    import pytest
+    for b in (True, False):
+        with pytest.raises(ValueError, match="boolean"):
+            jsonio.parse_frac(b)
+
+
 def test_canonical_dumps_is_sorted_and_compact():
     s = jsonio.canonical_dumps({"b": Fraction(1, 2), "a": [1, (2, 3)]})
     assert s == '{"a":[1,[2,3]],"b":"1/2"}'
