@@ -23,26 +23,16 @@ class BlowupError(ValueError):
     pass
 
 
-CONFIGURATIONS = ("very_general", "general", "special")
-
-
 @dataclass(frozen=True)
 class BlowupCtx:
-    """G(k, n) blown up at r anonymous points.
-
-    The configuration tag is metadata for verification reports only; it never
-    affects arithmetic.
-    """
+    """G(k, n) blown up at r anonymous points."""
 
     ctx: GrassCtx
     r: int
-    configuration: str = "general"
 
     def __post_init__(self):
         if self.r < 0:
             raise BlowupError("r must be nonnegative")
-        if self.configuration not in CONFIGURATIONS:
-            raise BlowupError("unknown configuration %r" % (self.configuration,))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ duality. All coefficients are Python ints (arbitrary precision).
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -207,9 +206,8 @@ def giambelli(lam: BoxedPartition) -> list[tuple[int, tuple[int, ...]]]:
     return list(_giambelli_monomials(lam.parts, lam.box_w))
 
 
-# product memo: written under a lock, read freely; entries are immutable
+# product memo; entries are immutable
 _product_cache: dict = {}
-_product_lock = threading.Lock()
 
 
 def _sigma_product(ctx: GrassCtx, lam: BoxedPartition, mu: BoxedPartition) -> ChowClass:
@@ -231,8 +229,7 @@ def _sigma_product(ctx: GrassCtx, lam: BoxedPartition, mu: BoxedPartition) -> Ch
         for nu, c in cur.coeffs.items():
             acc[nu] = acc.get(nu, 0) + sign * c
     result = ChowClass(ctx, lam.size + mu.size, acc)
-    with _product_lock:
-        _product_cache[key] = result
+    _product_cache[key] = result
     return result
 
 

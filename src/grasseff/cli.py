@@ -85,13 +85,20 @@ def cmd_mult(args) -> int:
     return 0
 
 
+def _parse_int(x) -> int:
+    f = jsonio.parse_frac(x)
+    if f.denominator != 1:
+        raise ValueError("%r is not an integer" % (x,))
+    return f.numerator
+
+
 def _load_cone(path: str) -> cones.ConeSpec:
     data = _load_json(path, "generator")
     try:
         if isinstance(data, dict):
             gens = [(g["label"], [jsonio.parse_frac(x) for x in g["vector"]])
                     for g in data["generators"]]
-            dim = int(data["dim"]) if "dim" in data else len(gens[0][1])
+            dim = _parse_int(data["dim"]) if "dim" in data else len(gens[0][1])
             basis = data.get("basis", ["x%d" % i for i in range(dim)])
         else:
             gens = [("g%d" % i, [jsonio.parse_frac(x) for x in vec])
@@ -133,20 +140,20 @@ def cmd_cone_check(args) -> int:
     return 0 if result.is_member else 3
 
 
-def _blowup_class_from_json(data: dict) -> blowup.BlowupClass:
+def _blowup_class_from_json(data: dict, path: str) -> blowup.BlowupClass:
     try:
-        ctx = GrassCtx(int(data["k"]), int(data["n"]))
+        ctx = GrassCtx(_parse_int(data["k"]), _parse_int(data["n"]))
         grading = data.get("grading", "dim")
-        m = int(data["m"])
+        m = _parse_int(data["m"])
         codim = m if grading == "codim" else ctx.dim - m
         coeffs = {}
         for term in data.get("terms", []):
-            lam = ctx.partition(term["lambda"])
-            coeffs[lam] = coeffs.get(lam, 0) + int(term["c"])
-        exc = tuple(int(x) for x in data["exc"])
+            lam = ctx.partition([_parse_int(p) for p in term["lambda"]])
+            coeffs[lam] = coeffs.get(lam, 0) + _parse_int(term["c"])
+        exc = tuple(_parse_int(x) for x in data["exc"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError("malformed class file: missing or bad field (%s)" % exc)
-    bctx = blowup.BlowupCtx(ctx, len(exc), data.get("configuration", "general"))
+        raise UsageError("malformed class file %r: missing or bad field (%s)" % (path, exc))
+    bctx = blowup.BlowupCtx(ctx, len(exc))
     return blowup.BlowupClass(bctx, grading, m, chow.ChowClass(ctx, codim, coeffs), exc)
 
 
@@ -158,7 +165,7 @@ def cmd_cone_sgen(args) -> int:
     if args.cls is None:
         _emit(out)
         return 0
-    cls = _blowup_class_from_json(_load_json(args.cls, "class"))
+    cls = _blowup_class_from_json(_load_json(args.cls, "class"), args.cls)
     if cls.bctx.r != args.r or cls.bctx.ctx != ctx:
         raise UsageError("class file does not match --k/--n/--r")
     cone = cones.sgen_cycle_cone(ctx, args.dim, args.r)
@@ -209,9 +216,7 @@ def cmd_export_ring(args) -> int:
         if cache_dir is None:
             raise UsageError("give --out or set %s" % CACHE_ENV)
         out = os.path.join(cache_dir, "ring_%d_%d.json" % (args.k, args.n))
-    ctx = _ctx(args)
-    if ctx.dim > args.cap:
-        raise UsageError("k(n-k) = %d exceeds the cap %d" % (ctx.dim, args.cap))
+    ring_io.capped_ctx(args.k, args.n, args.cap)
     try:
         if args.out is None:
             os.makedirs(cache_dir, exist_ok=True)

@@ -338,11 +338,27 @@ def quadric_term_vector(key: tuple, r: int) -> tuple:
     return (a, *bs)
 
 
-def quadric_resum(terms: dict[tuple, int], r: int) -> tuple:
-    total = [0] * (r + 1)
-    for key, c in terms.items():
-        vec = quadric_term_vector(key, r)
-        total = [t + c * v for t, v in zip(total, vec)]
+def quadric_cone(r: int) -> ConeSpec:
+    """Curve cone of the quadric blown up at r points: lines, conics, exceptional lines.
+
+    One generator per term kind of quadric_curve_decompose; a class
+    a*l - sum b_i l_i is the vector (a, -b_1, ..., -b_r).
+    """
+    keys = [("ell",)] + [("ell_i", i) for i in range(r)] + [("line", i) for i in range(r)] \
+        + [("conic", *ijk) for ijk in itertools.combinations(range(r), 3)]
+    gens = []
+    for key in keys:
+        a, *bs = quadric_term_vector(key, r)
+        label = key[0] + "".join("_%d" % (i + 1) for i in key[1:])
+        gens.append((label, (a, *(-b for b in bs))))
+    return ConeSpec.build(r + 1, ("ell",) + tuple("ell_%d" % (i + 1) for i in range(r)), gens)
+
+
+def resum(terms, vector_of, length: int) -> tuple:
+    """Sum of c * vector_of(key) over a decomposition's terms (a dict or (key, c) pairs)."""
+    total = [0] * length
+    for key, c in dict(terms).items():
+        total = [t + c * v for t, v in zip(total, vector_of(key))]
     return tuple(total)
 
 
@@ -438,14 +454,6 @@ def g25_term_vector(key: tuple, r: int) -> tuple:
     return (a21, a3, *bs)
 
 
-def g25_resum(terms: dict[tuple, int], r: int) -> tuple:
-    total = [0] * (r + 2)
-    for key, c in terms.items():
-        vec = g25_term_vector(key, r)
-        total = [t + c * v for t, v in zip(total, vec)]
-    return tuple(total)
-
-
 def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
     """Span of Schubert classes for dimension-1 or -2 cycles on a blow-up at r points.
 
@@ -516,7 +524,7 @@ def g24_nonspan_witness():
     functional against the r = 3 S-generation generators.
     """
     ctx = GrassCtx(2, 4)
-    bctx = BlowupCtx(ctx, 3, "general")
+    bctx = BlowupCtx(ctx, 3)
     amb = chow.sigma(ctx, (2,)) + chow.sigma(ctx, (1, 1))
     cls = blow_class(bctx, "dim", 2, amb, (1, 1, 1))
     result = cone_membership(g24_sgen_cone(3), (1, 1, -1, -1, -1))

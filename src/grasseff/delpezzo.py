@@ -1,10 +1,13 @@
 """Degree-d Fano verification: the blown-up-plane lattice and the null divisors.
 
 Works in the rank-11 lattice with basis {h, e_1..e_N, f_1..f_{10-N}}, N = 9-d,
-intersection form diag(1, -1, ..., -1). The distinguished class
+intersection form diag(1, -1, ..., -1); every class in it has integer
+coefficients. The distinguished class
 D = h - (1/3) sum e_i - sqrt(q') f_1 - sqrt(q) sum_{j>=2} f_j has D^2 = 0
-identically in q once q' = (9-N)(1/9 - q); everything is checked in exact
-rational / two-radical arithmetic.
+identically in q once q' = (9-N)(1/9 - q). D is not itself a lattice class:
+it is kept as the linear form C -> D.C, which on an integer class C is
+(C_h + sum C_e / 3) + (sum_{j>=2} C_f_j) sqrt(q) + C_f_1 sqrt(q'), and each
+check decides the exact sign of that number (`radicals.RadicalNumber.sign`).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from grasseff.radicals import RadCtx, RadicalNumber
+from grasseff.radicals import RadicalNumber
 
 
 class DelPezzoError(ValueError):
@@ -21,10 +24,10 @@ class DelPezzoError(ValueError):
 
 @dataclass(frozen=True)
 class Pic10Class:
-    """Coefficients over {h, e_1..e_N, f_1..f_{10-N}}; entries rational or radical."""
+    """Integer coefficients over {h, e_1..e_N, f_1..f_{10-N}}."""
 
     N: int
-    h: object
+    h: int
     e: tuple
     f: tuple
 
@@ -33,31 +36,20 @@ class Pic10Class:
             raise DelPezzoError("N must be between 1 and 8")
         if len(self.e) != self.N or len(self.f) != 10 - self.N:
             raise DelPezzoError("expected %d e's and %d f's" % (self.N, 10 - self.N))
+        if not all(isinstance(x, int) for x in (self.h, *self.e, *self.f)):
+            raise DelPezzoError("lattice classes have integer coefficients")
 
 
-def rational_class(N: int, h=0, e=None, f=None) -> Pic10Class:
-    e = tuple(Fraction(x) for x in (e or [0] * N))
-    f = tuple(Fraction(x) for x in (f or [0] * (10 - N)))
-    return Pic10Class(N, Fraction(h), e, f)
+def lattice_class(N: int, h=0, e=None, f=None) -> Pic10Class:
+    return Pic10Class(N, h, tuple(e or [0] * N), tuple(f or [0] * (10 - N)))
 
 
-def _mul(x, y):
-    # RadicalNumber absorbs Fractions on either side
-    if isinstance(x, RadicalNumber) or isinstance(y, RadicalNumber):
-        return x * y if isinstance(x, RadicalNumber) else y * x
-    return x * y
-
-
-def intersect(x: Pic10Class, y: Pic10Class):
+def intersect(x: Pic10Class, y: Pic10Class) -> int:
     """Intersection number under the form h^2 = 1, e_i^2 = f_j^2 = -1."""
     if x.N != y.N:
         raise DelPezzoError("classes live in different lattices")
-    total = _mul(x.h, y.h)
-    for a, b in zip(x.e, y.e):
-        total = total - _mul(a, b)
-    for a, b in zip(x.f, y.f):
-        total = total - _mul(a, b)
-    return total
+    return x.h * y.h - sum(a * b for a, b in zip(x.e, y.e)) \
+        - sum(a * b for a, b in zip(x.f, y.f))
 
 
 def qprime_of(N: int, q: Fraction) -> Fraction:
@@ -69,7 +61,27 @@ def admissible_q_interval(N: int) -> tuple[Fraction, Fraction]:
     return (Fraction(8 - N, 9 * (9 - N)), Fraction(1, 9))
 
 
-def build_D_delta(N: int, q) -> Pic10Class:
+@dataclass(frozen=True)
+class NullDivisor:
+    """D = h - (1/3) sum e_i - sqrt(qp) f_1 - sqrt(q) sum_{j>=2} f_j, as a linear form."""
+
+    N: int
+    q: Fraction
+    qp: Fraction
+
+    def pair(self, c: Pic10Class) -> RadicalNumber:
+        """D.C = (C_h + sum C_e / 3) + (sum_{j>=2} C_f_j) sqrt(q) + C_f_1 sqrt(qp)."""
+        if c.N != self.N:
+            raise DelPezzoError("classes live in different lattices")
+        return RadicalNumber(c.h + Fraction(sum(c.e), 3), sum(c.f[1:]), c.f[0],
+                             self.q, self.qp)
+
+    def square(self) -> Fraction:
+        """D.D = 1 - N/9 - qp - (9-N) q; the sqrt(q) sqrt(qp) cross terms never arise."""
+        return 1 - Fraction(self.N, 9) - self.qp - (9 - self.N) * self.q
+
+
+def build_D_delta(N: int, q) -> NullDivisor:
     """h - (1/3) sum e_i - sqrt(q') f_1 - sqrt(q) f_j (j >= 2), with q' tied to q."""
     q = Fraction(q)
     lo, hi = admissible_q_interval(N)
@@ -77,10 +89,7 @@ def build_D_delta(N: int, q) -> Pic10Class:
         raise DelPezzoError(
             "q outside the open interval: need sqrt((8-N)/(9(9-N))) < delta < 1/3, "
             "i.e. %s < q < %s" % (lo, hi))
-    ctx = RadCtx(q, qprime_of(N, q))
-    e = tuple(ctx.rational(Fraction(-1, 3)) for _ in range(N))
-    f = (ctx.root_qp(-1),) + tuple(ctx.root_q(-1) for _ in range(9 - N))
-    return Pic10Class(N, ctx.rational(1), e, f)
+    return NullDivisor(N, q, qprime_of(N, q))
 
 
 def d_squared_symbolic(N: int) -> tuple[Fraction, Fraction]:
@@ -89,12 +98,6 @@ def d_squared_symbolic(N: int) -> tuple[Fraction, Fraction]:
     const = 1 - Fraction(N, 9) - Fraction(9 - N, 9)
     linear = Fraction(9 - N) - Fraction(9 - N)
     return (const, linear)
-
-
-def _sign(x) -> int:
-    if isinstance(x, RadicalNumber):
-        return x.sign()
-    return 0 if x == 0 else (1 if x > 0 else -1)
 
 
 def _check(name, ok, value=None):
@@ -112,25 +115,22 @@ def verify_nef_conditions(N: int, q) -> dict:
     """
     q = Fraction(q)
     D = build_D_delta(N, q)
-    qp = qprime_of(N, q)
     checks = [
-        _check("D.D == 0", _sign(intersect(D, D)) == 0),
-        _check("D.h > 0", _sign(intersect(D, _basis(N, "h"))) > 0),
+        _check("D.D == 0", D.square() == 0),
+        _check("D.h > 0", D.pair(_basis(N, "h")).sign() > 0),
     ]
     for i in range(N):
-        checks.append(_check("D.e%d > 0" % (i + 1),
-                             _sign(intersect(D, _basis(N, "e", i))) > 0))
+        checks.append(_check("D.e%d > 0" % (i + 1), D.pair(_basis(N, "e", i)).sign() > 0))
     for j in range(10 - N):
-        checks.append(_check("D.f%d > 0" % (j + 1),
-                             _sign(intersect(D, _basis(N, "f", j))) > 0))
+        checks.append(_check("D.f%d > 0" % (j + 1), D.pair(_basis(N, "f", j)).sign() > 0))
     checks.append(_check("9q < 1", 9 * q < 1, 9 * q))
-    checks.append(_check("9q' < 1", 9 * qp < 1, 9 * qp))
+    checks.append(_check("9q' < 1", 9 * D.qp < 1, 9 * D.qp))
     const, linear = d_squared_symbolic(N)
     checks.append(_check("D.D == 0 identically in q", const == 0 and linear == 0))
     return {
         "N": N,
         "q": str(q),
-        "qp": str(qp),
+        "qp": str(D.qp),
         "checks": checks,
         "assumptions": ["SHGH"],
         "ok": all(c["status"] == "pass" for c in checks),
@@ -139,17 +139,17 @@ def verify_nef_conditions(N: int, q) -> dict:
 
 def _basis(N: int, kind: str, idx: int = 0) -> Pic10Class:
     if kind == "h":
-        return rational_class(N, h=1)
+        return lattice_class(N, h=1)
     e = [0] * N
     f = [0] * (10 - N)
     if kind == "e":
         e[idx] = 1
     else:
         f[idx] = 1
-    return rational_class(N, e=e, f=f)
+    return lattice_class(N, e=e, f=f)
 
 
-def check_lemma65(D: Pic10Class, kernel_gens, gamma_gens, sample_eff_gens) -> dict:
+def check_lemma65(D: NullDivisor, kernel_gens, gamma_gens, sample_eff_gens) -> dict:
     """Exact evaluation of the extremality conditions on given generator lists.
 
     (2) D.C = 0 on the kernel; (3) D.C > 0 on Gamma; for (1) only the
@@ -158,19 +158,19 @@ def check_lemma65(D: Pic10Class, kernel_gens, gamma_gens, sample_eff_gens) -> di
     projection. Full nefness over the whole effective cone is assumed (SHGH).
     """
     checks = [
-        _check("D.D == 0", _sign(intersect(D, D)) == 0),
-        _check("D.h > 0", _sign(intersect(D, _basis(D.N, "h"))) > 0),
+        _check("D.D == 0", D.square() == 0),
+        _check("D.h > 0", D.pair(_basis(D.N, "h")).sign() > 0),
     ]
     for idx, c in enumerate(kernel_gens):
-        val = intersect(D, c)
-        checks.append(_check("kernel[%d]: D.C == 0" % idx, _sign(val) == 0, val))
+        val = D.pair(c)
+        checks.append(_check("kernel[%d]: D.C == 0" % idx, val.sign() == 0, val))
     for idx, c in enumerate(gamma_gens):
-        val = intersect(D, c)
-        checks.append(_check("gamma[%d]: D.C > 0" % idx, _sign(val) > 0, val))
+        val = D.pair(c)
+        checks.append(_check("gamma[%d]: D.C > 0" % idx, val.sign() > 0, val))
     for idx, c in enumerate(sample_eff_gens):
-        val = intersect(D, c)
-        s = _sign(val)
-        ok = s > 0 or (s == 0 and _is_rational_multiple_of_projection(D, c))
+        val = D.pair(c)
+        s = val.sign()
+        ok = s > 0 or (s == 0 and _is_rational_multiple_of_projection(c))
         checks.append(_check("effective sample[%d]: D.C >= 0" % idx, ok, val))
     return {
         "N": D.N,
@@ -180,19 +180,9 @@ def check_lemma65(D: Pic10Class, kernel_gens, gamma_gens, sample_eff_gens) -> di
     }
 
 
-def _is_rational_multiple_of_projection(D: Pic10Class, c: Pic10Class) -> bool:
-    # rational projection of D: drop the radical f-coefficients
-    proj = [D.h] + list(D.e)
-    vec = [c.h] + list(c.e)
-    if any(not isinstance(x, Fraction) for x in proj):
-        proj = [x.a if isinstance(x, RadicalNumber) else x for x in proj]
-    if any(x != 0 for x in c.f):
-        return False
-    pivot = next(((p, v) for p, v in zip(proj, vec) if p != 0), None)
-    if pivot is None:
-        return all(v == 0 for v in vec)
-    ratio = Fraction(pivot[1]) / pivot[0]
-    return all(Fraction(v) == ratio * p for p, v in zip(proj, vec))
+def _is_rational_multiple_of_projection(c: Pic10Class) -> bool:
+    # D's rational projection is h - (1/3) sum e_i
+    return not any(c.f) and all(3 * x == -c.h for x in c.e)
 
 
 @dataclass(frozen=True)
@@ -237,7 +227,7 @@ def _h_minus_3(N: int, kind: str, idx: int) -> Pic10Class:
     e = [0] * N
     f = [0] * (10 - N)
     (e if kind == "e" else f)[idx - 1] = -3
-    return rational_class(N, h=1, e=e, f=f)
+    return lattice_class(N, h=1, e=e, f=f)
 
 
 def kernel_classes(case: FanoCase) -> list[Pic10Class]:
@@ -251,11 +241,11 @@ def kernel_classes(case: FanoCase) -> list[Pic10Class]:
                 if i != j:
                     e = [0] * N
                     e[i - 1], e[j - 1] = 1, -1
-                    out.append(rational_class(N, e=e))
+                    out.append(lattice_class(N, e=e))
         return out
     if case.kernel_kind == "h-e-e-e":
         e = [-1] * N
-        return [rational_class(N, h=1, e=e)]
+        return [lattice_class(N, h=1, e=e)]
     raise DelPezzoError("unknown kernel kind %r" % case.kernel_kind)
 
 
@@ -274,7 +264,7 @@ def gamma_classes(case: FanoCase) -> tuple[list[Pic10Class], list[int]]:
                 e = [0] * N
                 f = [0] * nf
                 e[i - 1], f[j - 1] = 1, -1
-                out.append(rational_class(N, e=e, f=f))
+                out.append(lattice_class(N, e=e, f=f))
         return out, []
     if case.gamma_kind == "mixed-p2p2":
         out = []
@@ -283,7 +273,7 @@ def gamma_classes(case: FanoCase) -> tuple[list[Pic10Class], list[int]]:
                 e = [0] * N
                 f = [0] * nf
                 e[i - 1], f[j - 1] = 1, -1
-                out.append(rational_class(N, e=e, f=f))
+                out.append(lattice_class(N, e=e, f=f))
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 for m in range(1, nf + 1):
@@ -291,7 +281,7 @@ def gamma_classes(case: FanoCase) -> tuple[list[Pic10Class], list[int]]:
                     f = [0] * nf
                     e[i - 1] = e[j - 1] = -1
                     f[m - 1] = -1
-                    out.append(rational_class(N, h=1, e=e, f=f))
+                    out.append(lattice_class(N, h=1, e=e, f=f))
         return out, []
     raise DelPezzoError("unknown gamma kind %r" % case.gamma_kind)
 
@@ -308,7 +298,7 @@ def sample_effective_classes(N: int) -> list[Pic10Class]:
             f = [0] * (10 - N)
             for kind, idx in (labels[a], labels[b]):
                 (e if kind == "e" else f)[idx] = -1
-            out.append(rational_class(N, h=1, e=e, f=f))
+            out.append(lattice_class(N, h=1, e=e, f=f))
     return out
 
 

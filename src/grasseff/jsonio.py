@@ -15,13 +15,17 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    """Exact rational from an int, a Fraction or text like '3/4'.
+    """Exact rational from an int, a Fraction or text like '3/4' or '0.5'.
 
-    Raises ValueError on malformed text, on a zero denominator and on a
-    bool, which is an int to Python but not a coordinate.
+    Raises ValueError on malformed text, on a zero denominator, on a bool,
+    which is an int to Python but not a coordinate, and on a float, whose
+    digits were already rounded to a double when the JSON was read.
     """
     if isinstance(s, bool):
         raise ValueError("boolean %r is not a rational" % (s,))
+    if isinstance(s, float):
+        raise ValueError("float %r may have been rounded; write an integer or a string "
+                         "such as \"1/3\" or \"0.5\"" % (s,))
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     try:

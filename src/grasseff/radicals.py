@@ -1,8 +1,9 @@
-"""Exact arithmetic in the ring Q + Q*sqrt(q) + Q*sqrt(q') for fixed rational q, q'.
+"""Exact sign of a + b*sqrt(q) + c*sqrt(q') for rational a, b, c and positive rational q, q'.
 
-Signs are decided exactly by case analysis and squaring; no floating point.
-Products are only defined when no sqrt(q*q') cross term arises, which is
-asserted at runtime.
+A RadicalNumber is a value, not a ring element: the Fano checks build one per
+pairing from integer sums (see `delpezzo.NullDivisor.pair`) and ask for its
+sign. Signs are decided exactly by case analysis and squaring; no floating
+point.
 """
 
 from __future__ import annotations
@@ -35,41 +36,6 @@ class RadicalNumber:
         if self.q <= 0 or self.qp <= 0:
             raise RadicalError("radicands must be positive")
 
-    def _compatible(self, other: "RadicalNumber"):
-        if self.q != other.q or self.qp != other.qp:
-            raise RadicalError("mixed radicand sessions")
-
-    def __add__(self, other):
-        if isinstance(other, RadicalNumber):
-            self._compatible(other)
-            return RadicalNumber(self.a + other.a, self.b + other.b, self.c + other.c,
-                                 self.q, self.qp)
-        return RadicalNumber(self.a + _frac(other), self.b, self.c, self.q, self.qp)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RadicalNumber(-self.a, -self.b, -self.c, self.q, self.qp)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RadicalNumber) else -_frac(other))
-
-    def __mul__(self, other):
-        if isinstance(other, RadicalNumber):
-            self._compatible(other)
-            cross = self.b * other.c + self.c * other.b
-            if cross != 0:
-                raise RadicalError("product leaves the two-radical ring (sqrt(q*q') term)")
-            return RadicalNumber(
-                self.a * other.a + self.b * other.b * self.q + self.c * other.c * self.qp,
-                self.a * other.b + self.b * other.a,
-                self.a * other.c + self.c * other.a,
-                self.q, self.qp)
-        f = _frac(other)
-        return RadicalNumber(self.a * f, self.b * f, self.c * f, self.q, self.qp)
-
-    __rmul__ = __mul__
-
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(q) + c*sqrt(qp)."""
         s1 = _sign_quadratic(self.a, self.b, self.q)
@@ -93,13 +59,6 @@ class RadicalNumber:
     def is_zero(self) -> bool:
         return self.sign() == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0 and self.c == 0
-
-    def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "c": str(self.c),
-                "q": str(self.q), "qp": str(self.qp)}
-
     def __repr__(self):
         return "%s + %s*sqrt(%s) + %s*sqrt(%s)" % (self.a, self.b, self.q, self.c, self.qp)
 
@@ -118,20 +77,3 @@ def _sign_quadratic(a: Fraction, b: Fraction, q: Fraction) -> int:
     if diff == 0:
         return 0
     return sa if diff > 0 else sb
-
-
-@dataclass(frozen=True)
-class RadCtx:
-    """Fixed pair of radicands for one verification session."""
-
-    q: Fraction
-    qp: Fraction
-
-    def rational(self, x) -> RadicalNumber:
-        return RadicalNumber(_frac(x), Fraction(0), Fraction(0), self.q, self.qp)
-
-    def root_q(self, coeff=1) -> RadicalNumber:
-        return RadicalNumber(Fraction(0), _frac(coeff), Fraction(0), self.q, self.qp)
-
-    def root_qp(self, coeff=1) -> RadicalNumber:
-        return RadicalNumber(Fraction(0), Fraction(0), _frac(coeff), self.q, self.qp)

@@ -8,11 +8,17 @@ from grasseff import chow
 from grasseff.chow import ChowError, GrassCtx
 
 
-def ring_table(k: int, n: int, cap: int = 16) -> dict:
-    """Basis per grade and all structure constants sigma_lam * sigma_mu."""
+def capped_ctx(k: int, n: int, cap: int) -> GrassCtx:
+    """G(k, n), refused when k(n-k) exceeds cap."""
     ctx = GrassCtx(k, n)
     if ctx.dim > cap:
         raise ChowError("k(n-k) = %d exceeds the cap %d" % (ctx.dim, cap))
+    return ctx
+
+
+def ring_table(k: int, n: int, cap: int = 16) -> dict:
+    """Basis per grade and all structure constants sigma_lam * sigma_mu."""
+    ctx = capped_ctx(k, n, cap)
     basis = {str(m): [list(lam.trimmed()) for lam in chow.basis(ctx, m)]
              for m in range(ctx.dim + 1)}
     products = []
@@ -31,8 +37,10 @@ def ring_table(k: int, n: int, cap: int = 16) -> dict:
 
 
 def export_ring(k: int, n: int, path: str, cap: int = 16) -> dict:
-    table = ring_table(k, n, cap)
+    """Write ring_table(k, n) to path, opened first so that a bad path costs no work."""
+    capped_ctx(k, n, cap)
     with open(path, "w") as fh:
+        table = ring_table(k, n, cap)
         json.dump(table, fh, sort_keys=True, separators=(",", ":"))
     return table
 

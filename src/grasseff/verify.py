@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from functools import partial
 
 from grasseff import blowup, chow, cones, delpezzo, jsonio, multiplicity, orbits, partitions, ring_io
 from grasseff.chow import GrassCtx
@@ -171,13 +172,10 @@ def run_all() -> dict:
                 dec, [("beta_0", 1), ("beta_1", 1), ("e2", 1)],
                 "derived: resummed against the input vector",
                 ["cones.lemma41_decompose"]))
-    resum = [0, 0, 0]
-    for label, c in dec:
-        vec = cones.lemma41_vector(2, label)
-        resum = [x + c * v for x, v in zip(resum, vec)]
     add(_record("two-point-divisor-resum", "decomposition sums back exactly",
                 {"k": 2, "a": 2, "b": [1, 2]},
-                resum, [2, -1, -2], "derived: substitution",
+                list(cones.resum(dec, partial(cones.lemma41_vector, 2), 3)), [2, -1, -2],
+                "derived: substitution",
                 ["cones.lemma41_decompose"]))
     spec2 = cones.thm44_generators(2)
     add(_record("divisor-cone-generators-k2", "two-point divisor cone generator count",
@@ -220,14 +218,16 @@ def run_all() -> dict:
     q2 = cones.quadric_curve_decompose(5, [2, 2, 1, 1])
     add(_record("quadric-greedy-two-conics", "two conics plus a residual line",
                 {"a": 5, "b": [2, 2, 1, 1]},
-                [cones.quadric_resum(q2, 4), sum(c for k, c in q2.items() if k[0] == "conic")],
+                [cones.resum(q2, partial(cones.quadric_term_vector, r=4), 5),
+                 sum(c for k, c in q2.items() if k[0] == "conic")],
                 [(5, 2, 2, 1, 1), 2],
                 "derived: resummed against the input vector",
                 ["cones.quadric_curve_decompose"]))
     q3 = cones.quadric_curve_decompose(5, [1, 1, 1, 1, 1, 1, 1])
     add(_record("quadric-seven-point-odd-branch", "odd residual branch with 7 points",
                 {"a": 5, "b": [1] * 7},
-                cones.quadric_resum(q3, 7), (5, 1, 1, 1, 1, 1, 1, 1),
+                cones.resum(q3, partial(cones.quadric_term_vector, r=7), 8),
+                (5, 1, 1, 1, 1, 1, 1, 1),
                 "derived: resummed against the input vector",
                 ["cones.quadric_curve_decompose"]))
     try:
@@ -235,7 +235,7 @@ def run_all() -> dict:
         printed = "decomposed"
     except cones.DecompositionError as exc:
         printed = "error: %s" % exc
-    mem = cones.cone_membership(_quadric_cone(5), (3, -1, -1, -1, -1, -1))
+    mem = cones.cone_membership(cones.quadric_cone(5), (3, -1, -1, -1, -1, -1))
     add(_record("quadric-printed-odd-example", "the printed 5-point odd example is outside the cone",
                 {"a": 3, "b": [1] * 5},
                 [printed.startswith("error"), mem.verdict],
@@ -303,8 +303,7 @@ def run_all() -> dict:
 
     # --- delpezzo
     D = delpezzo.build_D_delta(4, Fraction(1, 10))
-    vals = [delpezzo.intersect(D, delpezzo._basis(4, "h")).sign(),
-            delpezzo.intersect(D, D).sign()]
+    vals = [D.pair(delpezzo._basis(4, "h")).sign(), (D.square() > 0) - (D.square() < 0)]
     add(_record("null-divisor-construction", "D has square zero and positive degree",
                 {"N": 4, "q": "1/10"}, vals, [1, 0],
                 "derived: exact two-radical arithmetic",
@@ -355,22 +354,3 @@ def run_all() -> dict:
         "ok": not failed,
     }
 
-
-def _quadric_cone(r: int) -> cones.ConeSpec:
-    """Curve-cone generators on the blown-up quadric: lines, conics, exceptional lines."""
-    import itertools
-    gens = [("ell", tuple([1] + [0] * r))]
-    for i in range(r):
-        vec = [0] * (r + 1)
-        vec[1 + i] = 1
-        gens.append(("ell_%d" % (i + 1), tuple(vec)))
-        vec2 = [0] * (r + 1)
-        vec2[0], vec2[1 + i] = 1, -1
-        gens.append(("line_%d" % (i + 1), tuple(vec2)))
-    for i, j, k in itertools.combinations(range(r), 3):
-        vec = [0] * (r + 1)
-        vec[0] = 2
-        vec[1 + i] = vec[1 + j] = vec[1 + k] = -1
-        gens.append(("conic_%d%d%d" % (i + 1, j + 1, k + 1), tuple(vec)))
-    return cones.ConeSpec.build(r + 1, tuple(["ell"] + ["ell_%d" % (i + 1) for i in range(r)]),
-                                gens)

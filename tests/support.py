@@ -1,6 +1,8 @@
-"""Shared brute-force oracles for the test suite."""
+"""Shared brute-force oracles and resum shorthands for the test suite."""
 
-from functools import lru_cache
+from functools import lru_cache, partial
+
+from grasseff import cones
 
 
 @lru_cache(maxsize=None)
@@ -32,3 +34,13 @@ def quadric_in_cone(a: int, bs) -> bool:
         return False
     pos = tuple(sorted((max(b, 0) for b in bs), reverse=True))
     return _search(a, pos)
+
+
+def quadric_resum(terms, r: int) -> tuple:
+    """(a, b_1..b_r) that quadric decomposition terms sum to."""
+    return cones.resum(terms, partial(cones.quadric_term_vector, r=r), r + 1)
+
+
+def g25_resum(terms, r: int) -> tuple:
+    """(a21, a3, b_1..b_r) that G(2,5) three-cycle terms sum to."""
+    return cones.resum(terms, partial(cones.g25_term_vector, r=r), r + 2)

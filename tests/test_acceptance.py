@@ -11,7 +11,7 @@ from grasseff.cones import DecompositionError, cone_membership
 from grasseff.multiplicity import max_point_multiplicity, rz_multiplicity
 from grasseff.partitions import dual
 
-from support import quadric_in_cone
+from support import quadric_in_cone, quadric_resum
 
 
 def criterion(number, label, limit=None):
@@ -119,7 +119,7 @@ def test_criterion_5():
                     assert not expected, (a, bs)
                     continue
                 assert expected, (a, bs)
-                assert cones.quadric_resum(terms, r) == (a, *bs)
+                assert quadric_resum(terms, r) == (a, *bs)
     # r = 7: the 5-subset inequalities are sufficient for success; outside
     # them the outcome must still match the exhaustive search oracle
     for a in range(7):
@@ -133,7 +133,7 @@ def test_criterion_5():
                 assert not satisfied, (a, bs)
                 assert not quadric_in_cone(a, bs), (a, bs)
                 continue
-            assert cones.quadric_resum(terms, 7) == (a, *bs)
+            assert quadric_resum(terms, 7) == (a, *bs)
 
 
 @criterion(6, "class outside the Schubert span at three points")

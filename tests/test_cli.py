@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from grasseff import ring_io
 from grasseff.cli import run_subcommand
+
+# stdout of `grasseff verify`, byte for byte
+VERIFY_STDOUT = Path(__file__).with_name("verify_stdout.json")
 
 
 def run(capsys, *argv):
@@ -105,10 +110,12 @@ def test_delpezzo_verify(capsys):
 
 
 def test_verify_both_names(capsys):
-    code, out, _ = run(capsys, "verify")
-    assert code == 0 and out["ok"] is True and out["failed"] == []
-    code, out, _ = run(capsys, "verify-paper")
-    assert code == 0 and out["ok"] is True
+    expected = VERIFY_STDOUT.read_text()
+    for name in ("verify", "verify-paper"):
+        assert run_subcommand([name]) == 0
+        assert capsys.readouterr().out == expected
+    report = json.loads(expected)
+    assert report["ok"] is True and report["failed"] == []
 
 
 def test_export_ring_and_cache(capsys, tmp_path, monkeypatch):
@@ -191,3 +198,64 @@ def test_export_ring_to_unwritable_path(capsys, tmp_path):
     assert code == 2 and out is None
     lines = err.splitlines()
     assert len(lines) == 1 and str(path) in json.loads(lines[0])["error"]
+
+
+def test_export_ring_opens_the_path_before_computing(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ring_io, "ring_table", lambda *args, **kw: calls.append(args))
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "export-ring", "--k", "2", "--n", "4", "--out", str(path))
+    assert code == 2 and out is None and str(path) in json.loads(err)["error"]
+    assert calls == []
+
+
+def assert_float_rejected(err, path):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    msg = json.loads(lines[0])["error"]
+    assert str(path) in msg and "float" in msg
+
+
+def test_float_coordinates_are_refused(capsys, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text("[[1, 0], [0, 1]]")
+    cls = tmp_path / "v.json"
+    # more digits than a double holds: reading it as a float would round it
+    cls.write_text('{"vector": [0.12345678901234567890, 0]}')
+    code, out, err = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(cls))
+    assert code == 2 and out is None
+    assert_float_rejected(err, cls)
+    half = tmp_path / "half.json"
+    half.write_text("[[0.5, 0], [0, 1]]")
+    code, out, err = run(capsys, "cone", "check", "--generators", str(half), "--class", str(gens))
+    assert code == 2 and out is None
+    assert_float_rejected(err, half)
+    labeled = tmp_path / "labeled.json"
+    labeled.write_text('{"generators": [{"label": "a", "vector": [1, 0]}], "dim": 2.0}')
+    code, out, err = run(capsys, "cone", "check", "--generators", str(labeled),
+                         "--class", str(gens))
+    assert code == 2 and out is None
+    assert_float_rejected(err, labeled)
+    exact = tmp_path / "exact.json"
+    exact.write_text('{"vector": ["0.12345678901234567890", "1/3"]}')
+    code, out, _ = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(exact))
+    assert code == 0 and out["witness"] == {"g0": "1234567890123456789/10000000000000000000",
+                                            "g1": "1/3"}
+
+
+def test_float_in_blowup_class_file_is_refused(capsys, tmp_path):
+    cls = {"k": 2, "n": 4, "grading": "dim", "m": 2,
+           "terms": [{"lambda": [2], "c": 1.9}, {"lambda": [1, 1], "c": 1}],
+           "exc": [1, 1, 1]}
+    path = tmp_path / "cls.json"
+    path.write_text(json.dumps(cls))
+    code, out, err = run(capsys, "cone", "sgen", "--k", "2", "--n", "4", "--r", "3",
+                         "--dim", "2", "--class", str(path))
+    assert code == 2 and out is None
+    assert_float_rejected(err, path)
+    cls["terms"] = [{"lambda": [2.7], "c": 1}, {"lambda": [1, 1], "c": 1}]
+    path.write_text(json.dumps(cls))
+    code, out, err = run(capsys, "cone", "sgen", "--k", "2", "--n", "4", "--r", "3",
+                         "--dim", "2", "--class", str(path))
+    assert code == 2 and out is None
+    assert_float_rejected(err, path)

@@ -7,7 +7,7 @@ from grasseff.blowup import BlowupCtx, blow_class
 from grasseff.chow import GrassCtx
 from grasseff.cones import ConeSpec, DecompositionError, cone_membership
 
-from support import quadric_in_cone
+from support import g25_resum, quadric_in_cone, quadric_resum
 
 G24 = GrassCtx(2, 4)
 G25 = GrassCtx(2, 5)
@@ -117,13 +117,13 @@ def quadric_ok(a, bs):
 def test_quadric_worked_example():
     terms = cones.quadric_curve_decompose(5, [2, 2, 1, 1])
     assert terms == {("conic", 0, 1, 2): 1, ("conic", 0, 1, 3): 1, ("ell",): 1}
-    assert cones.quadric_resum(terms, 4) == (5, 2, 2, 1, 1)
+    assert quadric_resum(terms, 4) == (5, 2, 2, 1, 1)
 
 
 def test_quadric_negative_coefficients_absorbed():
     terms = cones.quadric_curve_decompose(1, [-2, 1])
     assert terms == {("line", 1): 1, ("ell_i", 0): 2}
-    assert cones.quadric_resum(terms, 2) == (1, -2, 1)
+    assert quadric_resum(terms, 2) == (1, -2, 1)
 
 
 def test_quadric_violation_names_inequality():
@@ -145,7 +145,7 @@ def test_quadric_matches_brute_force_oracle():
                     assert not expected, (a, bs)
                     continue
                 assert expected, (a, bs)
-                assert cones.quadric_resum(terms, r) == (a, *bs)
+                assert quadric_resum(terms, r) == (a, *bs)
 
 
 def test_quadric_r7_inequality_grid():
@@ -160,7 +160,18 @@ def test_quadric_r7_inequality_grid():
                 assert not quadric_ok(a, bs), (a, bs)
                 assert not quadric_in_cone(a, bs), (a, bs)
                 continue
-            assert cones.quadric_resum(terms, 7) == (a, *bs)
+            assert quadric_resum(terms, 7) == (a, *bs)
+
+
+def test_quadric_cone_matches_brute_force_oracle():
+    for r in range(0, 6):
+        cone = cones.quadric_cone(r)
+        assert len(cone.generators) == 1 + 2 * r + r * (r - 1) * (r - 2) // 6
+        for a in range(0, 5):
+            # the points are interchangeable, so sorted coefficient tuples cover the grid
+            for bs in itertools.combinations_with_replacement(range(-1, 3), r):
+                member = cone_membership(cone, (a, *(-b for b in bs))).is_member
+                assert member == quadric_in_cone(a, bs), (a, bs)
 
 
 def test_quadric_success_iff_in_cone_even_beyond_inequality():
@@ -180,7 +191,7 @@ def test_g25_threecycle_grid_resums():
             for bs in itertools.product(range(4), repeat=3):
                 if 2 * a21 + a3 >= sum(bs):
                     terms = cones.g25_threecycle_decompose(a21, a3, bs)
-                    assert cones.g25_resum(terms, 3) == (a21, a3, *bs)
+                    assert g25_resum(terms, 3) == (a21, a3, *bs)
                     assert all(c > 0 for c in terms.values())
                 else:
                     with pytest.raises(DecompositionError):

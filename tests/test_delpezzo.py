@@ -1,20 +1,25 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grasseff import delpezzo
 from grasseff.delpezzo import DelPezzoError, FANO_TABLE, admissible_q_interval, build_D_delta, \
     d_squared_symbolic, fano_case, gamma_classes, h0_count, intersect, kernel_classes, \
-    qprime_of, rational_class, sample_admissible_q, sample_effective_classes, verify_case, \
+    lattice_class, qprime_of, sample_admissible_q, sample_effective_classes, verify_case, \
     verify_nef_conditions
+from grasseff.radicals import RadicalNumber
 
 
 def test_lattice_form():
-    a = rational_class(4, h=2, e=[1, 0, 0, 0], f=[0, 1, 0, 0, 0, 0])
-    b = rational_class(4, h=1, e=[1, 0, 0, 0], f=[0, 2, 0, 0, 0, 0])
+    a = lattice_class(4, h=2, e=[1, 0, 0, 0], f=[0, 1, 0, 0, 0, 0])
+    b = lattice_class(4, h=1, e=[1, 0, 0, 0], f=[0, 2, 0, 0, 0, 0])
     assert intersect(a, b) == 2 - 1 - 2
     with pytest.raises(DelPezzoError):
-        intersect(a, rational_class(5))
+        intersect(a, lattice_class(5))
+    with pytest.raises(DelPezzoError):
+        lattice_class(4, h=Fraction(1, 3))
 
 
 def test_qprime_and_interval():
@@ -34,8 +39,7 @@ def test_d_squared_symbolic_vanishes():
 def test_d_squared_numeric_vanishes():
     for N in range(1, 9):
         for q in sample_admissible_q(N, 3):
-            D = build_D_delta(N, q)
-            assert intersect(D, D).is_zero()
+            assert build_D_delta(N, q).square() == 0
 
 
 def test_build_rejects_boundary_q():
@@ -111,7 +115,112 @@ def test_kernel_pairings_vanish_gamma_positive():
         q = sample_admissible_q(case.N, 1)[0]
         D = build_D_delta(case.N, q)
         for c in kernel_classes(case):
-            assert intersect(D, c).is_zero()
+            assert D.pair(c).is_zero()
         gamma, _ = gamma_classes(case)
         for c in gamma:
-            assert intersect(D, c).sign() > 0
+            assert D.pair(c).sign() > 0
+
+
+def test_zero_pairing_on_a_sample_passes_only_for_the_rational_projection():
+    D = build_D_delta(4, Fraction(1, 10))
+    # D.(h - 3e_1) == 0, but h - 3e_1 is no multiple of h - (1/3) sum e_i
+    kernel_like = lattice_class(4, h=1, e=[-3, 0, 0, 0])
+    assert D.pair(kernel_like).is_zero()
+    assert not delpezzo.check_lemma65(D, [], [], [kernel_like])["ok"]
+    assert delpezzo.check_lemma65(D, [], [], [lattice_class(4)])["ok"]
+    assert delpezzo._is_rational_multiple_of_projection(lattice_class(4, h=-3, e=[1] * 4))
+    assert not delpezzo._is_rational_multiple_of_projection(
+        lattice_class(4, h=3, e=[-1] * 4, f=[0, 1, 0, 0, 0, 0]))
+
+
+# --- reference: the two-radical ring pairing that D.pair and D.square replaced
+
+
+@dataclass(frozen=True)
+class RingRadical:
+    """a + b*sqrt(q) + c*sqrt(qp) with the ring operations the old pairing used."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    q: Fraction
+    qp: Fraction
+
+    def __sub__(self, other):
+        assert (self.q, self.qp) == (other.q, other.qp), "mixed radicand sessions"
+        return RingRadical(self.a - other.a, self.b - other.b, self.c - other.c,
+                           self.q, self.qp)
+
+    def __mul__(self, other):
+        if isinstance(other, RingRadical):
+            assert (self.q, self.qp) == (other.q, other.qp), "mixed radicand sessions"
+            assert self.b * other.c + self.c * other.b == 0, "sqrt(q*q') cross term"
+            return RingRadical(
+                self.a * other.a + self.b * other.b * self.q + self.c * other.c * self.qp,
+                self.a * other.b + self.b * other.a,
+                self.a * other.c + self.c * other.a,
+                self.q, self.qp)
+        f = Fraction(other)
+        return RingRadical(self.a * f, self.b * f, self.c * f, self.q, self.qp)
+
+    __rmul__ = __mul__
+
+
+def ring_D(N, q):
+    """The old radical-valued D: entries 1, -1/3 on e_i, -sqrt(q') on f_1, -sqrt(q) after."""
+    q = Fraction(q)
+    qp = qprime_of(N, q)
+
+    def rad(a, b, c):
+        return RingRadical(Fraction(a), Fraction(b), Fraction(c), q, qp)
+    e = tuple(rad(Fraction(-1, 3), 0, 0) for _ in range(N))
+    f = (rad(0, 0, -1),) + tuple(rad(0, -1, 0) for _ in range(9 - N))
+    return rad(1, 0, 0), e, f
+
+
+def ring_pairing(D, other):
+    """intersect as it was: h.h - sum e.e - sum f.f, in ring arithmetic."""
+    (h, e, f), (h2, e2, f2) = D, other
+    total = h * h2
+    for x, y in zip(e + f, e2 + f2):
+        total = total - x * y
+    return total
+
+
+def assert_pairing_matches(N, q, c):
+    D = build_D_delta(N, q)
+    ref = ring_pairing(ring_D(N, q), (c.h, c.e, c.f))
+    val = D.pair(c)
+    assert (val.a, val.b, val.c, val.q, val.qp) == (ref.a, ref.b, ref.c, ref.q, ref.qp)
+    assert repr(val) == repr(RadicalNumber(ref.a, ref.b, ref.c, ref.q, ref.qp))
+
+
+def _row_classes(case):
+    gamma, _ = gamma_classes(case)
+    return kernel_classes(case) + gamma + sample_effective_classes(case.N)
+
+
+def test_pairing_matches_ring_reference_on_every_row():
+    for case in FANO_TABLE:
+        lo, hi = admissible_q_interval(case.N)
+        qs = sample_admissible_q(case.N, 5) + [lo + (hi - lo) * Fraction(t, 17)
+                                               for t in (1, 6, 11, 16)]
+        classes = _row_classes(case)
+        for q in qs:
+            for c in classes:
+                assert_pairing_matches(case.N, q, c)
+            square = ring_pairing(ring_D(case.N, q), ring_D(case.N, q))
+            assert (square.b, square.c) == (0, 0)
+            assert build_D_delta(case.N, q).square() == square.a == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(1, 8), t=st.fractions(0, 1).filter(lambda t: 0 < t < 1),
+       coeffs=st.lists(st.integers(-30, 30), min_size=11, max_size=11))
+def test_pairing_matches_ring_reference_on_random_classes(N, t, coeffs):
+    lo, hi = admissible_q_interval(N)
+    q = lo + (hi - lo) * t
+    c = lattice_class(N, h=coeffs[0], e=coeffs[1:N + 1], f=coeffs[N + 1:])
+    assert_pairing_matches(N, q, c)
+    square = ring_pairing(ring_D(N, q), ring_D(N, q))
+    assert build_D_delta(N, q).square() == square.a and (square.b, square.c) == (0, 0)

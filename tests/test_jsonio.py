@@ -25,6 +25,16 @@ def test_parse_frac_rejects_bool():
             jsonio.parse_frac(b)
 
 
+def test_parse_frac_rejects_float_but_reads_decimal_text():
+    import pytest
+    for x in (0.5, 1.0, 0.12345678901234567890):
+        with pytest.raises(ValueError, match="float"):
+            jsonio.parse_frac(x)
+    assert jsonio.parse_frac("0.5") == Fraction(1, 2)
+    assert jsonio.parse_frac("1/3") == Fraction(1, 3)
+    assert jsonio.parse_frac(-4) == -4
+
+
 def test_canonical_dumps_is_sorted_and_compact():
     s = jsonio.canonical_dumps({"b": Fraction(1, 2), "a": [1, (2, 3)]})
     assert s == '{"a":[1,[2,3]],"b":"1/2"}'

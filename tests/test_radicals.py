@@ -4,35 +4,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from grasseff.radicals import RadCtx, RadicalError, RadicalNumber
+from grasseff.radicals import RadicalError, RadicalNumber
 
 
 def rad(a, b, c, q=2, qp=3):
     return RadicalNumber(Fraction(a), Fraction(b), Fraction(c), Fraction(q), Fraction(qp))
-
-
-def test_arithmetic_basics():
-    x = rad(1, 2, 0)
-    y = rad(3, -1, 0)
-    assert (x + y) == rad(4, 1, 0)
-    assert (x - y) == rad(-2, 3, 0)
-    assert (x * y) == rad(3 - 4, 6 - 1, 0)  # (1+2r)(3-r) = 3 - r + 6r - 2*2
-
-
-def test_rational_embedding():
-    x = rad(0, 1, 0) * Fraction(3, 2) + 1
-    assert x == rad(1, Fraction(3, 2), 0)
-    assert (2 * rad(1, 0, 0)).is_rational()
-
-
-def test_cross_term_rejected():
-    with pytest.raises(RadicalError):
-        rad(0, 1, 0) * rad(0, 0, 1)
-
-
-def test_mixed_radicand_sessions_rejected():
-    with pytest.raises(RadicalError):
-        rad(1, 1, 0, q=2) + rad(1, 1, 0, q=5)
 
 
 def test_nonpositive_radicand_rejected():
@@ -95,7 +71,7 @@ def test_sign_agrees_with_256bit_intervals():
             else:
                 undecided += 1
                 # interval straddles zero: confirm by exact squaring of a scaled copy
-                assert (x * 2).sign() == s
+                assert RadicalNumber(2 * a, 2 * b, 2 * c, q, qp).sign() == s
         assert undecided < 100  # 256 bits should decide essentially everything
     finally:
         mpmath.iv.prec = old
@@ -116,10 +92,3 @@ def test_engineered_zeros_against_intervals():
             assert 0 in _interval_value(x)
     finally:
         mpmath.iv.prec = old
-
-
-def test_radctx_helpers():
-    ctx = RadCtx(Fraction(2), Fraction(3))
-    v = ctx.rational(1) + ctx.root_q(2) + ctx.root_qp(-1)
-    assert v == rad(1, 2, -1)
-    assert v.to_json()["q"] == "2"
