@@ -17,10 +17,7 @@ from dataclasses import dataclass
 
 from grasseff import chow
 from grasseff.chow import ChowClass, GrassCtx
-
-
-class BlowupError(ValueError):
-    pass
+from grasseff.errors import InputError
 
 
 @dataclass(frozen=True)
@@ -32,7 +29,7 @@ class BlowupCtx:
 
     def __post_init__(self):
         if self.r < 0:
-            raise BlowupError("r must be nonnegative")
+            raise InputError("r must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -47,13 +44,13 @@ class BlowupClass:
 
     def __post_init__(self):
         if self.grading not in ("dim", "codim"):
-            raise BlowupError("grading must be 'dim' or 'codim'")
+            raise InputError("grading must be 'dim' or 'codim'")
         if len(self.exc) != self.bctx.r:
-            raise BlowupError("expected %d exceptional coefficients" % self.bctx.r)
+            raise InputError("expected %d exceptional coefficients" % self.bctx.r)
         expected_codim = self.m if self.grading == "codim" else self.bctx.ctx.dim - self.m
         if not self.ambient.is_zero() and self.ambient.codim != expected_codim:
-            raise BlowupError("ambient codim %d does not match grading (%s, m=%d)"
-                              % (self.ambient.codim, self.grading, self.m))
+            raise InputError("ambient codim %d does not match grading (%s, m=%d)"
+                             % (self.ambient.codim, self.grading, self.m))
 
     @property
     def codim(self) -> int:
@@ -61,7 +58,7 @@ class BlowupClass:
 
     def add(self, other: "BlowupClass") -> "BlowupClass":
         if self.bctx != other.bctx or self.grading != other.grading or self.m != other.m:
-            raise BlowupError("cannot add classes of different gradings")
+            raise InputError("cannot add classes of different gradings")
         return BlowupClass(self.bctx, self.grading, self.m,
                            self.ambient + other.ambient,
                            tuple(x + y for x, y in zip(self.exc, other.exc)))
@@ -94,11 +91,11 @@ def exceptional(bctx: BlowupCtx, grading: str, m: int, i: int, coeff=1) -> Blowu
 def pair_blowup(a: BlowupClass, b: BlowupClass) -> int:
     """Intersection number of a dimension-m class with a codimension-m class."""
     if a.bctx != b.bctx:
-        raise BlowupError("classes live on different blow-ups")
+        raise InputError("classes live on different blow-ups")
     if {a.grading, b.grading} != {"dim", "codim"}:
-        raise BlowupError("need one dimension-graded and one codimension-graded class")
+        raise InputError("need one dimension-graded and one codimension-graded class")
     if a.m != b.m:
-        raise BlowupError("grading mismatch: m=%d vs m=%d" % (a.m, b.m))
+        raise InputError("grading mismatch: m=%d vs m=%d" % (a.m, b.m))
     ambient = chow.pair(a.ambient, b.ambient)
     return ambient - sum(x * y for x, y in zip(a.exc, b.exc))
 
@@ -110,16 +107,16 @@ def divisor_power_pair(D: BlowupClass, p: int, beta: BlowupClass) -> int:
     the exceptional top powers contribute -c_i^p b_i with the fixed sign.
     """
     if D.bctx != beta.bctx:
-        raise BlowupError("classes live on different blow-ups")
+        raise InputError("classes live on different blow-ups")
     if D.grading != "codim" or D.m != 1:
-        raise BlowupError("D must be a codimension-1 class")
+        raise InputError("D must be a codimension-1 class")
     if beta.grading != "dim" or beta.m != p:
-        raise BlowupError("beta must have dimension %d" % p)
+        raise InputError("beta must have dimension %d" % p)
     ctx = D.bctx.ctx
     sigma1 = ctx.partition((1,))
     extra = {lam for lam in D.ambient.coeffs if lam != sigma1}
     if extra:
-        raise BlowupError("D must be supported on H alone")
+        raise InputError("D must be supported on H alone")
     a = D.ambient.coefficient(sigma1)
     hp = chow.unit(ctx)
     for _ in range(p):

@@ -12,11 +12,8 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
+from grasseff.errors import InputError, InternalError
 from grasseff.partitions import BoxedPartition, dual, enumerate_box, make_partition
-
-
-class ChowError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -28,7 +25,7 @@ class GrassCtx:
 
     def __post_init__(self):
         if not (self.n > self.k >= 1):
-            raise ChowError("need n > k >= 1, got k=%d n=%d" % (self.k, self.n))
+            raise InputError("need n > k >= 1, got k=%d n=%d" % (self.k, self.n))
         if self.k < 2 or self.w < 2:
             warnings.warn(
                 "G(%d,%d) falls outside the standing assumption k >= 2, n-k >= 2"
@@ -62,8 +59,8 @@ class ChowClass:
             coeffs = {}
         for lam in coeffs:
             if lam.size != codim or lam.box_k != ctx.k or lam.box_w != ctx.w:
-                raise ChowError("partition %s does not live in codim %d of G(%d,%d)"
-                                % (lam, codim, ctx.k, ctx.n))
+                raise InputError("partition %s does not live in codim %d of G(%d,%d)"
+                                 % (lam, codim, ctx.k, ctx.n))
         self.ctx = ctx
         self.codim = codim
         self.coeffs = {lam: c for lam, c in coeffs.items() if c != 0}
@@ -80,7 +77,7 @@ class ChowClass:
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         if self.ctx != other.ctx or (self.coeffs and other.coeffs and self.codim != other.codim):
-            raise ChowError("cannot add classes from different contexts or degrees")
+            raise InputError("cannot add classes from different contexts or degrees")
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
             out[lam] = out.get(lam, 0) + c
@@ -145,7 +142,7 @@ def pieri(ctx: GrassCtx, special: int, mu: BoxedPartition) -> ChowClass:
     |nu| = special + |mu|.
     """
     if not (0 <= special <= ctx.w):
-        raise ChowError("not a special class in this box: size %d > %d" % (special, ctx.w))
+        raise InputError("need 0 <= special <= w, got special=%d, w=%d" % (special, ctx.w))
     target = special + mu.size
     out = {}
     for nu_parts in _interlacings(mu.parts, ctx.w, special):
@@ -236,7 +233,7 @@ def _sigma_product(ctx: GrassCtx, lam: BoxedPartition, mu: BoxedPartition) -> Ch
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     """Bilinear product; classes exceeding the box vanish."""
     if a.ctx != b.ctx:
-        raise ChowError("classes live on different Grassmannians")
+        raise InputError("classes live on different Grassmannians")
     codim = a.codim + b.codim
     if codim > a.ctx.dim:
         return zero(a.ctx, codim)
@@ -251,9 +248,9 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
 def pair(a: ChowClass, b: ChowClass) -> int:
     """Coefficient of the point class in a * b; requires complementary degrees."""
     if a.ctx != b.ctx:
-        raise ChowError("classes live on different Grassmannians")
+        raise InputError("classes live on different Grassmannians")
     if a.codim + b.codim != a.ctx.dim:
-        raise ChowError("degree mismatch: %d + %d != %d" % (a.codim, b.codim, a.ctx.dim))
+        raise InputError("degree mismatch: %d + %d != %d" % (a.codim, b.codim, a.ctx.dim))
     return multiply(a, b).coefficient(a.ctx.point_class_partition())
 
 
@@ -266,7 +263,7 @@ def degree_closed(ctx: GrassCtx) -> int:
     for i in range(1, ctx.k + 1):
         den *= math.factorial(ctx.w + i - 1)
     if num % den != 0:
-        raise ChowError("internal: degree formula did not divide evenly")
+        raise InternalError("internal: degree formula did not divide evenly")
     return num // den
 
 
@@ -287,7 +284,8 @@ def degree(ctx: GrassCtx) -> int:
     d1 = degree_closed(ctx)
     d2 = degree_pieri(ctx)
     if d1 != d2:
-        raise ChowError("internal: closed-formula degree %d != iterated-Pieri degree %d" % (d1, d2))
+        raise InternalError("internal: closed-formula degree %d != iterated-Pieri degree %d"
+                            % (d1, d2))
     return d1
 
 

@@ -1,7 +1,12 @@
 """Command-line front end: JSON in, canonical JSON out.
 
-Exit codes: 0 success, 2 usage or malformed input, 3 negative mathematical
-verdict (e.g. not-in-span, failed check), 4 internal consistency failure.
+Exit codes: 0 success; 3 a negative verdict (not in the span, a failed
+check). A raised exception picks its code by type alone, in
+`run_subcommand`: InputError -> 2 (bad arguments or a malformed input file),
+DecompositionError -> 3, anything else -> 4, with the exception's type name
+in the message. Each error is one canonical JSON line {"error": ...} on
+stderr, and each Python warning raised during the command one line
+{"warning": ...}, so stderr holds JSON lines only.
 """
 
 from __future__ import annotations
@@ -10,17 +15,14 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+import warnings
+from functools import partial
 
 from grasseff import blowup, chow, cones, delpezzo, jsonio, multiplicity, orbits, ring_io, verify
-from grasseff.chow import ChowError, GrassCtx
-from grasseff.simplex import SimplexError
+from grasseff.chow import GrassCtx
+from grasseff.errors import DecompositionError, InputError
 
 CACHE_ENV = "GRASSEFF_RING_CACHE"
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _parse_parts(text: str) -> tuple:
@@ -30,19 +32,31 @@ def _parse_parts(text: str) -> tuple:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError("partition %r is not a comma-separated integer list" % text)
+        raise InputError("partition %r is not a comma-separated integer list" % text)
 
 
 def _emit(obj) -> None:
     print(jsonio.canonical_dumps(obj))
 
 
-def _load_json(path: str, what: str) -> object:
+def _load_json(path: str, what: str, parse):
+    """parse(data) for the JSON file at path; a malformed file is an InputError naming it."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError("cannot read %s file %r: %s" % (what, path, exc))
+            return parse(json.load(fh))
+    except OSError as exc:
+        raise InputError("cannot read %s file %r: %s" % (what, path, exc)) from None
+    # ValueError covers bad JSON, undecodable bytes and the InputErrors of parse;
+    # RecursionError is JSON nested too deep to read
+    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+        reason = "missing field %s" % exc if isinstance(exc, KeyError) else str(exc)
+        raise InputError("malformed %s file %r: %s" % (what, path, reason)) from None
+
+
+def _array(x) -> list:
+    if not isinstance(x, list):
+        raise InputError("expected a JSON array, got %s" % type(x).__name__)
+    return x
 
 
 def _ctx(args) -> GrassCtx:
@@ -88,38 +102,33 @@ def cmd_mult(args) -> int:
 def _parse_int(x) -> int:
     f = jsonio.parse_frac(x)
     if f.denominator != 1:
-        raise ValueError("%r is not an integer" % (x,))
+        raise InputError("%r is not an integer" % (x,))
     return f.numerator
 
 
-def _load_cone(path: str) -> cones.ConeSpec:
-    data = _load_json(path, "generator")
-    try:
-        if isinstance(data, dict):
-            gens = [(g["label"], [jsonio.parse_frac(x) for x in g["vector"]])
-                    for g in data["generators"]]
-            dim = _parse_int(data["dim"]) if "dim" in data else len(gens[0][1])
-            basis = data.get("basis", ["x%d" % i for i in range(dim)])
-        else:
-            gens = [("g%d" % i, [jsonio.parse_frac(x) for x in vec])
-                    for i, vec in enumerate(data)]
-            dim = len(gens[0][1])
-            basis = ["x%d" % i for i in range(dim)]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise UsageError("malformed generator file %r: missing or bad field (%s)" % (path, exc))
-    return cones.ConeSpec.build(dim, tuple(basis), gens)
+def _cone_from_json(data) -> tuple:
+    """(dim, basis or None, labeled generators) of a generator file."""
+    if not isinstance(data, dict):
+        data = {"generators": [{"label": "g%d" % i, "vector": vec}
+                               for i, vec in enumerate(_array(data))]}
+    gens = [(g["label"], [jsonio.parse_frac(x) for x in _array(g["vector"])])
+            for g in _array(data["generators"])]
+    if not all(isinstance(label, str) for label, _ in gens):
+        raise InputError("generator labels must be strings")
+    dim = _parse_int(data["dim"]) if "dim" in data else len(gens[0][1])
+    if any(len(vec) != dim for _, vec in gens):
+        raise InputError("every generator needs %d coordinates" % dim)
+    basis = data.get("basis")
+    if basis is not None and not (isinstance(basis, list) and len(basis) == dim
+                                  and all(isinstance(b, str) for b in basis)):
+        raise InputError("'basis' must be a list of %d strings" % dim)
+    return dim, basis, gens
 
 
-def _load_vector(path: str) -> tuple:
-    data = _load_json(path, "class")
+def _vector_from_json(data) -> tuple:
     if isinstance(data, dict):
-        data = data.get("vector")
-    if not isinstance(data, list):
-        raise UsageError("malformed class file %r: expected field 'vector' or a JSON array" % path)
-    try:
-        return tuple(jsonio.parse_frac(x) for x in data)
-    except ValueError as exc:
-        raise UsageError("malformed class file %r: bad coordinate (%s)" % (path, exc))
+        data = data["vector"]
+    return tuple(jsonio.parse_frac(x) for x in _array(data))
 
 
 def _membership_report(cone, result) -> dict:
@@ -133,31 +142,36 @@ def _membership_report(cone, result) -> dict:
 
 
 def cmd_cone_check(args) -> int:
-    cone = _load_cone(args.generators)
-    v = _load_vector(args.cls)
+    dim, basis, gens = _load_json(args.generators, "generator", _cone_from_json)
+    v = _load_json(args.cls, "class", _vector_from_json)
+    if len(v) != dim:
+        raise InputError("class file %r has %d coordinates, but the cone has dimension %d"
+                         % (args.cls, len(v), dim))
+    # the default basis is built only now, so a huge "dim" costs nothing
+    cone = cones.ConeSpec.build(dim, basis or ["x%d" % i for i in range(dim)], gens)
     result = cones.cone_membership(cone, v)
     _emit(_membership_report(cone, result))
     return 0 if result.is_member else 3
 
 
-def _blowup_class_from_json(data: dict, path: str) -> blowup.BlowupClass:
-    try:
-        ctx = GrassCtx(_parse_int(data["k"]), _parse_int(data["n"]))
-        grading = data.get("grading", "dim")
-        m = _parse_int(data["m"])
-        codim = m if grading == "codim" else ctx.dim - m
-        coeffs = {}
-        for term in data.get("terms", []):
-            lam = ctx.partition([_parse_int(p) for p in term["lambda"]])
-            coeffs[lam] = coeffs.get(lam, 0) + _parse_int(term["c"])
-        exc = tuple(_parse_int(x) for x in data["exc"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError("malformed class file %r: missing or bad field (%s)" % (path, exc))
-    bctx = blowup.BlowupCtx(ctx, len(exc))
-    return blowup.BlowupClass(bctx, grading, m, chow.ChowClass(ctx, codim, coeffs), exc)
+def _blowup_class_from_json(ctx: GrassCtx, r: int, data) -> blowup.BlowupClass:
+    if (_parse_int(data["k"]), _parse_int(data["n"])) != (ctx.k, ctx.n):
+        raise InputError("k and n do not match --k %d --n %d" % (ctx.k, ctx.n))
+    grading = data.get("grading", "dim")
+    m = _parse_int(data["m"])
+    codim = m if grading == "codim" else ctx.dim - m
+    coeffs = {}
+    for term in _array(data.get("terms", [])):
+        lam = ctx.partition([_parse_int(p) for p in _array(term["lambda"])])
+        coeffs[lam] = coeffs.get(lam, 0) + _parse_int(term["c"])
+    exc = tuple(_parse_int(x) for x in _array(data["exc"]))
+    return blowup.BlowupClass(blowup.BlowupCtx(ctx, r), grading, m,
+                              chow.ChowClass(ctx, codim, coeffs), exc)
 
 
 def cmd_cone_sgen(args) -> int:
+    if args.r < 0:
+        raise InputError("--r must be nonnegative, got %d" % args.r)
     ctx = _ctx(args)
     bound = cones.sgen_bound(ctx, args.dim)
     out = {"k": args.k, "n": args.n, "r": args.r, "cycle_dim": args.dim,
@@ -165,9 +179,10 @@ def cmd_cone_sgen(args) -> int:
     if args.cls is None:
         _emit(out)
         return 0
-    cls = _blowup_class_from_json(_load_json(args.cls, "class"), args.cls)
-    if cls.bctx.r != args.r or cls.bctx.ctx != ctx:
-        raise UsageError("class file does not match --k/--n/--r")
+    cls = _load_json(args.cls, "class", partial(_blowup_class_from_json, ctx, args.r))
+    if cls.codim != ctx.dim - args.dim:
+        raise InputError("class file %r has codimension %d, but --dim %d needs %d"
+                         % (args.cls, cls.codim, args.dim, ctx.dim - args.dim))
     cone = cones.sgen_cycle_cone(ctx, args.dim, args.r)
     result = cones.cone_membership(cone, cones.blowup_cycle_vector(cls))
     out.update(_membership_report(cone, result))
@@ -195,9 +210,9 @@ def cmd_orbits_check(args) -> int:
 
 def cmd_delpezzo_verify(args) -> int:
     try:
-        q = Fraction(args.q)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError("--q must be a rational like 1/10")
+        q = jsonio.parse_frac(args.q)
+    except InputError:
+        raise InputError("--q must be a rational like 1/10") from None
     report = delpezzo.verify_case(args.case, q)
     _emit(report)
     return 0 if report["ok"] else 3
@@ -214,7 +229,7 @@ def cmd_export_ring(args) -> int:
     if out is None:
         cache_dir = os.environ.get(CACHE_ENV)
         if cache_dir is None:
-            raise UsageError("give --out or set %s" % CACHE_ENV)
+            raise InputError("give --out or set %s" % CACHE_ENV)
         out = os.path.join(cache_dir, "ring_%d_%d.json" % (args.k, args.n))
     ring_io.capped_ctx(args.k, args.n, args.cap)
     try:
@@ -222,14 +237,14 @@ def cmd_export_ring(args) -> int:
             os.makedirs(cache_dir, exist_ok=True)
         table = ring_io.export_ring(args.k, args.n, out, cap=args.cap)
     except OSError as exc:
-        raise UsageError("cannot write ring file %r: %s" % (out, exc.strerror or exc))
+        raise InputError("cannot write ring file %r: %s" % (out, exc.strerror or exc))
     _emit({"path": out, "basis_size": sum(len(v) for v in table["basis"].values())})
     return 0
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def build_parser() -> _Parser:
@@ -312,25 +327,23 @@ def build_parser() -> _Parser:
 
 
 def run_subcommand(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(jsonio.canonical_dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except (ChowError, ValueError) as exc:
-        if isinstance(exc, (cones.DecompositionError,)):
-            print(jsonio.canonical_dumps({"error": str(exc)}), file=sys.stderr)
-            return 3
-        if "internal" in str(exc):
-            print(jsonio.canonical_dumps({"error": str(exc)}), file=sys.stderr)
-            return 4
-        print(jsonio.canonical_dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except SimplexError as exc:
-        print(jsonio.canonical_dumps({"error": str(exc)}), file=sys.stderr)
-        return 4
+    """Run one command; what it raises picks the exit code by type (see the module docstring)."""
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except Exception as exc:
+            if isinstance(exc, InputError):
+                code, error = (3 if isinstance(exc, DecompositionError) else 2), str(exc)
+            else:
+                code, error = 4, "%s: %s" % (type(exc).__name__, exc)
+    for w in caught:
+        print(jsonio.canonical_dumps({"warning": str(w.message)}), file=sys.stderr)
+    if error is not None:
+        print(jsonio.canonical_dumps({"error": error}), file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -17,15 +17,8 @@ from fractions import Fraction
 from grasseff import chow
 from grasseff.blowup import BlowupClass, BlowupCtx, blow_class
 from grasseff.chow import GrassCtx
+from grasseff.errors import DecompositionError, InputError, InternalError
 from grasseff.simplex import solve_nonneg_combination
-
-
-class ConeError(ValueError):
-    pass
-
-
-class DecompositionError(ConeError):
-    """Raised when a constructive decomposition's inequality precondition fails."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +36,7 @@ class ConeSpec:
         for label, vec in labeled_generators:
             vec = tuple(Fraction(x) for x in vec)
             if len(vec) != dim:
-                raise ConeError("generator %s has wrong dimension" % label)
+                raise InputError("generator %s has wrong dimension" % label)
             if vec not in seen:
                 seen[vec] = label
         items = list(seen.items())
@@ -67,7 +60,7 @@ def cone_membership(cone: ConeSpec, v) -> MembershipResult:
     """Exact LP feasibility with a Farkas certificate on failure."""
     v = tuple(Fraction(x) for x in v)
     if len(v) != cone.dim:
-        raise ConeError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
+        raise InputError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
     kind, data = solve_nonneg_combination(cone.generators, v)
     if kind == "witness":
         return MembershipResult("in-span", tuple(data), None)
@@ -77,7 +70,7 @@ def cone_membership(cone: ConeSpec, v) -> MembershipResult:
 def facet_normals_3d(cone: ConeSpec) -> list[tuple[int, int, int]]:
     """Facet normals of a full 3-dimensional cone, as primitive integer vectors."""
     if cone.dim != 3:
-        raise ConeError("facet enumeration implemented for dimension 3 only")
+        raise InputError("facet enumeration implemented for dimension 3 only")
     gens = cone.generators
 
     def cross(u, w):
@@ -116,7 +109,7 @@ def thm44_generators(k: int) -> ConeSpec:
     (a, -b_1, -b_2). Generators: E_1, E_2 and H - m E_1 - (k - m) E_2.
     """
     if k < 2:
-        raise ConeError("need k >= 2")
+        raise InputError("need k >= 2")
     gens = [("E1", (0, 1, 0)), ("E2", (0, 0, 1))]
     for m in range(k + 1):
         gens.append(("H-%dE1-%dE2" % (m, k - m), (1, -m, -(k - m))))
@@ -130,7 +123,7 @@ def lemma41_decompose(k: int, a: int, b1: int, b2: int) -> list[tuple[str, int]]
     k*a >= b1 + b2; induction on a, each peel preserving the inequality.
     """
     if k < 1:
-        raise ConeError("need k >= 1")
+        raise InputError("need k >= 1")
     if a < 0 or b1 < 0 or b2 < 0:
         raise DecompositionError("outside dual-cone region: negative coefficient")
     if k * a < b1 + b2:
@@ -145,7 +138,7 @@ def lemma41_decompose(k: int, a: int, b1: int, b2: int) -> list[tuple[str, int]]
         r2 -= k - m
     # the peels remove k from (b1 + b2) each round, so both residuals end <= 0
     if r1 > 0 or r2 > 0:
-        raise ConeError("internal: greedy peel left positive residual")
+        raise InternalError("internal: greedy peel left positive residual")
     if r1 < 0:
         terms["e1"] = -r1
     if r2 < 0:
@@ -164,7 +157,7 @@ def lemma41_vector(k: int, label: str) -> tuple[int, int, int]:
     if label.startswith("beta_"):
         m = int(label.split("_")[1])
         return (1, -m, -(k - m))
-    raise ConeError("unknown label %r" % label)
+    raise InputError("unknown label %r" % label)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +217,7 @@ def lemma42_term_class(bctx: BlowupCtx, grading: str, m: int, key: tuple) -> Blo
         exc[key[2]] = 1
         return BlowupClass(bctx, grading, m, chow.ChowClass(ctx, codim, {key[1]: 1}),
                            tuple(exc))
-    raise ConeError("unknown term key %r" % (key,))
+    raise InputError("unknown term key %r" % (key,))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +230,7 @@ def sgen_bound(ctx: GrassCtx, cycle_dim: int) -> int:
     Plucker degree is at least base + 1.
     """
     if cycle_dim not in (1, 2):
-        raise ConeError("cycle_dim must be 1 or 2")
+        raise InputError("cycle_dim must be 1 or 2")
     base = math.comb(ctx.n, ctx.k) - ctx.dim
     if cycle_dim == 1 and chow.degree(ctx) >= base + 1:
         return base + 1
@@ -283,7 +276,7 @@ def quadric_curve_decompose(a: int, bs) -> dict[tuple, int]:
     bs = list(bs)
     r = len(bs)
     if r > 7:
-        raise ConeError("at most 7 points supported")
+        raise InputError("at most 7 points supported")
     if a < 0:
         raise DecompositionError("negative line coefficient")
     out: dict[tuple, int] = {}
@@ -306,7 +299,7 @@ def quadric_curve_decompose(a: int, bs) -> dict[tuple, int]:
     if sum(max(b, 0) for b in cur) > cur_a:
         name = _violated_inequality(a, bs, r)
         if name is None:
-            raise ConeError("internal: greedy stalled although the inequality family holds")
+            raise InternalError("internal: greedy stalled although the inequality family holds")
         raise DecompositionError("violated inequality: " + name)
 
     for i, b in enumerate(cur):
@@ -334,7 +327,7 @@ def quadric_term_vector(key: tuple, r: int) -> tuple:
         for t in key[1:]:
             bs[t] = 1
     else:
-        raise ConeError("unknown term key %r" % (key,))
+        raise InputError("unknown term key %r" % (key,))
     return (a, *bs)
 
 
@@ -378,7 +371,7 @@ def g25_threecycle_decompose(a21: int, a3: int, bs) -> dict[tuple, int]:
     bs = list(bs)
     r = len(bs)
     if r > 4:
-        raise ConeError("at most 4 points supported")
+        raise InputError("at most 4 points supported")
     if a21 < 0 or a3 < 0 or any(b < 0 for b in bs):
         raise DecompositionError("coefficients must be nonnegative")
     if 2 * a21 + a3 < sum(bs):
@@ -423,7 +416,7 @@ def g25_threecycle_decompose(a21: int, a3: int, bs) -> dict[tuple, int]:
                 a21 -= 1
                 bs[i1] -= 1
         if a21 < 0 or a3 < 0:
-            raise ConeError("internal: greedy drove a coefficient negative")
+            raise InternalError("internal: greedy drove a coefficient negative")
     if a21 > 0:
         bump(("s21",), a21)
     if a3 > 0:
@@ -450,7 +443,7 @@ def g25_term_vector(key: tuple, r: int) -> tuple:
     elif kind == "s3-E":
         a3, bs[key[1]] = 1, 1
     else:
-        raise ConeError("unknown term key %r" % (key,))
+        raise InputError("unknown term key %r" % (key,))
     return (a21, a3, *bs)
 
 
@@ -461,7 +454,7 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
     generators are sigma, sigma - E_i, and E_i with unit coefficients.
     """
     if cycle_dim not in (1, 2):
-        raise ConeError("cycle_dim must be 1 or 2")
+        raise InputError("cycle_dim must be 1 or 2")
     codim = ctx.dim - cycle_dim
     sigmas = chow.basis(ctx, codim)
     dim = len(sigmas) + r
@@ -494,27 +487,8 @@ def blowup_cycle_vector(cls: BlowupClass) -> tuple:
 # the r = 3 class on G(2,4) outside the span of the Schubert classes
 
 def g24_sgen_cone(r: int) -> ConeSpec:
-    """Generators of the span of Schubert classes for 2-cycles on blown-up G(2,4).
-
-    Basis (s2, s11, E_1..E_r); each sigma passes through one general point, so
-    sigma - E_i enters with coefficient 1 only.
-    """
-    dim = 2 + r
-    gens = []
-    for idx, name in ((0, "s2"), (1, "s11")):
-        base = [0] * dim
-        base[idx] = 1
-        gens.append((name, tuple(base)))
-        for i in range(r):
-            vec = list(base)
-            vec[2 + i] = -1
-            gens.append(("%s-E%d" % (name, i + 1), tuple(vec)))
-    for i in range(r):
-        vec = [0] * dim
-        vec[2 + i] = 1
-        gens.append(("E%d" % (i + 1), tuple(vec)))
-    labels = ["s2", "s11"] + ["E%d" % (i + 1) for i in range(r)]
-    return ConeSpec.build(dim, tuple(labels), gens)
+    """sgen_cycle_cone for 2-cycles on G(2,4) at r points; basis (s(2), s(1,1), E_1..E_r)."""
+    return sgen_cycle_cone(GrassCtx(2, 4), 2, r)
 
 
 def g24_nonspan_witness():
@@ -530,10 +504,3 @@ def g24_nonspan_witness():
     result = cone_membership(g24_sgen_cone(3), (1, 1, -1, -1, -1))
     return cls, result
 
-
-def g24_class_vector(cls: BlowupClass) -> tuple:
-    """(a_2, a_11, -b_1, ..., -b_r) coordinates for the membership cone."""
-    ctx = cls.bctx.ctx
-    a2 = cls.ambient.coefficient(ctx.partition((2,)))
-    a11 = cls.ambient.coefficient(ctx.partition((1, 1)))
-    return (a2, a11, *(-b for b in cls.exc))

@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from grasseff.errors import InputError
 from grasseff.radicals import RadicalNumber
-
-
-class DelPezzoError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -33,11 +30,11 @@ class Pic10Class:
 
     def __post_init__(self):
         if not (1 <= self.N <= 8):
-            raise DelPezzoError("N must be between 1 and 8")
+            raise InputError("N must be between 1 and 8")
         if len(self.e) != self.N or len(self.f) != 10 - self.N:
-            raise DelPezzoError("expected %d e's and %d f's" % (self.N, 10 - self.N))
+            raise InputError("expected %d e's and %d f's" % (self.N, 10 - self.N))
         if not all(isinstance(x, int) for x in (self.h, *self.e, *self.f)):
-            raise DelPezzoError("lattice classes have integer coefficients")
+            raise InputError("lattice classes have integer coefficients")
 
 
 def lattice_class(N: int, h=0, e=None, f=None) -> Pic10Class:
@@ -47,7 +44,7 @@ def lattice_class(N: int, h=0, e=None, f=None) -> Pic10Class:
 def intersect(x: Pic10Class, y: Pic10Class) -> int:
     """Intersection number under the form h^2 = 1, e_i^2 = f_j^2 = -1."""
     if x.N != y.N:
-        raise DelPezzoError("classes live in different lattices")
+        raise InputError("classes live in different lattices")
     return x.h * y.h - sum(a * b for a, b in zip(x.e, y.e)) \
         - sum(a * b for a, b in zip(x.f, y.f))
 
@@ -72,7 +69,7 @@ class NullDivisor:
     def pair(self, c: Pic10Class) -> RadicalNumber:
         """D.C = (C_h + sum C_e / 3) + (sum_{j>=2} C_f_j) sqrt(q) + C_f_1 sqrt(qp)."""
         if c.N != self.N:
-            raise DelPezzoError("classes live in different lattices")
+            raise InputError("classes live in different lattices")
         return RadicalNumber(c.h + Fraction(sum(c.e), 3), sum(c.f[1:]), c.f[0],
                              self.q, self.qp)
 
@@ -86,7 +83,7 @@ def build_D_delta(N: int, q) -> NullDivisor:
     q = Fraction(q)
     lo, hi = admissible_q_interval(N)
     if not (lo < q < hi):
-        raise DelPezzoError(
+        raise InputError(
             "q outside the open interval: need sqrt((8-N)/(9(9-N))) < delta < 1/3, "
             "i.e. %s < q < %s" % (lo, hi))
     return NullDivisor(N, q, qprime_of(N, q))
@@ -219,8 +216,8 @@ def fano_case(name: str) -> FanoCase:
     for case in FANO_TABLE:
         if case.name == name:
             return case
-    raise DelPezzoError("unknown case %r; known: %s"
-                        % (name, ", ".join(c.name for c in FANO_TABLE)))
+    raise InputError("unknown case %r; known: %s"
+                     % (name, ", ".join(c.name for c in FANO_TABLE)))
 
 
 def _h_minus_3(N: int, kind: str, idx: int) -> Pic10Class:
@@ -246,7 +243,7 @@ def kernel_classes(case: FanoCase) -> list[Pic10Class]:
     if case.kernel_kind == "h-e-e-e":
         e = [-1] * N
         return [lattice_class(N, h=1, e=e)]
-    raise DelPezzoError("unknown kernel kind %r" % case.kernel_kind)
+    raise InputError("unknown kernel kind %r" % case.kernel_kind)
 
 
 def gamma_classes(case: FanoCase) -> tuple[list[Pic10Class], list[int]]:
@@ -283,7 +280,7 @@ def gamma_classes(case: FanoCase) -> tuple[list[Pic10Class], list[int]]:
                     f[m - 1] = -1
                     out.append(lattice_class(N, h=1, e=e, f=f))
         return out, []
-    raise DelPezzoError("unknown gamma kind %r" % case.gamma_kind)
+    raise InputError("unknown gamma kind %r" % case.gamma_kind)
 
 
 def sample_effective_classes(N: int) -> list[Pic10Class]:
@@ -336,5 +333,5 @@ def sample_admissible_q(N: int, count: int = 5) -> list[Fraction]:
 def h0_count(n: int, d: int) -> dict:
     """Sections of the index-(n-1) polarization and the residual system dimension."""
     if n < 3 or not (1 <= d <= 8):
-        raise DelPezzoError("need n >= 3 and 1 <= d <= 8")
+        raise InputError("need n >= 3 and 1 <= d <= 8")
     return {"h0": n + d - 1, "residual_dim": n - 2}

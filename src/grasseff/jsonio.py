@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from grasseff.errors import InputError
+
 
 def frac_str(x) -> str:
     """Normalized rational string: 'p' for integers, 'p/q' with q > 0 otherwise."""
@@ -17,21 +19,23 @@ def frac_str(x) -> str:
 def parse_frac(s) -> Fraction:
     """Exact rational from an int, a Fraction or text like '3/4' or '0.5'.
 
-    Raises ValueError on malformed text, on a zero denominator, on a bool,
+    Raises InputError on malformed text, on a zero denominator, on a bool,
     which is an int to Python but not a coordinate, and on a float, whose
     digits were already rounded to a double when the JSON was read.
     """
     if isinstance(s, bool):
-        raise ValueError("boolean %r is not a rational" % (s,))
+        raise InputError("boolean %r is not a rational" % (s,))
     if isinstance(s, float):
-        raise ValueError("float %r may have been rounded; write an integer or a string "
+        raise InputError("float %r may have been rounded; write an integer or a string "
                          "such as \"1/3\" or \"0.5\"" % (s,))
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     try:
         return Fraction(str(s))
     except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (s,)) from None
+        raise InputError("zero denominator in %r" % (s,)) from None
+    except ValueError:
+        raise InputError("%r is not a rational" % (s,)) from None
 
 
 def jsonable(obj):

@@ -10,12 +10,9 @@ from __future__ import annotations
 import math
 
 from grasseff.chow import GrassCtx
+from grasseff.errors import InputError, InternalError
 from grasseff.linalg import det_bareiss
 from grasseff.partitions import BoxedPartition
-
-
-class MultiplicityError(ValueError):
-    pass
 
 
 def _binom(t: int, m: int) -> int:
@@ -33,17 +30,17 @@ def rz_multiplicity(ctx: GrassCtx, lam: BoxedPartition, mu: BoxedPartition) -> i
     """
     k = ctx.k
     if lam.box_k != k or lam.box_w != ctx.w or mu.box_k != k or mu.box_w != ctx.w:
-        raise MultiplicityError("partitions must live in the %dx%d box" % (k, ctx.w))
+        raise InputError("partitions must live in the %dx%d box" % (k, ctx.w))
     if any(m < l for m, l in zip(mu.parts, lam.parts)):
-        raise MultiplicityError("cell not contained in variety: mu %s < lambda %s" % (mu, lam))
+        raise InputError("cell not contained in variety: mu %s < lambda %s" % (mu, lam))
     t = [ctx.w + i - lam.parts[i - 1] for i in range(1, k + 1)]
     s = [sum(1 for j in range(1, k + 1) if mu.parts[j - 1] - j < lam.parts[i - 1] - i)
          for i in range(1, k + 1)]
     matrix = [[_binom(t[i], rho - s[i]) for i in range(k)] for rho in range(k)]
     value = (-1) ** sum(s) * det_bareiss(matrix)
     if value < 0:
-        raise MultiplicityError("internal: negative multiplicity %d for lam=%s mu=%s"
-                                % (value, lam, mu))
+        raise InternalError("internal: negative multiplicity %d for lam=%s mu=%s"
+                            % (value, lam, mu))
     return value
 
 

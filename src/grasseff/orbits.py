@@ -12,11 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from grasseff.errors import InputError
 from grasseff.linalg import rank, reduce_mod, rref
-
-
-class OrbitError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -30,19 +27,19 @@ class IncidenceMatrix:
         k = self.k
         e = self.entries
         if len(e) != k + 1 or any(len(row) != k + 1 for row in e):
-            raise OrbitError("expected a %dx%d matrix" % (k + 1, k + 1))
+            raise InputError("expected a %dx%d matrix" % (k + 1, k + 1))
         if e[0][0] != 0:
-            raise OrbitError("entry (0,0) must be 0")
+            raise InputError("entry (0,0) must be 0")
         if e[k][k] > k:
-            raise OrbitError("entry (k,k) exceeds k")
+            raise InputError("entry (k,k) exceeds k")
         for i in range(k + 1):
             for j in range(k + 1):
                 if e[i][j] < 0:
-                    raise OrbitError("negative entry at (%d,%d)" % (i, j))
+                    raise InputError("negative entry at (%d,%d)" % (i, j))
                 if i > 0 and e[i][j] - e[i - 1][j] not in (0, 1):
-                    raise OrbitError("column step at (%d,%d) not 0 or 1" % (i, j))
+                    raise InputError("column step at (%d,%d) not 0 or 1" % (i, j))
                 if j > 0 and e[i][j] - e[i][j - 1] not in (0, 1):
-                    raise OrbitError("row step at (%d,%d) not 0 or 1" % (i, j))
+                    raise InputError("row step at (%d,%d) not 0 or 1" % (i, j))
 
     @property
     def subspace_dim(self) -> int:
@@ -65,19 +62,19 @@ class OrbitRepresentative:
     def __post_init__(self):
         k = self.k
         if tuple(sorted(self.pairs)) != self.pairs:
-            raise OrbitError("pairs must be sorted")
+            raise InputError("pairs must be sorted")
         fs, gs = [], []
         for i, j in self.pairs:
             if not (0 <= i <= k and 0 <= j <= k):
-                raise OrbitError("pair (%d,%d) out of range" % (i, j))
+                raise InputError("pair (%d,%d) out of range" % (i, j))
             if (i, j) == (0, 0):
-                raise OrbitError("pair (0,0) denotes the zero vector")
+                raise InputError("pair (0,0) denotes the zero vector")
             if i > 0:
                 fs.append(i)
             if j > 0:
                 gs.append(j)
         if len(set(fs)) != len(fs) or len(set(gs)) != len(gs):
-            raise OrbitError("a flag basis vector is reused across pairs")
+            raise InputError("a flag basis vector is reused across pairs")
 
     @property
     def subspace_dim(self) -> int:
@@ -96,7 +93,7 @@ def incidence_of_representative(rep: OrbitRepresentative, k: int | None = None) 
     if k is None:
         k = rep.k
     if k != rep.k:
-        raise OrbitError("representative lives in k=%d, asked for k=%d" % (rep.k, k))
+        raise InputError("representative lives in k=%d, asked for k=%d" % (rep.k, k))
     entries = tuple(
         tuple(sum(1 for (a, b) in rep.pairs if a <= i and b <= j) for j in range(k + 1))
         for i in range(k + 1))
@@ -116,27 +113,27 @@ def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
     for _ in range(inc.subspace_dim):
         hit = next(((i, j) for i in range(k + 1) for j in range(k + 1) if res[i][j] != 0), None)
         if hit is None:
-            raise OrbitError("invalid incidence profile: residual exhausted early")
+            raise InputError("invalid incidence profile: residual exhausted early")
         i, j = hit
         pairs.append((i, j))
         for a in range(i, k + 1):
             for b in range(j, k + 1):
                 res[a][b] -= 1
                 if res[a][b] < 0:
-                    raise OrbitError("invalid incidence profile: negative residual at (%d,%d)"
+                    raise InputError("invalid incidence profile: negative residual at (%d,%d)"
                                      % (a, b))
     if any(x != 0 for row in res for x in row):
-        raise OrbitError("invalid incidence profile: nonzero residual after peeling")
+        raise InputError("invalid incidence profile: nonzero residual after peeling")
     rep = make_representative(k, pairs)
     if incidence_of_representative(rep).entries != inc.entries:
-        raise OrbitError("invalid incidence profile: peeling does not reproduce the matrix")
+        raise InputError("invalid incidence profile: peeling does not reproduce the matrix")
     return rep
 
 
 def enumerate_orbits(k: int, subspace_dim: int) -> list[OrbitRepresentative]:
     """All orbit representatives of subspace_dim-planes, deduplicated by incidence."""
     if not (0 <= subspace_dim <= k):
-        raise OrbitError("need 0 <= subspace_dim <= k")
+        raise InputError("need 0 <= subspace_dim <= k")
     candidates = [(i, j) for i in range(k + 1) for j in range(k + 1) if (i, j) != (0, 0)]
     seen = {}
     for combo in itertools.combinations(candidates, subspace_dim):
@@ -194,9 +191,9 @@ def orbit_dimension(rep: OrbitRepresentative, k: int | None = None, s: int = 0) 
     if k is None:
         k = rep.k
     if k != rep.k:
-        raise OrbitError("representative lives in k=%d, asked for k=%d" % (rep.k, k))
+        raise InputError("representative lives in k=%d, asked for k=%d" % (rep.k, k))
     if s < 0:
-        raise OrbitError("s must be nonnegative")
+        raise InputError("s must be nonnegative")
     n = 2 * k + s
     basis = _rep_vectors(rep, n)
     basis_r, D = rref(basis)
@@ -210,7 +207,7 @@ def orbit_dimension(rep: OrbitRepresentative, k: int | None = None, s: int = 0) 
 def dense_orbit_dimension_check(k: int, d: int) -> dict:
     """Compare dim of the d-block triangular group with dim G(k, dk)."""
     if k < 1 or d < 2:
-        raise OrbitError("need k >= 1 and d >= 2")
+        raise InputError("need k >= 1 and d >= 2")
     dim_b = d * k * (k + 1) // 2
     dim_g = (d - 1) * k * k
     if dim_b < dim_g:

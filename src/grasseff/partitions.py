@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from grasseff.errors import InputError
+
 
 @dataclass(frozen=True)
 class BoxedPartition:
@@ -22,15 +24,15 @@ class BoxedPartition:
 
     def __post_init__(self):
         if self.box_k < 1 or self.box_w < 1:
-            raise ValueError("box dimensions must be positive")
+            raise InputError("box dimensions must be positive")
         if len(self.parts) != self.box_k:
-            raise ValueError("expected exactly %d parts, got %r" % (self.box_k, self.parts))
+            raise InputError("expected exactly %d parts, got %r" % (self.box_k, self.parts))
         if any(p < 0 for p in self.parts):
-            raise ValueError("parts must be nonnegative: %r" % (self.parts,))
+            raise InputError("parts must be nonnegative: %r" % (self.parts,))
         if any(self.parts[i] < self.parts[i + 1] for i in range(self.box_k - 1)):
-            raise ValueError("parts must be weakly decreasing: %r" % (self.parts,))
+            raise InputError("parts must be weakly decreasing: %r" % (self.parts,))
         if self.parts[0] > self.box_w:
-            raise ValueError("first part %d exceeds box width %d" % (self.parts[0], self.box_w))
+            raise InputError("first part %d exceeds box width %d" % (self.parts[0], self.box_w))
 
     @property
     def size(self) -> int:
@@ -53,7 +55,7 @@ def make_partition(parts, k: int, w: int) -> BoxedPartition:
     parts = tuple(int(p) for p in parts)
     if len(parts) > k:
         if any(p != 0 for p in parts[k:]):
-            raise ValueError("partition %r has more than %d nonzero parts" % (parts, k))
+            raise InputError("partition %r has more than %d nonzero parts" % (parts, k))
         parts = parts[:k]
     parts = parts + (0,) * (k - len(parts))
     return BoxedPartition(parts, k, w)
@@ -91,7 +93,7 @@ def enumerate_box(k: int, w: int, m: int) -> list[BoxedPartition]:
     binomial(k + w, k).
     """
     if k < 1 or w < 1:
-        raise ValueError("box dimensions must be positive")
+        raise InputError("box dimensions must be positive")
     return [BoxedPartition(p, k, w) for p in _enumerate(k, w, m, w)]
 
 

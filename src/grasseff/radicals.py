@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-
-class RadicalError(ArithmeticError):
-    pass
+from grasseff.errors import InputError
 
 
 def _frac(x) -> Fraction:
@@ -34,7 +32,7 @@ class RadicalNumber:
         for name in ("a", "b", "c", "q", "qp"):
             object.__setattr__(self, name, _frac(getattr(self, name)))
         if self.q <= 0 or self.qp <= 0:
-            raise RadicalError("radicands must be positive")
+            raise InputError("radicands must be positive")
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(q) + c*sqrt(qp)."""

@@ -5,14 +5,15 @@ from __future__ import annotations
 import json
 
 from grasseff import chow
-from grasseff.chow import ChowError, GrassCtx
+from grasseff.chow import GrassCtx
+from grasseff.errors import InputError
 
 
 def capped_ctx(k: int, n: int, cap: int) -> GrassCtx:
     """G(k, n), refused when k(n-k) exceeds cap."""
     ctx = GrassCtx(k, n)
     if ctx.dim > cap:
-        raise ChowError("k(n-k) = %d exceeds the cap %d" % (ctx.dim, cap))
+        raise InputError("k(n-k) = %d exceeds the cap %d" % (ctx.dim, cap))
     return ctx
 
 

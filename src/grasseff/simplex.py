@@ -20,11 +20,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from grasseff.errors import InternalError
 from grasseff.linalg import pivot
-
-
-class SimplexError(RuntimeError):
-    pass
 
 
 def solve_nonneg_combination(generators, target):
@@ -37,7 +34,7 @@ def solve_nonneg_combination(generators, target):
     tgt = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in target]
     dim = len(tgt)
     if any(len(g) != dim for g in gens):
-        raise SimplexError("dimension mismatch")
+        raise InternalError("dimension mismatch")
     n = len(gens)
     L = math.lcm(1, *(x.denominator for x in tgt), *(x.denominator for g in gens for x in g))
     G = [[x.numerator * (L // x.denominator) for x in g] for g in gens]
@@ -72,7 +69,7 @@ def solve_nonneg_combination(generators, target):
                         rhs * best_a == best_rhs * a and basis[i] < basis[leaving]):
                     leaving, best_rhs, best_a = i, rhs, a
         if leaving is None:
-            raise SimplexError("phase-1 problem unbounded; should be impossible")
+            raise InternalError("phase-1 problem unbounded; should be impossible")
         D = pivot(M, D, leaving, entering)
         basis[leaving] = entering
 
@@ -89,16 +86,16 @@ def solve_nonneg_combination(generators, target):
             if basis[i] < n:
                 xnum[basis[i]] = M[i][ncols]
         if any(v < 0 for v in xnum):
-            raise SimplexError("internal: witness has a negative coefficient")
+            raise InternalError("internal: witness has a negative coefficient")
         if any(sum(v * g[i] for v, g in zip(xnum, G) if v) != D * b[i] for i in range(dim)):
-            raise SimplexError("internal: witness fails substitution")
+            raise InternalError("internal: witness fails substitution")
         return "witness", [Fraction(v, D) for v in xnum]
 
     # Farkas certificate from the dual values y_r = 1 - (reduced cost of artificial r)
     cost = M[dim]
     pnum = [(D - cost[n + i]) * (1 if b[i] < 0 else -1) for i in range(dim)]
     if any(sum(p * gi for p, gi in zip(pnum, g)) < 0 for g in G):
-        raise SimplexError("internal: certificate negative on a generator")
+        raise InternalError("internal: certificate negative on a generator")
     if sum(p * t for p, t in zip(pnum, b)) >= 0:
-        raise SimplexError("internal: certificate not separating")
+        raise InternalError("internal: certificate not separating")
     return "certificate", [Fraction(p, D) for p in pnum]

@@ -139,7 +139,7 @@ def test_criterion_5():
 @criterion(6, "class outside the Schubert span at three points")
 def test_criterion_6():
     cls, result = cones.g24_nonspan_witness()
-    vec = cones.g24_class_vector(cls)
+    vec = cones.blowup_cycle_vector(cls)
     assert vec == (1, 1, -1, -1, -1)
     assert result.verdict == "not-in-span"
     phi = result.certificate

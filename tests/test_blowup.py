@@ -1,9 +1,10 @@
 import pytest
 
 from grasseff import blowup, chow
-from grasseff.blowup import BlowupClass, BlowupCtx, BlowupError, blow_class, divisor_power_pair, \
+from grasseff.blowup import BlowupClass, BlowupCtx, blow_class, divisor_power_pair, \
     effective_representation_check, exceptional, pair_blowup
 from grasseff.chow import GrassCtx
+from grasseff.errors import InputError
 
 G24 = GrassCtx(2, 4)
 G25 = GrassCtx(2, 5)
@@ -66,15 +67,15 @@ def test_divisor_power_pair_requires_h_support():
     bad = blow_class(b, "codim", 1, chow.sigma(G24, (1,)), (0,))
     beta = blow_class(b, "dim", 2, chow.sigma(G24, (2,)), (0,))
     assert divisor_power_pair(D, 2, beta) == 1 - 0
-    with pytest.raises(BlowupError):
+    with pytest.raises(InputError):
         divisor_power_pair(blow_class(b, "dim", 1, chow.sigma(G24, (2, 1)), (0,)), 1, beta)
 
 
 def test_grading_checks():
     b = bctx(G24, 1)
-    with pytest.raises(BlowupError):
+    with pytest.raises(InputError):
         pair_blowup(exceptional(b, "dim", 1, 0), exceptional(b, "dim", 1, 0))
-    with pytest.raises(BlowupError):
+    with pytest.raises(InputError):
         pair_blowup(exceptional(b, "dim", 1, 0), exceptional(b, "codim", 2, 0))
 
 

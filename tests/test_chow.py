@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasseff import chow
-from grasseff.chow import ChowError, GrassCtx
+from grasseff.chow import GrassCtx
+from grasseff.errors import InputError
 from grasseff.partitions import dual, enumerate_box
 
 G24 = GrassCtx(2, 4)
@@ -30,7 +31,7 @@ def make_ctx(k, w):
 def test_ctx_basic():
     assert G24.w == 2 and G24.dim == 4
     assert G36.dim == 9
-    with pytest.raises(ChowError):
+    with pytest.raises(InputError):
         GrassCtx(3, 3)
 
 
@@ -72,7 +73,7 @@ def test_pair_known_g24():
     assert chow.pair(chow.sigma(G24, (2,)), chow.sigma(G24, (2,))) == 1
     assert chow.pair(chow.sigma(G24, (1, 1)), chow.sigma(G24, (1, 1))) == 1
     assert chow.pair(chow.sigma(G24, (2,)), chow.sigma(G24, (1, 1))) == 0
-    with pytest.raises(ChowError):
+    with pytest.raises(InputError):
         chow.pair(chow.sigma(G24, (1,)), chow.sigma(G24, (1,)))
 
 
@@ -108,7 +109,7 @@ def test_product_out_of_box_is_zero():
 
 
 def test_mismatched_contexts_rejected():
-    with pytest.raises(ChowError):
+    with pytest.raises(InputError):
         chow.multiply(chow.sigma(G24, (1,)), chow.sigma(G25, (1,)))
 
 

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from grasseff import ring_io
+from grasseff import chow, ring_io
 from grasseff.cli import run_subcommand
+from grasseff.errors import DecompositionError, InputError, InternalError
 
 # stdout of `grasseff verify`, byte for byte
 VERIFY_STDOUT = Path(__file__).with_name("verify_stdout.json")
@@ -259,3 +263,133 @@ def test_float_in_blowup_class_file_is_refused(capsys, tmp_path):
                          "--dim", "2", "--class", str(path))
     assert code == 2 and out is None
     assert_float_rejected(err, path)
+
+
+def json_lines(err):
+    lines = err.splitlines()
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+    return [json.loads(line) for line in lines]
+
+
+def test_exit_code_follows_the_exception_type(capsys, monkeypatch):
+    cases = ((InputError("internal: bad"), 2), (DecompositionError("x"), 3),
+             (InternalError("internal: x"), 4), (ZeroDivisionError("x"), 4), (KeyError("x"), 4))
+    for exc, expected in cases:
+        def boom(ctx, exc=exc):
+            raise exc
+        monkeypatch.setattr(chow, "degree", boom)
+        code, out, err = run(capsys, "degree", "--k", "2", "--n", "4")
+        [msg] = json_lines(err)
+        assert code == expected and out is None
+        if expected == 4:
+            assert msg["error"].startswith(type(exc).__name__ + ": ")
+        else:
+            assert msg["error"] == str(exc)
+
+
+def test_unknown_case_named_internal_exits_2(capsys):
+    code, out, err = run(capsys, "delpezzo", "verify", "--case", "internal", "--q", "1/10")
+    [msg] = json_lines(err)
+    assert code == 2 and out is None and msg["error"].startswith("unknown case 'internal'")
+
+
+def test_warning_is_a_json_line(capsys):
+    code, out, err = run(capsys, "degree", "--k", "1", "--n", "3")
+    assert code == 0 and out == {"degree": 1}
+    assert json_lines(err) == [
+        {"warning": "G(1,3) falls outside the standing assumption k >= 2, n-k >= 2"}]
+
+
+def test_pieri_special_out_of_range(capsys):
+    code, out, err = run(capsys, "pieri", "--k", "2", "--n", "4", "--special", "-1", "--mu", "1")
+    [msg] = json_lines(err)
+    assert code == 2 and out is None and msg["error"].startswith("need 0 <= special <= w")
+
+
+def check_refused(capsys, path, needle, *argv):
+    code, out, err = run(capsys, *argv)
+    [msg] = json_lines(err)
+    assert code == 2 and out is None
+    assert str(path) in msg["error"] and needle in msg["error"]
+
+
+def test_basis_must_be_a_list_of_dim_strings(capsys, tmp_path):
+    gens, cls = tmp_path / "gens.json", tmp_path / "v.json"
+    cls.write_text("[1, 0]")
+    argv = ("cone", "check", "--generators", str(gens), "--class", str(cls))
+    for basis in (5, "xy", ["x"], ["x", "y", "z"], ["x", 1]):
+        gens.write_text(json.dumps({"generators": [{"label": "a", "vector": [1, 0]}],
+                                    "basis": basis}))
+        check_refused(capsys, gens, "'basis' must be a list of 2 strings", *argv)
+    gens.write_text(json.dumps({"generators": [{"label": "a", "vector": [1, 0]}],
+                                "basis": ["x", "y"]}))
+    assert run(capsys, *argv)[:2] == (0, {"verdict": "in-span", "witness": {"a": "1"}})
+
+
+def test_generator_label_must_be_a_string(capsys, tmp_path):
+    gens, cls = tmp_path / "gens.json", tmp_path / "v.json"
+    cls.write_text("[1, 0]")
+    for label in (["a"], {"a": 1}, 7, None):
+        gens.write_text(json.dumps({"generators": [{"label": label, "vector": [1, 0]}]}))
+        check_refused(capsys, gens, "labels must be strings",
+                      "cone", "check", "--generators", str(gens), "--class", str(cls))
+
+
+def test_binary_file_is_named(capsys, tmp_path):
+    binary, gens = tmp_path / "binary.json", tmp_path / "gens.json"
+    binary.write_bytes(bytes(range(256)))
+    gens.write_text("[[1, 0]]")
+    check_refused(capsys, binary, "codec", "cone", "check", "--generators", str(binary),
+                  "--class", str(gens))
+    check_refused(capsys, binary, "codec", "cone", "check", "--generators", str(gens),
+                  "--class", str(binary))
+
+
+def test_class_dimension_must_match_the_cone(capsys, tmp_path):
+    gens, cls = tmp_path / "gens.json", tmp_path / "v.json"
+    gens.write_text(json.dumps({"generators": [], "dim": 10 ** 15}))
+    cls.write_text("[1, 0]")
+    check_refused(capsys, cls, "has 2 coordinates, but the cone has dimension",
+                  "cone", "check", "--generators", str(gens), "--class", str(cls))
+
+
+def test_cone_sgen_refuses_negative_r(capsys):
+    code, out, err = run(capsys, "cone", "sgen", "--k", "2", "--n", "4", "--r", "-1", "--dim", "1")
+    [msg] = json_lines(err)
+    assert code == 2 and out is None and msg["error"] == "--r must be nonnegative, got -1"
+
+
+def test_cone_sgen_class_must_have_the_cycle_dimension(capsys, tmp_path):
+    path = tmp_path / "cls.json"
+    path.write_text(json.dumps({"k": 2, "n": 4, "m": 1, "grading": "codim", "exc": [1]}))
+    argv = ("cone", "sgen", "--k", "2", "--n", "4", "--r", "1", "--dim", "1", "--class", str(path))
+    check_refused(capsys, path, "has codimension 1, but --dim 1 needs 3", *argv)
+    # the same point class as a curve is tested, and -E_1 is outside the span
+    path.write_text(json.dumps({"k": 2, "n": 4, "m": 1, "grading": "dim", "exc": [1]}))
+    code, out, _ = run(capsys, *argv)
+    assert code == 3 and out["verdict"] == "not-in-span"
+
+
+def test_main_exit_codes_in_a_fresh_interpreter():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "grasseff.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = cli("delpezzo", "verify", "--case", "internal", "--q", "1/10")
+    assert done.returncode == 2 and done.stdout == ""
+    assert json_lines(done.stderr)[0]["error"].startswith("unknown case")
+    done = cli("degree", "--k", "1", "--n", "3")
+    assert done.returncode == 0 and done.stdout == '{"degree":1}\n'
+    assert [set(msg) for msg in json_lines(done.stderr)] == [{"warning"}]
+
+
+def test_deeply_nested_file_is_named(capsys, tmp_path):
+    deep, gens = tmp_path / "deep.json", tmp_path / "gens.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    gens.write_text("[[1, 0]]")
+    check_refused(capsys, deep, "recursion", "cone", "check", "--generators", str(gens),
+                  "--class", str(deep))

@@ -6,6 +6,7 @@ from grasseff import chow, cones
 from grasseff.blowup import BlowupCtx, blow_class
 from grasseff.chow import GrassCtx
 from grasseff.cones import ConeSpec, DecompositionError, cone_membership
+from grasseff.errors import InputError
 
 from support import g25_resum, quadric_in_cone, quadric_resum
 
@@ -199,7 +200,7 @@ def test_g25_threecycle_grid_resums():
 
 
 def test_g25_threecycle_rejects_bad_input():
-    with pytest.raises(cones.ConeError):
+    with pytest.raises(InputError):
         cones.g25_threecycle_decompose(1, 1, [0, 0, 0, 0, 0])
     with pytest.raises(DecompositionError):
         cones.g25_threecycle_decompose(-1, 0, [0])
@@ -210,7 +211,7 @@ def test_g25_threecycle_rejects_bad_input():
 
 def test_g24_nonspan_witness():
     cls, result = cones.g24_nonspan_witness()
-    assert cones.g24_class_vector(cls) == (1, 1, -1, -1, -1)
+    assert cones.blowup_cycle_vector(cls) == (1, 1, -1, -1, -1)
     assert result.verdict == "not-in-span"
     cone = cones.g24_sgen_cone(3)
     phi = result.certificate
@@ -236,3 +237,17 @@ def test_sgen_cycle_cone_membership_roundtrip():
     cone = cones.sgen_cycle_cone(G24, 2, 2)
     res = cone_membership(cone, cones.blowup_cycle_vector(cls))
     assert res.is_member
+
+
+def test_g24_sgen_cone_keeps_the_hand_built_generator_order():
+    # s2, s2 - E_i, s11, s11 - E_i, E_i: the order the certificates were computed in
+    for r in range(8):
+        gens = []
+        for idx in (0, 1):
+            base = [0] * (2 + r)
+            base[idx] = 1
+            gens.append(tuple(base))
+            for i in range(r):
+                gens.append(tuple(base[:2 + i] + [-1] + base[3 + i:]))
+        gens += [tuple([0] * (2 + i) + [1] + [0] * (r - 1 - i)) for i in range(r)]
+        assert cones.g24_sgen_cone(r).generators == tuple(gens)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasseff import delpezzo
-from grasseff.delpezzo import DelPezzoError, FANO_TABLE, admissible_q_interval, build_D_delta, \
+from grasseff.delpezzo import FANO_TABLE, admissible_q_interval, build_D_delta, \
     d_squared_symbolic, fano_case, gamma_classes, h0_count, intersect, kernel_classes, \
     lattice_class, qprime_of, sample_admissible_q, sample_effective_classes, verify_case, \
     verify_nef_conditions
+from grasseff.errors import InputError
 from grasseff.radicals import RadicalNumber
 
 
@@ -16,9 +17,9 @@ def test_lattice_form():
     a = lattice_class(4, h=2, e=[1, 0, 0, 0], f=[0, 1, 0, 0, 0, 0])
     b = lattice_class(4, h=1, e=[1, 0, 0, 0], f=[0, 2, 0, 0, 0, 0])
     assert intersect(a, b) == 2 - 1 - 2
-    with pytest.raises(DelPezzoError):
+    with pytest.raises(InputError):
         intersect(a, lattice_class(5))
-    with pytest.raises(DelPezzoError):
+    with pytest.raises(InputError):
         lattice_class(4, h=Fraction(1, 3))
 
 
@@ -45,7 +46,7 @@ def test_d_squared_numeric_vanishes():
 def test_build_rejects_boundary_q():
     lo, hi = admissible_q_interval(3)
     for q in (lo, hi, lo - 1, hi + 1):
-        with pytest.raises(DelPezzoError):
+        with pytest.raises(InputError):
             build_D_delta(3, q)
 
 
@@ -64,7 +65,7 @@ def test_table_has_eight_rows_with_known_degrees():
     degrees = sorted(c.degree for c in FANO_TABLE)
     assert degrees == [1, 2, 3, 4, 5, 6, 6, 7]
     assert fano_case("grass25").N == 4
-    with pytest.raises(DelPezzoError):
+    with pytest.raises(InputError):
         fano_case("nope")
 
 
@@ -104,9 +105,9 @@ def test_sample_effective_classes_shape():
 
 def test_h0_count():
     assert h0_count(3, 5) == {"h0": 7, "residual_dim": 1}
-    with pytest.raises(DelPezzoError):
+    with pytest.raises(InputError):
         h0_count(2, 5)
-    with pytest.raises(DelPezzoError):
+    with pytest.raises(InputError):
         h0_count(4, 9)
 
 

@@ -65,6 +65,6 @@ def test_ring_export_round_trip(tmp_path):
 
 def test_ring_table_cap(tmp_path):
     import pytest
-    from grasseff.chow import ChowError
-    with pytest.raises(ChowError):
+    from grasseff.errors import InputError
+    with pytest.raises(InputError):
         ring_io.ring_table(3, 8, cap=12)

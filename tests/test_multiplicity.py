@@ -4,7 +4,8 @@ import pytest
 
 from grasseff import chow
 from grasseff.chow import GrassCtx
-from grasseff.multiplicity import MultiplicityError, max_point_multiplicity, rz_multiplicity
+from grasseff.errors import InputError
+from grasseff.multiplicity import max_point_multiplicity, rz_multiplicity
 
 G25 = GrassCtx(2, 5)
 
@@ -28,7 +29,7 @@ def test_max_point_hyperplane_class():
 
 
 def test_cell_not_contained_rejected():
-    with pytest.raises(MultiplicityError):
+    with pytest.raises(InputError):
         rz_multiplicity(G25, G25.partition((2, 1)), G25.partition((1, 1)))
 
 

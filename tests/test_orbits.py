@@ -1,17 +1,18 @@
 import pytest
 
 from grasseff import orbits
-from grasseff.orbits import IncidenceMatrix, OrbitError, dense_orbit_dimension_check, \
+from grasseff.orbits import IncidenceMatrix, dense_orbit_dimension_check, \
     enumerate_orbits, ff_orbit_counts, group_dimension, incidence_of_representative, \
     make_representative, oracle_check, orbit_dimension, representative_from_incidence
+from grasseff.errors import InputError
 
 
 def test_representative_validation():
-    with pytest.raises(OrbitError):
+    with pytest.raises(InputError):
         make_representative(2, [(0, 0)])
-    with pytest.raises(OrbitError):
+    with pytest.raises(InputError):
         make_representative(2, [(1, 1), (1, 2)])  # f_1 reused
-    with pytest.raises(OrbitError):
+    with pytest.raises(InputError):
         make_representative(2, [(3, 0)])  # out of range
 
 
@@ -35,7 +36,7 @@ def test_round_trip_exhaustive_k_up_to_4():
 def test_invalid_incidence_rejected():
     # monotone-step matrix whose peeling cannot reproduce it
     bad = IncidenceMatrix(2, ((0, 0, 1), (0, 1, 2), (1, 2, 2)))
-    with pytest.raises(OrbitError):
+    with pytest.raises(InputError):
         representative_from_incidence(bad)
 
 

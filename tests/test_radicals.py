@@ -4,7 +4,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from grasseff.radicals import RadicalError, RadicalNumber
+from grasseff.errors import InputError
+from grasseff.radicals import RadicalNumber
 
 
 def rad(a, b, c, q=2, qp=3):
@@ -12,7 +13,7 @@ def rad(a, b, c, q=2, qp=3):
 
 
 def test_nonpositive_radicand_rejected():
-    with pytest.raises(RadicalError):
+    with pytest.raises(InputError):
         rad(1, 1, 0, q=0)
 
 

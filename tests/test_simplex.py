@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasseff.cli import run_subcommand
-from grasseff.simplex import SimplexError, solve_nonneg_combination
+from grasseff.errors import InternalError
+from grasseff.simplex import solve_nonneg_combination
 
 
 def fraction_simplex(generators, target):
@@ -91,7 +92,7 @@ def test_rational_witness():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(SimplexError):
+    with pytest.raises(InternalError):
         solve_nonneg_combination([(1, 0, 0)], (1, 0))
 
 
