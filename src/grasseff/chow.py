@@ -3,6 +3,12 @@
 Products route through the Giambelli determinant and iterated Pieri rather
 than Littlewood-Richardson tableaux; correctness is testable by Poincare
 duality. All coefficients are Python ints (arbitrary precision).
+
+Validation happens at the API boundary: `GrassCtx.partition` and every
+`ChowClass` check their partitions. Inside, the Giambelli x Pieri fold runs
+on plain part tuples, which interlacing keeps inside the box; `_boxed` turns
+a result's tuples into BoxedPartitions, each validated once and then reused.
+Every memo here holds at most `MEMO_CAP` entries.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ from functools import lru_cache
 
 from grasseff.errors import InputError, InternalError
 from grasseff.partitions import BoxedPartition, dual, enumerate_box, make_partition
+
+# Entries each memo below may hold; past it, the least recently used goes.
+MEMO_CAP = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,8 @@ class GrassCtx:
         return self.k * self.w
 
     def partition(self, parts) -> BoxedPartition:
-        return make_partition(parts, self.k, self.w)
+        """The partition with these parts (trailing zeros optional), validated once."""
+        return _boxed(tuple(parts), self.k, self.w)
 
     def point_class_partition(self) -> BoxedPartition:
         return BoxedPartition((self.w,) * self.k, self.k, self.w)
@@ -113,15 +123,6 @@ class ChowClass:
         return " + ".join("%d*s%s" % (c, lam) for lam, c in self.terms_sorted())
 
 
-def class_from_json(data: dict) -> ChowClass:
-    ctx = GrassCtx(int(data["k"]), int(data["n"]))
-    coeffs = {}
-    for term in data["terms"]:
-        lam = ctx.partition(term["lambda"])
-        coeffs[lam] = coeffs.get(lam, 0) + int(term["c"])
-    return ChowClass(ctx, int(data["codim"]), coeffs)
-
-
 def zero(ctx: GrassCtx, codim: int) -> ChowClass:
     return ChowClass(ctx, codim, {})
 
@@ -135,6 +136,17 @@ def sigma(ctx: GrassCtx, parts) -> ChowClass:
     return ChowClass(ctx, lam.size, {lam: 1})
 
 
+@lru_cache(maxsize=MEMO_CAP)
+def _boxed(parts: tuple[int, ...], k: int, w: int) -> BoxedPartition:
+    """make_partition(parts, k, w), validated on first use and then reused."""
+    return make_partition(parts, k, w)
+
+
+def _chow_class(ctx: GrassCtx, codim: int, terms: dict) -> ChowClass:
+    """A ChowClass from a dict of part tuples to coefficients."""
+    return ChowClass(ctx, codim, {_boxed(nu, ctx.k, ctx.w): c for nu, c in terms.items()})
+
+
 def pieri(ctx: GrassCtx, special: int, mu: BoxedPartition) -> ChowClass:
     """sigma_special * sigma_mu as the multiplicity-free interlacing sum.
 
@@ -143,12 +155,14 @@ def pieri(ctx: GrassCtx, special: int, mu: BoxedPartition) -> ChowClass:
     """
     if not (0 <= special <= ctx.w):
         raise InputError("need 0 <= special <= w, got special=%d, w=%d" % (special, ctx.w))
-    target = special + mu.size
-    out = {}
-    for nu_parts in _interlacings(mu.parts, ctx.w, special):
-        nu = BoxedPartition(nu_parts, ctx.k, ctx.w)
-        out[nu] = out.get(nu, 0) + 1
-    return ChowClass(ctx, target, out)
+    return _chow_class(ctx, special + mu.size,
+                       dict.fromkeys(_pieri_parts(mu.parts, ctx.w, special), 1))
+
+
+@lru_cache(maxsize=MEMO_CAP)
+def _pieri_parts(mu: tuple[int, ...], w: int, special: int) -> tuple[tuple[int, ...], ...]:
+    """The parts of every nu in sigma_special * sigma_mu: the one Pieri memo."""
+    return tuple(_interlacings(mu, w, special))
 
 
 def _interlacings(mu: tuple[int, ...], w: int, extra: int):
@@ -169,7 +183,7 @@ def _interlacings(mu: tuple[int, ...], w: int, extra: int):
     yield from rec(0, extra)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_CAP)
 def _giambelli_monomials(parts: tuple[int, ...], w: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Signed monomials of the Giambelli determinant for sigma_parts.
 
@@ -203,31 +217,32 @@ def giambelli(lam: BoxedPartition) -> list[tuple[int, tuple[int, ...]]]:
     return list(_giambelli_monomials(lam.parts, lam.box_w))
 
 
-# product memo; entries are immutable
-_product_cache: dict = {}
+def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> dict:
+    """sigma_lam * sigma_mu in a box of width w, as part tuples to coefficients.
 
-
-def _sigma_product(ctx: GrassCtx, lam: BoxedPartition, mu: BoxedPartition) -> ChowClass:
-    key = (ctx.k, ctx.n, lam.parts, mu.parts)
-    hit = _product_cache.get(key)
-    if hit is not None:
-        return hit
-    acc: dict[BoxedPartition, int] = {}
-    for sign, mono in _giambelli_monomials(lam.parts, ctx.w):
-        cur = ChowClass(ctx, mu.size, {mu: 1})
+    Each signed Giambelli monomial of lam is folded onto mu one Pieri step at
+    a time; a monomial whose strips leave the box contributes nothing.
+    """
+    acc: dict = {}
+    for sign, mono in _giambelli_monomials(lam, w):
+        cur = {mu: 1}
         for size in mono:
-            nxt: dict[BoxedPartition, int] = {}
-            for nu, c in cur.coeffs.items():
-                for rho, d in pieri(ctx, size, nu).coeffs.items():
-                    nxt[rho] = nxt.get(rho, 0) + c * d
-            cur = ChowClass(ctx, cur.codim + size, nxt)
-            if cur.is_zero():
+            nxt: dict = {}
+            for nu, c in cur.items():
+                for rho in _pieri_parts(nu, w, size):
+                    nxt[rho] = nxt.get(rho, 0) + c
+            cur = nxt
+            if not cur:
                 break
-        for nu, c in cur.coeffs.items():
+        for nu, c in cur.items():
             acc[nu] = acc.get(nu, 0) + sign * c
-    result = ChowClass(ctx, lam.size + mu.size, acc)
-    _product_cache[key] = result
-    return result
+    return acc
+
+
+@lru_cache(maxsize=MEMO_CAP)
+def _sigma_product(ctx: GrassCtx, lam: tuple[int, ...], mu: tuple[int, ...]) -> ChowClass:
+    """The product memo; callers only read the class it shares among them."""
+    return _chow_class(ctx, sum(lam) + sum(mu), _product_parts(lam, mu, ctx.w))
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
@@ -240,7 +255,7 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     acc: dict[BoxedPartition, int] = {}
     for lam, c in a.coeffs.items():
         for mu, d in b.coeffs.items():
-            for nu, e in _sigma_product(a.ctx, lam, mu).coeffs.items():
+            for nu, e in _sigma_product(a.ctx, lam.parts, mu.parts).coeffs.items():
                 acc[nu] = acc.get(nu, 0) + c * d * e
     return ChowClass(a.ctx, codim, acc)
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -169,6 +171,44 @@ def test_zero_denominator_in_class_file(capsys, tmp_path):
     code, out, err = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(cls))
     assert code == 2 and out is None
     assert_usage_error_naming(err, cls)
+
+
+def test_huge_exponent_coordinate_is_refused_quickly(capsys, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([[1, 0], [0, 1]]))
+    cls = tmp_path / "v.json"
+    cls.write_text(json.dumps({"vector": ["1e10000000", "1"]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(cls))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out is None
+    msg = json.loads(err)["error"]
+    assert str(cls) in msg and "more than 4300 digits" in msg
+
+
+def test_huge_exponent_q_is_refused_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "delpezzo", "verify", "--case", "grass25", "--q", "1e100000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out is None and "--q" in json.loads(err)["error"]
+
+
+# sha256 of `export-ring --cap 20` output, pinned so that a faster product
+# path has to give the same structure constants byte for byte
+RING_DIGESTS = {
+    (3, 8): "ab84091e773baff651a4b456586e47b85603938ee5cb6bf522fed92fc4913bdb",
+    (4, 8): "950fffbe17e057a94196dbf494b004e1b409b0413eab64291e5b59183829e659",
+    (4, 9): "96e5e288cb9076d7a2f7ac6a977e51532b40e9ecdff2e31d9c6129eed0b02ab0",
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(RING_DIGESTS))
+def test_export_ring_matches_pinned_digest(capsys, tmp_path, k, n):
+    path = tmp_path / "ring.json"
+    code, _, _ = run(capsys, "export-ring", "--k", str(k), "--n", str(n), "--cap", "20",
+                     "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RING_DIGESTS[(k, n)]
 
 
 def test_boolean_coordinate_in_class_file(capsys, tmp_path):

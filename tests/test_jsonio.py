@@ -35,6 +35,20 @@ def test_parse_frac_rejects_float_but_reads_decimal_text():
     assert jsonio.parse_frac(-4) == -4
 
 
+def test_parse_frac_refuses_huge_exponents_quickly():
+    import time
+
+    import pytest
+    assert jsonio.parse_frac("1e3") == 1000
+    assert jsonio.parse_frac("-2.5E-3") == Fraction(-1, 400)
+    assert jsonio.parse_frac("1e4299") == 10 ** 4299
+    start = time.perf_counter()
+    for text in ("1e4300", "1e-4300", "1e1000000", "1e10000000", "0.5e100000000"):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            jsonio.parse_frac(text)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_canonical_dumps_is_sorted_and_compact():
     s = jsonio.canonical_dumps({"b": Fraction(1, 2), "a": [1, (2, 3)]})
     assert s == '{"a":[1,[2,3]],"b":"1/2"}'

@@ -1,0 +1,201 @@
+"""Schubert structure constants against two references that share no code with chow's fold.
+
+- A Littlewood-Richardson tableau count (Fulton, Young Tableaux, ch. 5),
+  written on plain tuples without grasseff.
+- The earlier product path: Giambelli monomials folded one Pieri step at a
+  time over BoxedPartition/ChowClass objects, with no memo.
+"""
+
+import warnings
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grasseff import chow
+from grasseff.chow import ChowClass, GrassCtx
+from grasseff.partitions import BoxedPartition
+
+
+def make_ctx(k, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return GrassCtx(k, n)
+
+
+def box(k, w, m, cap=None):
+    """Weakly decreasing k-tuples with entries <= w summing to m."""
+    cap = w if cap is None else cap
+    if k == 0:
+        return [()] if m == 0 else []
+    return [(first,) + rest for first in range(min(cap, m), -1, -1)
+            for rest in box(k - 1, w, m - first, first)]
+
+
+def _rows(length, room):
+    """Letter counts of a weakly increasing row; letter i+1 used at most room[i] times."""
+    if not room:
+        if length == 0:
+            yield ()
+        return
+    for c in range(min(length, room[0]) + 1):
+        for rest in _rows(length - c, room[1:]):
+            yield (c,) + rest
+
+
+def lr_coefficient(lam, mu, nu):
+    """Number of LR tableaux of shape nu/lam and content mu.
+
+    A semistandard filling of nu/lam whose word, read right to left along
+    each row from the top row down, is a lattice word: every prefix holds at
+    least as many i's as (i+1)'s.
+    """
+    lam = tuple(lam) + (0,) * (len(nu) - len(lam))
+    mu = tuple(p for p in mu if p)
+    if any(l > v for l, v in zip(lam, nu)) or sum(nu) != sum(lam) + sum(mu):
+        return 0
+
+    def fill(r, above, used):
+        if r == len(nu):
+            return 1
+        total = 0
+        room = [m - u for m, u in zip(mu, used)]
+        for counts in _rows(nu[r] - lam[r], room):
+            # the row is read from its largest letter down, before its own i's
+            if any(used[i] + counts[i] > used[i - 1] for i in range(1, len(mu))):
+                continue
+            entries = [i + 1 for i, c in enumerate(counts) for _ in range(c)]
+            row = dict(zip(range(lam[r], nu[r]), entries))
+            if all(row[col] > above[col] for col in row if col in above):
+                total += fill(r + 1, row, [u + c for u, c in zip(used, counts)])
+        return total
+
+    return fill(0, {}, [0] * len(mu))
+
+
+def lr_product(lam, mu, k, w):
+    """sigma_lam * sigma_mu on G(k, k + w) as {nu parts: coefficient}."""
+    out = {}
+    for nu in box(k, w, sum(lam) + sum(mu)):
+        c = lr_coefficient(lam, mu, nu)
+        if c:
+            out[nu] = c
+    return out
+
+
+def as_parts(cls):
+    return {nu.parts: c for nu, c in cls.coeffs.items()}
+
+
+# ---- the earlier fold, kept as a reference
+
+
+def reference_pieri(ctx, special, mu):
+    out = {}
+
+    def rec(i, remaining, prefix):
+        if i == ctx.k:
+            if remaining == 0:
+                nu = BoxedPartition(prefix, ctx.k, ctx.w)
+                out[nu] = out.get(nu, 0) + 1
+            return
+        cap = ctx.w if i == 0 else mu.parts[i - 1]
+        for nu_i in range(mu.parts[i], min(cap, mu.parts[i] + remaining) + 1):
+            rec(i + 1, remaining - (nu_i - mu.parts[i]), prefix + (nu_i,))
+
+    rec(0, special, ())
+    return ChowClass(ctx, special + mu.size, out)
+
+
+def reference_product(ctx, lam, mu):
+    acc = {}
+    for sign, mono in chow.giambelli(lam):
+        cur = ChowClass(ctx, mu.size, {mu: 1})
+        for size in mono:
+            nxt = {}
+            for nu, c in cur.coeffs.items():
+                for rho, d in reference_pieri(ctx, size, nu).coeffs.items():
+                    nxt[rho] = nxt.get(rho, 0) + c * d
+            cur = ChowClass(ctx, cur.codim + size, nxt)
+            if cur.is_zero():
+                break
+        for nu, c in cur.coeffs.items():
+            acc[nu] = acc.get(nu, 0) + sign * c
+    return ChowClass(ctx, lam.size + mu.size, acc)
+
+
+def all_pairs(ctx):
+    basis = [lam for m in range(ctx.dim + 1) for lam in chow.basis(ctx, m)]
+    return [(lam, mu) for lam in basis for mu in basis if lam.size + mu.size <= ctx.dim]
+
+
+def test_lr_count_on_known_values():
+    # s_{2,1} * s_{2,1} = s_42 + s_411 + s_33 + 2 s_321 + s_3111 + s_222 + s_2211
+    assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
+    assert lr_coefficient((2, 1), (2, 1), (4, 2)) == 1
+    assert lr_coefficient((2, 1), (2, 1), (4, 1, 1)) == 1
+    assert lr_coefficient((2, 1), (2, 1), (5, 1)) == 0
+    assert lr_coefficient((1,), (1,), (1, 1)) == lr_coefficient((1,), (1,), (2,)) == 1
+    assert lr_coefficient((), (2, 2), (2, 2)) == 1
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 6), (3, 7)])
+def test_every_product_matches_littlewood_richardson(k, n):
+    ctx = make_ctx(k, n)
+    for lam, mu in all_pairs(ctx):
+        got = chow.multiply(chow.sigma(ctx, lam.parts), chow.sigma(ctx, mu.parts))
+        assert as_parts(got) == lr_product(lam.parts, mu.parts, k, ctx.w), (lam, mu)
+
+
+@st.composite
+def box_pair(draw):
+    k = draw(st.integers(1, 16))
+    w = draw(st.integers(1, 16 // k))
+    ctx = make_ctx(k, k + w)
+    basis = [lam for m in range(ctx.dim + 1) for lam in chow.basis(ctx, m)]
+    return ctx, draw(st.sampled_from(basis)), draw(st.sampled_from(basis))
+
+
+@settings(deadline=None, max_examples=150)
+@given(box_pair())
+def test_product_matches_the_earlier_fold(case):
+    ctx, lam, mu = case
+    got = chow.multiply(chow.sigma(ctx, lam.parts), chow.sigma(ctx, mu.parts))
+    if lam.size + mu.size > ctx.dim:
+        assert got.is_zero()
+    else:
+        assert got == reference_product(ctx, lam, mu)
+
+
+def test_pieri_matches_the_earlier_interlacing_sum():
+    ctx = make_ctx(3, 7)
+    for mu in (lam for m in range(ctx.dim + 1) for lam in chow.basis(ctx, m)):
+        for special in range(ctx.w + 1):
+            assert chow.pieri(ctx, special, mu) == reference_pieri(ctx, special, mu)
+
+
+MEMOS = ("_boxed", "_pieri_parts", "_giambelli_monomials", "_sigma_product")
+
+
+def test_every_memo_is_bounded_by_the_one_cap():
+    assert all(getattr(chow, name).cache_info().maxsize == chow.MEMO_CAP for name in MEMOS)
+
+
+def test_products_stay_right_after_the_memos_evict(monkeypatch):
+    cap = 7
+    for name in MEMOS:
+        memo = lru_cache(maxsize=cap)(getattr(chow, name).__wrapped__)
+        monkeypatch.setattr(chow, name, memo)
+    ctx = make_ctx(3, 6)
+    for lam, mu in all_pairs(ctx):
+        got = chow.multiply(chow.sigma(ctx, lam.parts), chow.sigma(ctx, mu.parts))
+        assert got == reference_product(ctx, lam, mu), (lam, mu)
+        assert all(getattr(chow, name).cache_info().currsize <= cap for name in MEMOS)
+    # far more distinct Pieri expansions than the cap: entries were evicted many times
+    assert chow._pieri_parts.cache_info().misses > 10 * cap
+    # a second pass, in the other order, meets a different set of survivors
+    for lam, mu in all_pairs(ctx)[::-1]:
+        got = chow.multiply(chow.sigma(ctx, lam.parts), chow.sigma(ctx, mu.parts))
+        assert as_parts(got) == lr_product(lam.parts, mu.parts, 3, 3)
+    assert chow.degree(ctx) == 42
