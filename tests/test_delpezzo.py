@@ -1,10 +1,11 @@
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasseff import delpezzo
+from grasseff import delpezzo, jsonio
 from grasseff.delpezzo import FANO_TABLE, admissible_q_interval, build_D_delta, \
     d_squared_symbolic, fano_case, gamma_classes, h0_count, intersect, kernel_classes, \
     lattice_class, qprime_of, sample_admissible_q, sample_effective_classes, verify_case, \
@@ -89,6 +90,22 @@ def test_verify_all_cases_on_admissible_samples():
             assert report["assumptions"] == ["SHGH"]
             statuses = {c["status"] for c in report["checks"]}
             assert statuses == {"pass"}
+
+
+# sha256 of the canonical JSON of every row's verify_case report, then its
+# verify_nef_conditions report, at q = lo + (hi - lo) t/17 for t = 1..16
+FANO_REPORTS_SHA256 = "f14bc87698194a3375547327472d30a522c0f730b70e68d5f36cbf0d8777b296"
+
+
+def test_reports_are_pinned_byte_for_byte():
+    digest = hashlib.sha256()
+    for case in FANO_TABLE:
+        lo, hi = admissible_q_interval(case.N)
+        for t in range(1, 17):
+            q = lo + (hi - lo) * Fraction(t, 17)
+            digest.update(jsonio.canonical_dumps(verify_case(case.name, q)).encode())
+            digest.update(jsonio.canonical_dumps(verify_nef_conditions(case.N, q)).encode())
+    assert digest.hexdigest() == FANO_REPORTS_SHA256
 
 
 def test_sextic_report_notes_dropped_indices():
