@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from grasseff.errors import InputError, InternalError
-from grasseff.partitions import BoxedPartition, dual, enumerate_box, make_partition
+from grasseff.partitions import BoxedPartition, dual, enumerate_box, int_parts, make_partition
 
 # Entries each memo below may hold; past it, the least recently used goes.
 MEMO_CAP = 1 << 15
@@ -52,7 +52,8 @@ class GrassCtx:
 
     def partition(self, parts) -> BoxedPartition:
         """The partition with these parts (trailing zeros optional), validated once."""
-        return _boxed(tuple(parts), self.k, self.w)
+        # checked before the memo: 1.0 and True hash and compare equal to 1
+        return _boxed(int_parts(parts), self.k, self.w)
 
     def point_class_partition(self) -> BoxedPartition:
         return BoxedPartition((self.w,) * self.k, self.k, self.w)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from functools import partial
@@ -21,8 +20,6 @@ from functools import partial
 from grasseff import blowup, chow, cones, delpezzo, jsonio, multiplicity, orbits, ring_io, verify
 from grasseff.chow import GrassCtx
 from grasseff.errors import DecompositionError, InputError
-
-CACHE_ENV = "GRASSEFF_RING_CACHE"
 
 
 def _parse_parts(text: str) -> tuple:
@@ -203,7 +200,8 @@ def cmd_orbits_list(args) -> int:
 
 
 def cmd_orbits_check(args) -> int:
-    reports = [orbits.oracle_check(args.k, d) for d in range(args.k + 1)]
+    # d = k has the most subspaces, so an over-the-cap k is refused before any enumeration
+    reports = [orbits.oracle_check(args.k, d) for d in range(args.k, -1, -1)][::-1]
     _emit({"k": args.k, "reports": reports})
     return 0 if all(rep["agree"] for rep in reports) else 4
 
@@ -225,20 +223,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_ring(args) -> int:
-    out = args.out
-    if out is None:
-        cache_dir = os.environ.get(CACHE_ENV)
-        if cache_dir is None:
-            raise InputError("give --out or set %s" % CACHE_ENV)
-        out = os.path.join(cache_dir, "ring_%d_%d.json" % (args.k, args.n))
-    ring_io.capped_ctx(args.k, args.n, args.cap)
     try:
-        if args.out is None:
-            os.makedirs(cache_dir, exist_ok=True)
-        table = ring_io.export_ring(args.k, args.n, out, cap=args.cap)
+        table = ring_io.export_ring(args.k, args.n, args.out, cap=args.cap)
     except OSError as exc:
-        raise InputError("cannot write ring file %r: %s" % (out, exc.strerror or exc))
-    _emit({"path": out, "basis_size": sum(len(v) for v in table["basis"].values())})
+        raise InputError("cannot write ring file %r: %s" % (args.out, exc.strerror or exc))
+    _emit({"path": args.out, "basis_size": sum(len(v) for v in table["basis"].values())})
     return 0
 
 
@@ -319,7 +308,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("export-ring", help="write the full multiplication table")
     kn(p)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", required=True)
     p.add_argument("--cap", type=int, default=16)
     p.set_defaults(func=cmd_export_ring)
 

@@ -1,8 +1,8 @@
 """Degree-d Fano verification: the blown-up-plane lattice and the null divisors.
 
 Works in the rank-11 lattice with basis {h, e_1..e_N, f_1..f_{10-N}}, N = 9-d,
-intersection form diag(1, -1, ..., -1); every class in it has integer
-coefficients. The distinguished class
+intersection form diag(1, -1, ..., -1); a class in it is the triple (h, e, f)
+of its integer coefficients. The distinguished class
 D = h - (1/3) sum e_i - sqrt(q') f_1 - sqrt(q) sum_{j>=2} f_j has D^2 = 0
 identically in q once q' = (9-N)(1/9 - q). D is not itself a lattice class:
 it is kept as the linear form C -> D.C, which on an integer class C is
@@ -12,6 +12,7 @@ check decides the exact sign of that number (`radicals.RadicalNumber.sign`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,34 +20,27 @@ from grasseff.errors import InputError
 from grasseff.radicals import RadicalNumber
 
 
-@dataclass(frozen=True)
-class Pic10Class:
-    """Integer coefficients over {h, e_1..e_N, f_1..f_{10-N}}."""
+def lattice_class(N: int, h=0, e=(), f=()) -> tuple:
+    """The class with integer coefficients h, e = (e_1..e_N), f = (f_1..f_{10-N}).
 
-    N: int
-    h: int
-    e: tuple
-    f: tuple
-
-    def __post_init__(self):
-        if not (1 <= self.N <= 8):
-            raise InputError("N must be between 1 and 8")
-        if len(self.e) != self.N or len(self.f) != 10 - self.N:
-            raise InputError("expected %d e's and %d f's" % (self.N, 10 - self.N))
-        if not all(isinstance(x, int) for x in (self.h, *self.e, *self.f)):
-            raise InputError("lattice classes have integer coefficients")
+    An empty e or f stands for zeros; the class is returned as (h, e, f).
+    """
+    if not (1 <= N <= 8):
+        raise InputError("N must be between 1 and 8")
+    e, f = tuple(e) or (0,) * N, tuple(f) or (0,) * (10 - N)
+    if len(e) != N or len(f) != 10 - N:
+        raise InputError("expected %d e's and %d f's" % (N, 10 - N))
+    if not all(isinstance(x, int) for x in (h, *e, *f)):
+        raise InputError("lattice classes have integer coefficients")
+    return h, e, f
 
 
-def lattice_class(N: int, h=0, e=None, f=None) -> Pic10Class:
-    return Pic10Class(N, h, tuple(e or [0] * N), tuple(f or [0] * (10 - N)))
-
-
-def intersect(x: Pic10Class, y: Pic10Class) -> int:
-    """Intersection number under the form h^2 = 1, e_i^2 = f_j^2 = -1."""
-    if x.N != y.N:
-        raise InputError("classes live in different lattices")
-    return x.h * y.h - sum(a * b for a, b in zip(x.e, y.e)) \
-        - sum(a * b for a, b in zip(x.f, y.f))
+def _unit_sum(N: int, h: int, *terms) -> tuple:
+    """h h + sum of c x_a over the (c, a) in terms, where x_0..x_9 are e_1..e_N, f_1..f_{10-N}."""
+    x = [0] * 10
+    for c, a in terms:
+        x[a] += c
+    return lattice_class(N, h, x[:N], x[N:])
 
 
 def qprime_of(N: int, q: Fraction) -> Fraction:
@@ -66,12 +60,12 @@ class NullDivisor:
     q: Fraction
     qp: Fraction
 
-    def pair(self, c: Pic10Class) -> RadicalNumber:
+    def pair(self, c: tuple) -> RadicalNumber:
         """D.C = (C_h + sum C_e / 3) + (sum_{j>=2} C_f_j) sqrt(q) + C_f_1 sqrt(qp)."""
-        if c.N != self.N:
+        h, e, f = c
+        if len(e) != self.N:
             raise InputError("classes live in different lattices")
-        return RadicalNumber(c.h + Fraction(sum(c.e), 3), sum(c.f[1:]), c.f[0],
-                             self.q, self.qp)
+        return RadicalNumber(h + Fraction(sum(e), 3), sum(f[1:]), f[0], self.q, self.qp)
 
     def square(self) -> Fraction:
         """D.D = 1 - N/9 - qp - (9-N) q; the sqrt(q) sqrt(qp) cross terms never arise."""
@@ -114,12 +108,11 @@ def verify_nef_conditions(N: int, q) -> dict:
     D = build_D_delta(N, q)
     checks = [
         _check("D.D == 0", D.square() == 0),
-        _check("D.h > 0", D.pair(_basis(N, "h")).sign() > 0),
+        _check("D.h > 0", D.pair(_unit_sum(N, 1)).sign() > 0),
     ]
-    for i in range(N):
-        checks.append(_check("D.e%d > 0" % (i + 1), D.pair(_basis(N, "e", i)).sign() > 0))
-    for j in range(10 - N):
-        checks.append(_check("D.f%d > 0" % (j + 1), D.pair(_basis(N, "f", j)).sign() > 0))
+    for a in range(10):
+        label = "e%d" % (a + 1) if a < N else "f%d" % (a - N + 1)
+        checks.append(_check("D.%s > 0" % label, D.pair(_unit_sum(N, 0, (1, a))).sign() > 0))
     checks.append(_check("9q < 1", 9 * q < 1, 9 * q))
     checks.append(_check("9q' < 1", 9 * D.qp < 1, 9 * D.qp))
     const, linear = d_squared_symbolic(N)
@@ -134,18 +127,6 @@ def verify_nef_conditions(N: int, q) -> dict:
     }
 
 
-def _basis(N: int, kind: str, idx: int = 0) -> Pic10Class:
-    if kind == "h":
-        return lattice_class(N, h=1)
-    e = [0] * N
-    f = [0] * (10 - N)
-    if kind == "e":
-        e[idx] = 1
-    else:
-        f[idx] = 1
-    return lattice_class(N, e=e, f=f)
-
-
 def check_lemma65(D: NullDivisor, kernel_gens, gamma_gens, sample_eff_gens) -> dict:
     """Exact evaluation of the extremality conditions on given generator lists.
 
@@ -156,7 +137,7 @@ def check_lemma65(D: NullDivisor, kernel_gens, gamma_gens, sample_eff_gens) -> d
     """
     checks = [
         _check("D.D == 0", D.square() == 0),
-        _check("D.h > 0", D.pair(_basis(D.N, "h")).sign() > 0),
+        _check("D.h > 0", D.pair(_unit_sum(D.N, 1)).sign() > 0),
     ]
     for idx, c in enumerate(kernel_gens):
         val = D.pair(c)
@@ -177,9 +158,10 @@ def check_lemma65(D: NullDivisor, kernel_gens, gamma_gens, sample_eff_gens) -> d
     }
 
 
-def _is_rational_multiple_of_projection(c: Pic10Class) -> bool:
+def _is_rational_multiple_of_projection(c: tuple) -> bool:
     # D's rational projection is h - (1/3) sum e_i
-    return not any(c.f) and all(3 * x == -c.h for x in c.e)
+    h, e, f = c
+    return not any(f) and all(3 * x == -h for x in e)
 
 
 @dataclass(frozen=True)
@@ -220,83 +202,38 @@ def fano_case(name: str) -> FanoCase:
                      % (name, ", ".join(c.name for c in FANO_TABLE)))
 
 
-def _h_minus_3(N: int, kind: str, idx: int) -> Pic10Class:
-    e = [0] * N
-    f = [0] * (10 - N)
-    (e if kind == "e" else f)[idx - 1] = -3
-    return lattice_class(N, h=1, e=e, f=f)
-
-
-def kernel_classes(case: FanoCase) -> list[Pic10Class]:
+def kernel_classes(case: FanoCase) -> list[tuple]:
     N = case.N
     if case.kernel_kind == "h-3e":
-        return [_h_minus_3(N, "e", i) for i in case.kernel_e_indices]
+        return [_unit_sum(N, 1, (-3, i - 1)) for i in case.kernel_e_indices]
     if case.kernel_kind == "e-e":
-        out = []
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                if i != j:
-                    e = [0] * N
-                    e[i - 1], e[j - 1] = 1, -1
-                    out.append(lattice_class(N, e=e))
-        return out
+        return [_unit_sum(N, 0, (1, i), (-1, j)) for i in range(N) for j in range(N) if i != j]
     if case.kernel_kind == "h-e-e-e":
-        e = [-1] * N
-        return [lattice_class(N, h=1, e=e)]
+        return [_unit_sum(N, 1, *((-1, i) for i in range(N)))]
     raise InputError("unknown kernel kind %r" % case.kernel_kind)
 
 
-def gamma_classes(case: FanoCase) -> tuple[list[Pic10Class], list[int]]:
+def gamma_classes(case: FanoCase) -> tuple[list[tuple], list[int]]:
     """Gamma generators and the list of printed indices that had to be dropped."""
     N = case.N
     nf = 10 - N
     if case.gamma_kind == "h-3f":
         kept = [j for j in case.gamma_f_indices if 1 <= j <= nf]
         dropped = [j for j in case.gamma_f_indices if not (1 <= j <= nf)]
-        return [_h_minus_3(N, "f", j) for j in kept], dropped
-    if case.gamma_kind == "e-f":
-        out = []
-        for i in range(1, N + 1):
-            for j in range(1, nf + 1):
-                e = [0] * N
-                f = [0] * nf
-                e[i - 1], f[j - 1] = 1, -1
-                out.append(lattice_class(N, e=e, f=f))
-        return out, []
+        return [_unit_sum(N, 1, (-3, N + j - 1)) for j in kept], dropped
+    if case.gamma_kind not in ("e-f", "mixed-p2p2"):
+        raise InputError("unknown gamma kind %r" % case.gamma_kind)
+    out = [_unit_sum(N, 0, (1, i), (-1, N + j)) for i in range(N) for j in range(nf)]
     if case.gamma_kind == "mixed-p2p2":
-        out = []
-        for i in range(1, N + 1):
-            for j in range(1, nf + 1):
-                e = [0] * N
-                f = [0] * nf
-                e[i - 1], f[j - 1] = 1, -1
-                out.append(lattice_class(N, e=e, f=f))
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                for m in range(1, nf + 1):
-                    e = [0] * N
-                    f = [0] * nf
-                    e[i - 1] = e[j - 1] = -1
-                    f[m - 1] = -1
-                    out.append(lattice_class(N, h=1, e=e, f=f))
-        return out, []
-    raise InputError("unknown gamma kind %r" % case.gamma_kind)
+        out += [_unit_sum(N, 1, (-1, i), (-1, j), (-1, N + m))
+                for i, j in itertools.combinations(range(N), 2) for m in range(nf)]
+    return out, []
 
 
-def sample_effective_classes(N: int) -> list[Pic10Class]:
+def sample_effective_classes(N: int) -> list[tuple]:
     """A spot-check list of effective classes: the basis and the (-1)-lines."""
-    out = [_basis(N, "h")]
-    labels = [("e", i) for i in range(N)] + [("f", j) for j in range(10 - N)]
-    for kind, idx in labels:
-        out.append(_basis(N, kind, idx))
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            e = [0] * N
-            f = [0] * (10 - N)
-            for kind, idx in (labels[a], labels[b]):
-                (e if kind == "e" else f)[idx] = -1
-            out.append(lattice_class(N, h=1, e=e, f=f))
-    return out
+    return ([_unit_sum(N, 1)] + [_unit_sum(N, 0, (1, a)) for a in range(10)]
+            + [_unit_sum(N, 1, (-1, a), (-1, b)) for a, b in itertools.combinations(range(10), 2)])
 
 
 def verify_case(name: str, q) -> dict:

@@ -88,12 +88,9 @@ def make_representative(k: int, pairs) -> OrbitRepresentative:
     return OrbitRepresentative(k, tuple(sorted(tuple(p) for p in pairs)))
 
 
-def incidence_of_representative(rep: OrbitRepresentative, k: int | None = None) -> IncidenceMatrix:
+def incidence_of_representative(rep: OrbitRepresentative) -> IncidenceMatrix:
     """entry(i,j) = number of pairs with both indices dominated by (i,j)."""
-    if k is None:
-        k = rep.k
-    if k != rep.k:
-        raise InputError("representative lives in k=%d, asked for k=%d" % (rep.k, k))
+    k = rep.k
     entries = tuple(
         tuple(sum(1 for (a, b) in rep.pairs if a <= i and b <= j) for j in range(k + 1))
         for i in range(k + 1))
@@ -186,12 +183,9 @@ def _rep_vectors(rep: OrbitRepresentative, n: int) -> list[list[int]]:
     return vecs
 
 
-def orbit_dimension(rep: OrbitRepresentative, k: int | None = None, s: int = 0) -> int:
+def orbit_dimension(rep: OrbitRepresentative, s: int = 0) -> int:
     """dim B - dim Stab_B(W), as the rank of the map X -> (X.w mod W)_w."""
-    if k is None:
-        k = rep.k
-    if k != rep.k:
-        raise InputError("representative lives in k=%d, asked for k=%d" % (rep.k, k))
+    k = rep.k
     if s < 0:
         raise InputError("s must be nonnegative")
     n = 2 * k + s
@@ -222,6 +216,10 @@ def dense_orbit_dimension_check(k: int, d: int) -> dict:
 # ---------------------------------------------------------------------------
 # finite-field oracle
 
+# Subspaces that one oracle_check may enumerate, summed over its fields.
+ORACLE_CAP = 50_000
+
+
 def ff_rank(matrix, q: int) -> int:
     """Rank over F_q (q prime)."""
     return rank(matrix, q)
@@ -243,25 +241,15 @@ def ff_subspaces(n: int, d: int, q: int):
 
 
 def ff_incidence(basis, k: int, q: int) -> IncidenceMatrix:
-    """Incidence matrix of the row span of basis inside F_q^{2k}."""
+    """Incidence matrix of the row span W of basis inside F_q^{2k}.
+
+    F_i + G_j is the span of the coordinates 0..i-1 and k..k+j-1, so W meets
+    it in dimension d minus the rank of W's other columns.
+    """
     d = len(basis)
-    entries = []
-    for i in range(k + 1):
-        row = []
-        for j in range(k + 1):
-            # flag vectors: e_0..e_{i-1} for F_i, e_k..e_{k+j-1} for G_j
-            stack = [list(b) for b in basis]
-            for p in range(i):
-                v = [0] * (2 * k)
-                v[p] = 1
-                stack.append(v)
-            for p in range(j):
-                v = [0] * (2 * k)
-                v[k + p] = 1
-                stack.append(v)
-            row.append(d + i + j - ff_rank(stack, q))
-        entries.append(tuple(row))
-    return IncidenceMatrix(k, tuple(entries))
+    return IncidenceMatrix(k, tuple(
+        tuple(d - ff_rank([row[i:k] + row[k + j:] for row in basis], q) for j in range(k + 1))
+        for i in range(k + 1)))
 
 
 def ff_orbit_counts(k: int, d: int, q: int) -> dict:
@@ -273,12 +261,27 @@ def ff_orbit_counts(k: int, d: int, q: int) -> dict:
     return counts
 
 
+def _subspace_count(n: int, d: int, q: int) -> int:
+    """The Gaussian binomial [n choose d]_q: the number of d-planes in F_q^n."""
+    num = den = 1
+    for i in range(d):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
 def oracle_check(k: int, d: int, qs=(2, 3)) -> dict:
     """Compare enumerate_orbits against the finite-field enumeration.
 
     The realized incidence sets must agree across all fields and with the
-    combinatorial enumeration; disagreement is reported, not repaired.
+    combinatorial enumeration; disagreement is reported, not repaired. More
+    than ORACLE_CAP subspaces over all fields is refused before any work.
     """
+    # [2k choose d]_q >= q^(d(2k-d)) >= 2^(d(2k-d)): only a small exponent needs the exact count
+    if d * (2 * k - d) >= ORACLE_CAP.bit_length() \
+            or sum(_subspace_count(2 * k, d, q) for q in qs) > ORACLE_CAP:
+        raise InputError("the F_q oracle for k=%d, d=%d enumerates more than %d subspaces"
+                         % (k, d, ORACLE_CAP))
     combinatorial = {incidence_of_representative(rep).entries
                      for rep in enumerate_orbits(k, d)}
     per_field = {q: set(ff_orbit_counts(k, d, q)) for q in qs}

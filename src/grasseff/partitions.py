@@ -50,9 +50,18 @@ class BoxedPartition:
         return "(" + ",".join(str(p) for p in t) + ")" if t else "()"
 
 
+def int_parts(parts) -> tuple[int, ...]:
+    """parts as a tuple, refused unless every part is an int (not a bool, float or str)."""
+    parts = tuple(parts)
+    for p in parts:
+        if type(p) is not int:
+            raise InputError("partition parts must be integers: %r" % (parts,))
+    return parts
+
+
 def make_partition(parts, k: int, w: int) -> BoxedPartition:
     """Build a BoxedPartition from parts given with or without trailing zeros."""
-    parts = tuple(int(p) for p in parts)
+    parts = int_parts(parts)
     if len(parts) > k:
         if any(p != 0 for p in parts[k:]):
             raise InputError("partition %r has more than %d nonzero parts" % (parts, k))

@@ -14,13 +14,9 @@ from fractions import Fraction
 from grasseff.errors import InputError
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class RadicalNumber:
-    """a + b*sqrt(q) + c*sqrt(qp), all rational, q and qp positive."""
+    """a + b*sqrt(q) + c*sqrt(qp) for ints or Fractions, q and qp positive."""
 
     a: Fraction
     b: Fraction
@@ -29,8 +25,6 @@ class RadicalNumber:
     qp: Fraction
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "q", "qp"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
         if self.q <= 0 or self.qp <= 0:
             raise InputError("radicands must be positive")
 

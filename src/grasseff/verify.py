@@ -30,7 +30,7 @@ ALL_OPERATIONS = (
     "cones.g24_nonspan_witness",
     "orbits.representative_from_incidence", "orbits.incidence_of_representative",
     "orbits.enumerate_orbits", "orbits.orbit_dimension", "orbits.dense_orbit_dimension_check",
-    "delpezzo.intersect", "delpezzo.build_D_delta", "delpezzo.verify_nef_conditions",
+    "delpezzo.NullDivisor.pair", "delpezzo.build_D_delta", "delpezzo.verify_nef_conditions",
     "delpezzo.check_lemma65", "delpezzo.h0_count",
     "cli.export_ring",
 )
@@ -303,11 +303,11 @@ def run_all() -> dict:
 
     # --- delpezzo
     D = delpezzo.build_D_delta(4, Fraction(1, 10))
-    vals = [D.pair(delpezzo._basis(4, "h")).sign(), (D.square() > 0) - (D.square() < 0)]
+    vals = [D.pair(delpezzo.lattice_class(4, 1)).sign(), (D.square() > 0) - (D.square() < 0)]
     add(_record("null-divisor-construction", "D has square zero and positive degree",
                 {"N": 4, "q": "1/10"}, vals, [1, 0],
                 "derived: exact two-radical arithmetic",
-                ["delpezzo.build_D_delta", "delpezzo.intersect"]))
+                ["delpezzo.build_D_delta", "delpezzo.NullDivisor.pair"]))
     nef_ok = all(delpezzo.verify_nef_conditions(case.N, q)["ok"]
                  for case in delpezzo.FANO_TABLE
                  for q in delpezzo.sample_admissible_q(case.N, 3))

@@ -108,6 +108,15 @@ def test_product_out_of_box_is_zero():
     assert chow.multiply(top, chow.sigma(G24, (1,))).is_zero()
 
 
+def test_non_integer_parts_are_refused_on_a_memo_hit():
+    assert repr(chow.sigma(G24, (1,))) == "1*s(1)"  # (1,) is now in the memo
+    for parts in ((1.5,), (1.0,), (True,)):
+        with pytest.raises(InputError, match="integers"):
+            chow.sigma(G24, parts)
+        with pytest.raises(InputError, match="integers"):
+            G24.partition(parts)
+
+
 def test_mismatched_contexts_rejected():
     with pytest.raises(InputError):
         chow.multiply(chow.sigma(G24, (1,)), chow.sigma(G25, (1,)))

@@ -106,6 +106,10 @@ def test_orbits_list_and_check(capsys):
     assert dims[((1, 2), (2, 1))] == 4
     code, out, _ = run(capsys, "orbits", "check", "--k", "2")
     assert code == 0 and all(rep["agree"] for rep in out["reports"])
+    started = time.perf_counter()
+    code, out, err = run(capsys, "orbits", "check", "--k", "4")
+    assert code == 2 and out is None and time.perf_counter() - started < 2
+    assert len(err.splitlines()) == 1 and "50000" in json.loads(err)["error"]
 
 
 def test_delpezzo_verify(capsys):
@@ -124,22 +128,19 @@ def test_verify_both_names(capsys):
     assert report["ok"] is True and report["failed"] == []
 
 
-def test_export_ring_and_cache(capsys, tmp_path, monkeypatch):
+def test_export_ring_needs_out_and_is_never_read_back(capsys, tmp_path):
+    assert run(capsys, "export-ring", "--k", "2", "--n", "4")[0] == 2
     out_path = tmp_path / "ring.json"
     code, out, _ = run(capsys, "export-ring", "--k", "2", "--n", "4", "--out", str(out_path))
-    assert code == 0 and out["basis_size"] == 6
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("GRASSEFF_RING_CACHE", str(cache))
-    code, out, _ = run(capsys, "export-ring", "--k", "2", "--n", "4")
-    assert code == 0 and (cache / "ring_2_4.json").exists()
-    code, out, _ = run(capsys, "degree", "--k", "2", "--n", "4")
-    assert code == 0 and out == {"degree": 2}
-    assert run(capsys, "export-ring", "--k", "3", "--n", "8", "--cap", "12")[0] == 2
+    assert code == 0 and out == {"basis_size": 6, "path": str(out_path)}
+    assert run(capsys, "export-ring", "--k", "3", "--n", "8", "--cap", "12",
+               "--out", str(tmp_path / "big.json"))[0] == 2
+    assert not (tmp_path / "big.json").exists()
     # an exported table is never read back: a hand-edited sigma1*sigma1 = 7*sigma2 is ignored
-    ring = json.loads((cache / "ring_2_4.json").read_text())
+    ring = json.loads(out_path.read_text())
     entry = next(rec for rec in ring["products"] if rec["a"] == [1] and rec["b"] == [1])
     entry["terms"] = [{"c": 7, "lambda": [2]}]
-    (cache / "ring_2_4.json").write_text(json.dumps(ring))
+    out_path.write_text(json.dumps(ring))
     code, out, _ = run(capsys, "product", "--k", "2", "--n", "4", "--a", "1", "--b", "1")
     assert code == 0
     assert out["terms"] == [{"c": 1, "lambda": [2]}, {"c": 1, "lambda": [1, 1]}]

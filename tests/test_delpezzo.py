@@ -7,21 +7,26 @@ from hypothesis import given, settings, strategies as st
 
 from grasseff import delpezzo, jsonio
 from grasseff.delpezzo import FANO_TABLE, admissible_q_interval, build_D_delta, \
-    d_squared_symbolic, fano_case, gamma_classes, h0_count, intersect, kernel_classes, \
+    d_squared_symbolic, fano_case, gamma_classes, h0_count, kernel_classes, \
     lattice_class, qprime_of, sample_admissible_q, sample_effective_classes, verify_case, \
     verify_nef_conditions
 from grasseff.errors import InputError
 from grasseff.radicals import RadicalNumber
 
 
-def test_lattice_form():
-    a = lattice_class(4, h=2, e=[1, 0, 0, 0], f=[0, 1, 0, 0, 0, 0])
-    b = lattice_class(4, h=1, e=[1, 0, 0, 0], f=[0, 2, 0, 0, 0, 0])
-    assert intersect(a, b) == 2 - 1 - 2
-    with pytest.raises(InputError):
-        intersect(a, lattice_class(5))
+def test_pair_refuses_a_class_from_another_lattice():
+    D = build_D_delta(4, Fraction(1, 10))
+    assert lattice_class(4, h=2, e=[1, 0, 0, 0]) == (2, (1, 0, 0, 0), (0,) * 6)
+    assert D.pair(lattice_class(4, h=1)).sign() > 0
+    for N in (3, 5):
+        with pytest.raises(InputError):
+            D.pair(lattice_class(N, h=1))
     with pytest.raises(InputError):
         lattice_class(4, h=Fraction(1, 3))
+    with pytest.raises(InputError):
+        lattice_class(4, e=[1, 0, 0])
+    with pytest.raises(InputError):
+        lattice_class(9)
 
 
 def test_qprime_and_interval():
@@ -197,7 +202,7 @@ def ring_D(N, q):
 
 
 def ring_pairing(D, other):
-    """intersect as it was: h.h - sum e.e - sum f.f, in ring arithmetic."""
+    """The lattice pairing h.h - sum e.e - sum f.f of two (h, e, f) triples, in ring arithmetic."""
     (h, e, f), (h2, e2, f2) = D, other
     total = h * h2
     for x, y in zip(e + f, e2 + f2):
@@ -207,7 +212,7 @@ def ring_pairing(D, other):
 
 def assert_pairing_matches(N, q, c):
     D = build_D_delta(N, q)
-    ref = ring_pairing(ring_D(N, q), (c.h, c.e, c.f))
+    ref = ring_pairing(ring_D(N, q), c)
     val = D.pair(c)
     assert (val.a, val.b, val.c, val.q, val.qp) == (ref.a, ref.b, ref.c, ref.q, ref.qp)
     assert repr(val) == repr(RadicalNumber(ref.a, ref.b, ref.c, ref.q, ref.qp))

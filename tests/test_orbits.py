@@ -2,7 +2,8 @@ import pytest
 
 from grasseff import orbits
 from grasseff.orbits import IncidenceMatrix, dense_orbit_dimension_check, \
-    enumerate_orbits, ff_orbit_counts, group_dimension, incidence_of_representative, \
+    enumerate_orbits, ff_incidence, ff_orbit_counts, ff_subspaces, group_dimension, \
+    incidence_of_representative, \
     make_representative, oracle_check, orbit_dimension, representative_from_incidence
 from grasseff.errors import InputError
 
@@ -98,3 +99,32 @@ def test_ff_rank():
     assert orbits.ff_rank([[1, 0], [0, 1]], 2) == 2
     assert orbits.ff_rank([[2, 4], [1, 2]], 3) == 1
     assert orbits.ff_rank([], 5) == 0
+
+
+def stacked_ff_incidence(basis, k, q):
+    """Entry (i, j) as d + i + j - rank of the basis stacked on the flag vectors of F_i and G_j."""
+    def unit(p):
+        return [int(a == p) for a in range(2 * k)]
+    return tuple(tuple(len(basis) + i + j - orbits.ff_rank(
+        list(basis) + [unit(p) for p in range(i)] + [unit(k + p) for p in range(j)], q)
+        for j in range(k + 1)) for i in range(k + 1))
+
+
+def test_incidence_on_restricted_columns_matches_stacked_flags():
+    cases = [(k, d, q) for k in (1, 2) for d in range(k + 1) for q in (2, 3)]
+    cases += [(3, d, 2) for d in range(3)]
+    for k, d, q in cases:
+        for basis in ff_subspaces(2 * k, d, q):
+            assert ff_incidence(basis, k, q).entries == stacked_ff_incidence(basis, k, q), basis
+
+
+def test_oracle_refuses_work_over_the_cap():
+    for n in range(6):
+        for d in range(n + 1):
+            for q in (2, 3):
+                assert orbits._subspace_count(n, d, q) == sum(1 for _ in ff_subspaces(n, d, q))
+    assert sum(orbits._subspace_count(6, 3, q) for q in (2, 3)) == 35_275 <= orbits.ORACLE_CAP
+    assert sum(orbits._subspace_count(8, 2, q) for q in (2, 3)) == 907_055
+    for k, d in ((4, 2), (4, 4), (10 ** 6, 10 ** 6)):
+        with pytest.raises(InputError, match="more than 50000 subspaces"):
+            oracle_check(k, d)

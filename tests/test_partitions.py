@@ -60,6 +60,9 @@ def test_invalid_partitions_rejected():
         BoxedPartition((3, 0), 2, 2)  # exceeds box width
     with pytest.raises(ValueError):
         make_partition((1, 1, 1), 2, 2)  # too many nonzero parts
+    for parts in ((1.5,), (1.0,), (True,), ("1",)):
+        with pytest.raises(ValueError, match="integers"):
+            make_partition(parts, 2, 2)
 
 
 def test_make_partition_pads_and_trims():
