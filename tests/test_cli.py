@@ -99,6 +99,40 @@ def test_cone_sgen_bound_only(capsys):
     assert code == 0 and out["bound"] == 4 and out["bound_satisfied"] is True
 
 
+# sha256 of the stdout of `cone sgen` on G(2,4), G(2,5), G(3,6), --dim 1 and 2,
+# r = 0..8, for the two class files of sgen_class_files, in that order
+SGEN_STDOUT_SHA256 = "51dbdb12f8cc7e0343a0dcc6507350f6d68c1d0dae4d4d62415dc2f4dbc3f7df"
+
+
+def sgen_class_files(ctx, cycle_dim, r):
+    """One class inside the span (a witness) and one outside it (a certificate)."""
+    sigmas = chow.basis(ctx, ctx.dim - cycle_dim)
+    inside = [r + 1] + [j + 1 for j in range(1, len(sigmas))]
+    exc = [(1, 2, -1, 0)[i % 4] for i in range(r)]
+    outside, out_exc = [1] * len(sigmas), [len(sigmas) + 1] + [1] * (r - 1)
+    if r == 0:
+        outside[0], out_exc = -1, []
+    for coeffs, e in ((inside, exc), (outside, out_exc)):
+        yield {"k": ctx.k, "n": ctx.n, "grading": "dim", "m": cycle_dim, "exc": e,
+               "terms": [{"lambda": list(lam.parts), "c": c} for lam, c in zip(sigmas, coeffs)]}
+
+
+def test_cone_sgen_stdout_is_pinned(capsys, tmp_path):
+    digest, codes = hashlib.sha256(), []
+    path = tmp_path / "cls.json"
+    for k, n in ((2, 4), (2, 5), (3, 6)):
+        for cycle_dim in (1, 2):
+            for r in range(9):
+                for doc in sgen_class_files(chow.GrassCtx(k, n), cycle_dim, r):
+                    path.write_text(json.dumps(doc))
+                    codes.append(run_subcommand(["cone", "sgen", "--k", str(k), "--n", str(n),
+                                                 "--r", str(r), "--dim", str(cycle_dim),
+                                                 "--class", str(path)]))
+                    digest.update(capsys.readouterr().out.encode())
+    assert codes == [0, 3] * 54
+    assert digest.hexdigest() == SGEN_STDOUT_SHA256
+
+
 def test_orbits_list_and_check(capsys):
     code, out, _ = run(capsys, "orbits", "list", "--k", "2", "--dim", "2")
     assert code == 0

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -39,6 +41,24 @@ def test_facet_normals_of_two_point_cone():
         cone = cones.thm44_generators(k)
         assert cones.facet_normals_3d(cone) == sorted(
             [(1, 0, 0), (k, 1, 0), (k, 0, 1), (k, 1, 1)])
+
+
+def generator_digest(*parts):
+    """sha256 of the JSON of parts, each coordinate written as str(x)."""
+    digest = hashlib.sha256()
+    for labels, gens in parts:
+        digest.update(json.dumps([labels, [[str(x) for x in g] for g in gens]]).encode())
+    return digest.hexdigest()
+
+
+def test_generator_tuples_are_pinned():
+    # thm44 labels are not pinned: they are not printed anywhere
+    assert generator_digest(*((None, cones.thm44_generators(k).generators)
+                              for k in range(2, 7))) \
+        == "ced66faf1e122b4828ee16baeabda629911df86730d2b46faabf03f95b45eaee"
+    assert generator_digest(*((list(c.labels), c.generators)
+                              for c in map(cones.quadric_cone, range(3, 8)))) \
+        == "22b3164333c1ef409315934ae5f9f1ed08690e81ae6596a975cd6344b5e065dc"
 
 
 def test_lemma41_examples():
