@@ -200,6 +200,8 @@ def cmd_orbits_list(args) -> int:
 
 
 def cmd_orbits_check(args) -> int:
+    if args.k < 0:
+        raise InputError("--k must be nonnegative, got %d" % args.k)
     # d = k has the most subspaces, so an over-the-cap k is refused before any enumeration
     reports = [orbits.oracle_check(args.k, d) for d in range(args.k, -1, -1)][::-1]
     _emit({"k": args.k, "reports": reports})

@@ -5,6 +5,12 @@ on G(k, 2k), the inductive span decompositions for blow-up classes, the
 quadric curve-cone reduction for blow-ups of G(2, 4) at up to 7 points, the
 three-cycle reduction on G(2, 5) for up to 4 points, and the r = 3 class on
 G(2, 4) that leaves the span of the Schubert classes.
+
+Each cone's generators are the terms its decomposition peels off, built by
+that decomposition's term-vector function: lemma41_vector for the divisor
+cone, lemma42_term_vector for the span cone and quadric_term_vector for the
+quadric cone. Membership has one path, the simplex, which also does the
+only conversion of coordinates.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from grasseff import chow
 from grasseff.blowup import BlowupClass, BlowupCtx, blow_class
@@ -23,26 +28,26 @@ from grasseff.simplex import solve_nonneg_combination
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """A cone given by generators over a labeled rational basis."""
+    """A cone given by generators over a labeled rational basis.
+
+    Coordinates are kept as given (ints, or Fractions from an input file);
+    the simplex converts them once per query.
+    """
 
     dim: int
     basis_labels: tuple[str, ...]
     labels: tuple[str, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
+    generators: tuple[tuple, ...]
 
     @staticmethod
     def build(dim, basis_labels, labeled_generators) -> "ConeSpec":
         seen = {}
         for label, vec in labeled_generators:
-            vec = tuple(Fraction(x) for x in vec)
+            vec = tuple(vec)
             if len(vec) != dim:
                 raise InputError("generator %s has wrong dimension" % label)
-            if vec not in seen:
-                seen[vec] = label
-        items = list(seen.items())
-        return ConeSpec(dim, tuple(basis_labels),
-                        tuple(lbl for _, lbl in items),
-                        tuple(vec for vec, _ in items))
+            seen.setdefault(vec, label)
+        return ConeSpec(dim, tuple(basis_labels), tuple(seen.values()), tuple(seen))
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,7 @@ class MembershipResult:
 
 
 def cone_membership(cone: ConeSpec, v) -> MembershipResult:
-    """Exact LP feasibility with a Farkas certificate on failure."""
-    v = tuple(Fraction(x) for x in v)
+    """Exact LP feasibility with a Farkas certificate on failure; v is a sequence."""
     if len(v) != cone.dim:
         raise InputError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
     kind, data = solve_nonneg_combination(cone.generators, v)
@@ -67,54 +71,8 @@ def cone_membership(cone: ConeSpec, v) -> MembershipResult:
     return MembershipResult("not-in-span", None, tuple(data))
 
 
-def facet_normals_3d(cone: ConeSpec) -> list[tuple[int, int, int]]:
-    """Facet normals of a full 3-dimensional cone, as primitive integer vectors."""
-    if cone.dim != 3:
-        raise InputError("facet enumeration implemented for dimension 3 only")
-    gens = cone.generators
-
-    def cross(u, w):
-        return (u[1] * w[2] - u[2] * w[1],
-                u[2] * w[0] - u[0] * w[2],
-                u[0] * w[1] - u[1] * w[0])
-
-    normals = set()
-    for u, w in itertools.combinations(gens, 2):
-        n = cross(u, w)
-        if n == (0, 0, 0):
-            continue
-        for cand in (n, tuple(-x for x in n)):
-            if all(sum(c * g for c, g in zip(cand, gen)) >= 0 for gen in gens):
-                on_face = [g for g in gens if sum(c * x for c, x in zip(cand, g)) == 0]
-                if len(on_face) >= 2:
-                    normals.add(_primitive(cand))
-    return sorted(normals)
-
-
-def _primitive(vec):
-    nums = [Fraction(x) for x in vec]
-    den = math.lcm(*(f.denominator for f in nums))
-    ints = [int(f * den) for f in nums]
-    g = math.gcd(*(abs(x) for x in ints))
-    return tuple(x // g for x in ints)
-
-
 # ---------------------------------------------------------------------------
 # two-point divisor cone on G(k, 2k)
-
-def thm44_generators(k: int) -> ConeSpec:
-    """Generators of the divisor cone for two general points on G(k, 2k).
-
-    Basis (H, E_1, E_2); a class aH - b_1 E_1 - b_2 E_2 is the vector
-    (a, -b_1, -b_2). Generators: E_1, E_2 and H - m E_1 - (k - m) E_2.
-    """
-    if k < 2:
-        raise InputError("need k >= 2")
-    gens = [("E1", (0, 1, 0)), ("E2", (0, 0, 1))]
-    for m in range(k + 1):
-        gens.append(("H-%dE1-%dE2" % (m, k - m), (1, -m, -(k - m))))
-    return ConeSpec.build(3, ("H", "E1", "E2"), gens)
-
 
 def lemma41_decompose(k: int, a: int, b1: int, b2: int) -> list[tuple[str, int]]:
     """Write (a, -b1, -b2) as a nonnegative combination of e_i and beta_m.
@@ -160,6 +118,19 @@ def lemma41_vector(k: int, label: str) -> tuple[int, int, int]:
     raise InputError("unknown label %r" % label)
 
 
+def thm44_generators(k: int) -> ConeSpec:
+    """Generators of the divisor cone for two general points on G(k, 2k).
+
+    Basis (H, E_1, E_2); a class aH - b_1 E_1 - b_2 E_2 is the vector
+    (a, -b_1, -b_2). The generators are the terms of lemma41_decompose:
+    e1, e2 and beta_m = H - m E_1 - (k - m) E_2 for m = 0..k.
+    """
+    if k < 2:
+        raise InputError("need k >= 2")
+    labels = ["e1", "e2"] + ["beta_%d" % m for m in range(k + 1)]
+    return ConeSpec.build(3, ("H", "E1", "E2"), [(lbl, lemma41_vector(k, lbl)) for lbl in labels])
+
+
 # ---------------------------------------------------------------------------
 # span decomposition for blow-up classes
 
@@ -200,24 +171,28 @@ def lemma42_decompose(c: BlowupClass) -> list[tuple[tuple, object]]:
     return sorted(out.items(), key=lambda t: repr(t[0]))
 
 
-def lemma42_term_class(bctx: BlowupCtx, grading: str, m: int, key: tuple) -> BlowupClass:
-    """The BlowupClass a lemma42 term key denotes."""
-    ctx = bctx.ctx
-    codim = m if grading == "codim" else ctx.dim - m
-    zero_amb = chow.zero(ctx, codim)
-    if key[0] == "sigma":
-        return BlowupClass(bctx, grading, m, chow.ChowClass(ctx, codim, {key[1]: 1}),
-                           tuple([0] * bctx.r))
-    if key[0] == "E":
-        exc = [0] * bctx.r
-        exc[key[1]] = -1
-        return BlowupClass(bctx, grading, m, zero_amb, tuple(exc))
+def lemma42_term_vector(sigmas, r: int, key: tuple) -> tuple:
+    """Coordinates of a lemma42 term key in blowup_cycle_vector's basis.
+
+    sigmas is the Schubert basis of the cycles' codimension; the vector is
+    (a_lam in that order, -b_1, ..., -b_r), so E_i has +1 at point i.
+    """
+    a, minus_b = [0] * len(sigmas), [0] * r
+    if key[0] in ("sigma", "sigma-E"):
+        a[sigmas.index(key[1])] = 1
     if key[0] == "sigma-E":
-        exc = [0] * bctx.r
-        exc[key[2]] = 1
-        return BlowupClass(bctx, grading, m, chow.ChowClass(ctx, codim, {key[1]: 1}),
-                           tuple(exc))
-    raise InputError("unknown term key %r" % (key,))
+        minus_b[key[2]] = -1
+    elif key[0] == "E":
+        minus_b[key[1]] = 1
+    elif key[0] != "sigma":
+        raise InputError("unknown term key %r" % (key,))
+    return (*a, *minus_b)
+
+
+def _lemma42_label(key: tuple) -> str:
+    if key[0] == "E":
+        return "E%d" % (key[1] + 1)
+    return "s%s" % (key[1],) + ("-E%d" % (key[2] + 1) if key[0] == "sigma-E" else "")
 
 
 # ---------------------------------------------------------------------------
@@ -451,28 +426,20 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
     """Span of Schubert classes for dimension-1 or -2 cycles on a blow-up at r points.
 
     Each generating Schubert cycle passes through one general point, so the
-    generators are sigma, sigma - E_i, and E_i with unit coefficients.
+    generators are the lemma42 terms sigma, sigma - E_i and E_i, in that
+    order per sigma and with the E_i last.
     """
     if cycle_dim not in (1, 2):
         raise InputError("cycle_dim must be 1 or 2")
-    codim = ctx.dim - cycle_dim
-    sigmas = chow.basis(ctx, codim)
-    dim = len(sigmas) + r
-    gens = []
-    for idx, lam in enumerate(sigmas):
-        base = [0] * dim
-        base[idx] = 1
-        gens.append(("s%s" % (lam,), tuple(base)))
-        for i in range(r):
-            vec = list(base)
-            vec[len(sigmas) + i] = -1
-            gens.append(("s%s-E%d" % (lam, i + 1), tuple(vec)))
-    for i in range(r):
-        vec = [0] * dim
-        vec[len(sigmas) + i] = 1
-        gens.append(("E%d" % (i + 1), tuple(vec)))
-    labels = ["s%s" % (lam,) for lam in sigmas] + ["E%d" % (i + 1) for i in range(r)]
-    return ConeSpec.build(dim, tuple(labels), gens)
+    sigmas = chow.basis(ctx, ctx.dim - cycle_dim)
+    keys = []
+    for lam in sigmas:
+        keys += [("sigma", lam)] + [("sigma-E", lam, i) for i in range(r)]
+    keys += [("E", i) for i in range(r)]
+    basis = [("sigma", lam) for lam in sigmas] + [("E", i) for i in range(r)]
+    return ConeSpec.build(len(sigmas) + r, tuple(map(_lemma42_label, basis)),
+                          [(_lemma42_label(key), lemma42_term_vector(sigmas, r, key))
+                           for key in keys])
 
 
 def blowup_cycle_vector(cls: BlowupClass) -> tuple:

@@ -2,14 +2,17 @@
 
 Orbits are indexed by incidence matrices (dimensions of intersections with
 the sums F_i + G_j of two transverse partial flags); each realizable matrix
-decodes to a distinguished representative spanned by vectors f_i + g_j with
-no basis vector reused. Includes exact orbit dimensions via the Lie algebra
-stabilizer condition and a finite-field enumeration used as an oracle.
+decodes, by inclusion-exclusion, to a distinguished representative spanned
+by vectors f_i + g_j with no basis vector reused, and each such set of
+pairs is one orbit. Includes exact orbit dimensions via the Lie algebra
+stabilizer condition and a finite-field enumeration used as an oracle. Both
+enumerations count their work first and refuse more than a module cap.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from grasseff.errors import InputError
@@ -98,51 +101,58 @@ def incidence_of_representative(rep: OrbitRepresentative) -> IncidenceMatrix:
 
 
 def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
-    """Greedy peeling: repeatedly take the first nonzero residual entry (row-major).
+    """Read the pairs off the matrix by Moebius inversion (inclusion-exclusion).
 
-    Each chosen pair (i,j) removes the rectangle of ones with corners (i,j)
-    and (k,k). A residual that goes negative or ends nonzero is not the
-    incidence profile of any subspace.
+    entry(i,j) counts the pairs dominated by (i,j), so (i,j) is a pair exactly
+    when e[i][j] - e[i-1][j] - e[i][j-1] + e[i-1][j-1] is 1 (entries with a
+    negative index are 0). Any value other than 0 or 1, a reused flag vector,
+    or pairs that do not re-encode to the matrix mean it is not the incidence
+    profile of any subspace.
     """
     k = inc.k
-    res = [list(row) for row in inc.entries]
+    e = [[0] * (k + 2)] + [[0, *row] for row in inc.entries]  # one row and column of zeros
     pairs = []
-    for _ in range(inc.subspace_dim):
-        hit = next(((i, j) for i in range(k + 1) for j in range(k + 1) if res[i][j] != 0), None)
-        if hit is None:
-            raise InputError("invalid incidence profile: residual exhausted early")
-        i, j = hit
-        pairs.append((i, j))
-        for a in range(i, k + 1):
-            for b in range(j, k + 1):
-                res[a][b] -= 1
-                if res[a][b] < 0:
-                    raise InputError("invalid incidence profile: negative residual at (%d,%d)"
-                                     % (a, b))
-    if any(x != 0 for row in res for x in row):
-        raise InputError("invalid incidence profile: nonzero residual after peeling")
+    for i in range(k + 1):
+        for j in range(k + 1):
+            m = e[i + 1][j + 1] - e[i][j + 1] - e[i + 1][j] + e[i][j]
+            if m not in (0, 1):
+                raise InputError("invalid incidence profile: inclusion-exclusion gives %d at "
+                                 "(%d,%d)" % (m, i, j))
+            if m:
+                pairs.append((i, j))
     rep = make_representative(k, pairs)
     if incidence_of_representative(rep).entries != inc.entries:
-        raise InputError("invalid incidence profile: peeling does not reproduce the matrix")
+        raise InputError("invalid incidence profile: its pairs do not reproduce the matrix")
     return rep
 
 
+# Pair sets that one enumerate_orbits call may try: C((k+1)^2 - 1, d).
+ENUMERATE_CAP = 50_000
+
+
 def enumerate_orbits(k: int, subspace_dim: int) -> list[OrbitRepresentative]:
-    """All orbit representatives of subspace_dim-planes, deduplicated by incidence."""
+    """All orbit representatives of subspace_dim-planes, sorted by their pairs.
+
+    Every set of pairs with no flag vector reused is one orbit: its incidence
+    matrix gives the pairs back (representative_from_incidence), so distinct
+    sets are distinct orbits. More than ENUMERATE_CAP candidate sets is
+    refused before any work.
+    """
     if not (0 <= subspace_dim <= k):
         raise InputError("need 0 <= subspace_dim <= k")
+    tries = math.comb((k + 1) ** 2 - 1, subspace_dim)
+    if tries > ENUMERATE_CAP:
+        raise InputError("enumerating the %d-plane orbits for k=%d tries %d pair sets, "
+                         "more than %d" % (subspace_dim, k, tries, ENUMERATE_CAP))
     candidates = [(i, j) for i in range(k + 1) for j in range(k + 1) if (i, j) != (0, 0)]
-    seen = {}
+    reps = []
+    # combinations of the sorted candidates come sorted, and in lexicographic order
     for combo in itertools.combinations(candidates, subspace_dim):
         fs = [i for i, _ in combo if i > 0]
         gs = [j for _, j in combo if j > 0]
-        if len(set(fs)) != len(fs) or len(set(gs)) != len(gs):
-            continue
-        rep = make_representative(k, combo)
-        key = incidence_of_representative(rep).entries
-        if key not in seen:
-            seen[key] = rep
-    return sorted(seen.values(), key=lambda r: r.pairs)
+        if len(set(fs)) == len(fs) and len(set(gs)) == len(gs):
+            reps.append(OrbitRepresentative(k, combo))
+    return reps
 
 
 # ---------------------------------------------------------------------------

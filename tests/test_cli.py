@@ -144,6 +144,16 @@ def test_orbits_list_and_check(capsys):
     code, out, err = run(capsys, "orbits", "check", "--k", "4")
     assert code == 2 and out is None and time.perf_counter() - started < 2
     assert len(err.splitlines()) == 1 and "50000" in json.loads(err)["error"]
+    code, out, err = run(capsys, "orbits", "check", "--k", "-2")
+    assert code == 2 and out is None and "--k" in json.loads(err)["error"]
+
+
+def test_orbits_list_refuses_more_pair_sets_than_the_cap(capsys):
+    # C(80, 3) = 82,160 candidate pair sets for k = 8, d = 3
+    started = time.perf_counter()
+    code, out, err = run(capsys, "orbits", "list", "--k", "8", "--dim", "3")
+    assert code == 2 and out is None and time.perf_counter() - started < 1
+    assert "82160" in json.loads(err)["error"]
 
 
 def test_delpezzo_verify(capsys):

@@ -61,7 +61,7 @@ Q = st.integers(0, 25).map(lambda t: str(Fraction(1, 9) - Fraction(t, 1000)))
 K, N = ints(1, 4), ints(2, 7)
 
 # (words, [(flag, values)]); `orbits check` skips k = 3, which passes the work cap
-# but takes seconds, and draws k >= 4, which the cap refuses
+# but takes seconds, and draws k >= 4, which the cap refuses, and k < 0
 COMMANDS = [
     (["product"], [("--k", K), ("--n", N), ("--a", PARTS), ("--b", PARTS)]),
     (["pieri"], [("--k", K), ("--n", N), ("--special", ints(-1, 5)), ("--mu", PARTS)]),
@@ -70,7 +70,7 @@ COMMANDS = [
     (["mult"], [("--k", K), ("--n", N), ("--lambda", PARTS), ("--mu", PARTS)]),
     (["cone", "sgen"], [("--k", K), ("--n", N), ("--r", ints(-1, 4)), ("--dim", ints(1, 2))]),
     (["orbits", "list"], [("--k", ints(0, 3)), ("--dim", ints(-1, 4)), ("--s", ints(-1, 2))]),
-    (["orbits", "check"], [("--k", ints(0, 2) | ints(4, 6))]),
+    (["orbits", "check"], [("--k", ints(-3, 2) | ints(4, 6))]),
     (["delpezzo", "verify"], [("--case", st.sampled_from([c.name for c in FANO_TABLE])),
                               ("--q", Q)]),
     (["verify"], []),
@@ -101,7 +101,8 @@ def test_random_arguments_keep_the_contract(args, tmp_path_factory):
     if args and args[0] == "export-ring":
         args += ["--out", str(tmp_path_factory.getbasetemp() / "ring.json")]
     code, _, _ = run_checked(args)
-    if args[:3] == ["orbits", "check", "--k"] and args[3:] in (["4"], ["5"], ["6"]):
+    if len(args) == 4 and args[:3] == ["orbits", "check", "--k"] \
+            and args[3] in ("-3", "-2", "-1", "4", "5", "6"):
         assert code == 2, args
 
 

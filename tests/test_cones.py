@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from functools import partial
 
 import pytest
 
@@ -37,10 +38,22 @@ def test_build_dedupes_generators():
 # two-point divisor cone
 
 def test_facet_normals_of_two_point_cone():
+    # each normal is >= 0 on every generator and vanishes on two independent
+    # ones, and the four cut out the cone: a grid point passes all of them
+    # exactly when it is a member
     for k in (2, 3, 5):
+        gens = cones.thm44_generators(k).generators
+        normals = [(1, 0, 0), (k, 1, 0), (k, 0, 1), (k, 1, 1)]
+        for n in normals:
+            assert all(sum(c * g for c, g in zip(n, gen)) >= 0 for gen in gens)
+            face = [gen for gen in gens if sum(c * g for c, g in zip(n, gen)) == 0]
+            assert any(u[0] * w[1] - u[1] * w[0] or u[0] * w[2] - u[2] * w[0]
+                       or u[1] * w[2] - u[2] * w[1]
+                       for u, w in itertools.combinations(face, 2)), (k, n)
         cone = cones.thm44_generators(k)
-        assert cones.facet_normals_3d(cone) == sorted(
-            [(1, 0, 0), (k, 1, 0), (k, 0, 1), (k, 1, 1)])
+        for v in itertools.product(range(-1, 3), range(-2 * k - 1, 3), range(-2 * k - 1, 3)):
+            inside = all(sum(c * x for c, x in zip(n, v)) >= 0 for n in normals)
+            assert cone_membership(cone, v).is_member == inside, (k, v)
 
 
 def generator_digest(*parts):
@@ -101,10 +114,9 @@ def test_lemma42_resums():
     amb = chow.sigma(G25, (2, 1)).scale(3) + chow.sigma(G25, (3,)).scale(2)
     cls = blow_class(bctx, "dim", 3, amb, (2, 1, 1))
     terms = cones.lemma42_decompose(cls)
-    total = blow_class(bctx, "dim", 3, chow.zero(G25, cls.codim), (0, 0, 0))
-    for key, c in terms:
-        total = total.add(cones.lemma42_term_class(bctx, "dim", 3, key).scale(c))
-    assert total.ambient == cls.ambient and total.exc == cls.exc
+    sigmas = chow.basis(G25, cls.codim)
+    assert cones.resum(terms, partial(cones.lemma42_term_vector, sigmas, 3), len(sigmas) + 3) \
+        == cones.blowup_cycle_vector(cls)
 
 
 def test_lemma42_requires_inequality():

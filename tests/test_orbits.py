@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from grasseff import orbits
@@ -32,6 +34,14 @@ def test_round_trip_exhaustive_k_up_to_4():
             for rep in reps:
                 inc = incidence_of_representative(rep)
                 assert representative_from_incidence(inc) == rep
+
+
+def test_enumeration_cap():
+    # every k <= 4 passes: C(24, 4) = 10,626 pair sets at most
+    assert max(math.comb((k + 1) ** 2 - 1, d) for k in range(5) for d in range(k + 1)) \
+        <= orbits.ENUMERATE_CAP
+    with pytest.raises(InputError, match="52360"):
+        enumerate_orbits(5, 4)
 
 
 def test_invalid_incidence_rejected():
