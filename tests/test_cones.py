@@ -42,7 +42,8 @@ def test_facet_normals_of_two_point_cone():
     # ones, and the four cut out the cone: a grid point passes all of them
     # exactly when it is a member
     for k in (2, 3, 5):
-        gens = cones.thm44_generators(k).generators
+        cone = cones.thm44_generators(k)
+        gens = cone.generators
         normals = [(1, 0, 0), (k, 1, 0), (k, 0, 1), (k, 1, 1)]
         for n in normals:
             assert all(sum(c * g for c, g in zip(n, gen)) >= 0 for gen in gens)
@@ -50,7 +51,6 @@ def test_facet_normals_of_two_point_cone():
             assert any(u[0] * w[1] - u[1] * w[0] or u[0] * w[2] - u[2] * w[0]
                        or u[1] * w[2] - u[2] * w[1]
                        for u, w in itertools.combinations(face, 2)), (k, n)
-        cone = cones.thm44_generators(k)
         for v in itertools.product(range(-1, 3), range(-2 * k - 1, 3), range(-2 * k - 1, 3)):
             inside = all(sum(c * x for c, x in zip(n, v)) >= 0 for n in normals)
             assert cone_membership(cone, v).is_member == inside, (k, v)

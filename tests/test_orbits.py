@@ -45,7 +45,7 @@ def test_enumeration_cap():
 
 
 def test_invalid_incidence_rejected():
-    # monotone-step matrix whose peeling cannot reproduce it
+    # monotone steps, but inclusion-exclusion gives -1 at (2, 2)
     bad = IncidenceMatrix(2, ((0, 0, 1), (0, 1, 2), (1, 2, 2)))
     with pytest.raises(InputError):
         representative_from_incidence(bad)
