@@ -3,23 +3,3 @@
 Everything here is integer or rational arithmetic; there is no floating
 point anywhere in the library.
 """
-
-from grasseff.partitions import BoxedPartition, enumerate_box, dual
-from grasseff.chow import GrassCtx, ChowClass, sigma, pieri, giambelli, multiply, pair, degree
-from grasseff.multiplicity import rz_multiplicity, max_point_multiplicity
-
-__all__ = [
-    "BoxedPartition",
-    "enumerate_box",
-    "dual",
-    "GrassCtx",
-    "ChowClass",
-    "sigma",
-    "pieri",
-    "giambelli",
-    "multiply",
-    "pair",
-    "degree",
-    "rz_multiplicity",
-    "max_point_multiplicity",
-]

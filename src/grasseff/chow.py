@@ -5,10 +5,11 @@ than Littlewood-Richardson tableaux; correctness is testable by Poincare
 duality. All coefficients are Python ints (arbitrary precision).
 
 Validation happens at the API boundary: `GrassCtx.partition` and every
-`ChowClass` check their partitions. Inside, the Giambelli x Pieri fold runs
-on plain part tuples, which interlacing keeps inside the box; `_boxed` turns
-a result's tuples into BoxedPartitions, each validated once and then reused.
-Every memo here holds at most `MEMO_CAP` entries.
+`ChowClass` check their partitions. Inside, one Pieri fold, `_fold`, runs on
+plain part tuples, which interlacing keeps inside the box; it serves both
+the products and the degree. `_boxed` turns a result's tuples into
+BoxedPartitions, each validated once and then reused. Every memo here holds
+at most `MEMO_CAP` entries.
 """
 
 from __future__ import annotations
@@ -162,12 +163,10 @@ def pieri(ctx: GrassCtx, special: int, mu: BoxedPartition) -> ChowClass:
 
 @lru_cache(maxsize=MEMO_CAP)
 def _pieri_parts(mu: tuple[int, ...], w: int, special: int) -> tuple[tuple[int, ...], ...]:
-    """The parts of every nu in sigma_special * sigma_mu: the one Pieri memo."""
-    return tuple(_interlacings(mu, w, special))
+    """The parts of every nu in sigma_special * sigma_mu: the one Pieri memo.
 
-
-def _interlacings(mu: tuple[int, ...], w: int, extra: int):
-    """All nu >= mu interlacing mu with |nu| - |mu| = extra."""
+    These are all nu >= mu interlacing mu with |nu| - |mu| = special.
+    """
     k = len(mu)
 
     def rec(i, remaining):
@@ -181,7 +180,7 @@ def _interlacings(mu: tuple[int, ...], w: int, extra: int):
             for rest in rec(i + 1, remaining - (nu_i - mu[i])):
                 yield (nu_i,) + rest
 
-    yield from rec(0, extra)
+    return tuple(rec(0, special))
 
 
 @lru_cache(maxsize=MEMO_CAP)
@@ -218,47 +217,56 @@ def giambelli(lam: BoxedPartition) -> list[tuple[int, tuple[int, ...]]]:
     return list(_giambelli_monomials(lam.parts, lam.box_w))
 
 
-def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> dict:
-    """sigma_lam * sigma_mu in a box of width w, as part tuples to coefficients.
+def _fold(cur: dict, sizes, w: int) -> dict:
+    """cur (part tuples to coefficients) times sigma_s for each s in sizes.
 
-    Each signed Giambelli monomial of lam is folded onto mu one Pieri step at
-    a time; a monomial whose strips leave the box contributes nothing.
+    The one Pieri chain: one `_pieri_parts` step per size, stopping early
+    once the strips have left the box and nothing is left.
     """
-    acc: dict = {}
-    for sign, mono in _giambelli_monomials(lam, w):
-        cur = {mu: 1}
-        for size in mono:
-            nxt: dict = {}
-            for nu, c in cur.items():
-                for rho in _pieri_parts(nu, w, size):
-                    nxt[rho] = nxt.get(rho, 0) + c
-            cur = nxt
-            if not cur:
-                break
+    for size in sizes:
+        nxt: dict = {}
         for nu, c in cur.items():
-            acc[nu] = acc.get(nu, 0) + sign * c
-    return acc
+            for rho in _pieri_parts(nu, w, size):
+                nxt[rho] = nxt.get(rho, 0) + c
+        cur = nxt
+        if not cur:
+            break
+    return cur
 
 
 @lru_cache(maxsize=MEMO_CAP)
-def _sigma_product(ctx: GrassCtx, lam: tuple[int, ...], mu: tuple[int, ...]) -> ChowClass:
-    """The product memo; callers only read the class it shares among them."""
-    return _chow_class(ctx, sum(lam) + sum(mu), _product_parts(lam, mu, ctx.w))
+def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> tuple:
+    """sigma_lam * sigma_mu in a box of width w, as (parts, coefficient) pairs: the product memo.
+
+    Each signed Giambelli monomial of lam is folded onto mu; a monomial whose
+    strips leave the box contributes nothing.
+    """
+    acc: dict = {}
+    for sign, mono in _giambelli_monomials(lam, w):
+        for nu, c in _fold({mu: 1}, mono, w).items():
+            acc[nu] = acc.get(nu, 0) + sign * c
+    return tuple((nu, c) for nu, c in acc.items() if c)
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
-    """Bilinear product; classes exceeding the box vanish."""
+    """Bilinear product; classes exceeding the box vanish.
+
+    Products commute, so each pair of terms goes in one order, fewer nonzero
+    parts first: the smaller Giambelli determinant is expanded, and both
+    orders share one memo entry.
+    """
     if a.ctx != b.ctx:
         raise InputError("classes live on different Grassmannians")
     codim = a.codim + b.codim
     if codim > a.ctx.dim:
         return zero(a.ctx, codim)
-    acc: dict[BoxedPartition, int] = {}
+    acc: dict = {}
     for lam, c in a.coeffs.items():
         for mu, d in b.coeffs.items():
-            for nu, e in _sigma_product(a.ctx, lam.parts, mu.parts).coeffs.items():
+            x, y = sorted((lam.parts, mu.parts), key=lambda p: (len(p) - p.count(0), p))
+            for nu, e in _product_parts(x, y, a.ctx.w):
                 acc[nu] = acc.get(nu, 0) + c * d * e
-    return ChowClass(a.ctx, codim, acc)
+    return _chow_class(a.ctx, codim, acc)
 
 
 def pair(a: ChowClass, b: ChowClass) -> int:
@@ -272,12 +280,8 @@ def pair(a: ChowClass, b: ChowClass) -> int:
 
 def degree_closed(ctx: GrassCtx) -> int:
     """Plucker degree by the closed factorial formula."""
-    num = math.factorial(ctx.dim)
-    for i in range(1, ctx.k + 1):
-        num *= math.factorial(i - 1)
-    den = 1
-    for i in range(1, ctx.k + 1):
-        den *= math.factorial(ctx.w + i - 1)
+    num = math.factorial(ctx.dim) * math.prod(math.factorial(i) for i in range(ctx.k))
+    den = math.prod(math.factorial(ctx.w + i) for i in range(ctx.k))
     if num % den != 0:
         raise InternalError("internal: degree formula did not divide evenly")
     return num // den
@@ -285,18 +289,22 @@ def degree_closed(ctx: GrassCtx) -> int:
 
 def degree_pieri(ctx: GrassCtx) -> int:
     """Plucker degree as sigma_1^{k(n-k)}, folded one Pieri step at a time."""
-    cur = unit(ctx)
-    for _ in range(ctx.dim):
-        acc: dict[BoxedPartition, int] = {}
-        for nu, c in cur.coeffs.items():
-            for rho, d in pieri(ctx, 1, nu).coeffs.items():
-                acc[rho] = acc.get(rho, 0) + c * d
-        cur = ChowClass(ctx, cur.codim + 1, acc)
-    return cur.coefficient(ctx.point_class_partition())
+    return _fold({(0,) * ctx.k: 1}, (1,) * ctx.dim, ctx.w).get((ctx.w,) * ctx.k, 0)
 
 
 def degree(ctx: GrassCtx) -> int:
-    """Plucker degree, computed two independent ways; they must agree."""
+    """Plucker degree, computed two independent ways; they must agree.
+
+    The Pieri fold visits all C(n, k) Schubert classes, and past MEMO_CAP its
+    memo evicts mid-fold: C(n, k) is built up factor by factor, and refused
+    as soon as it passes the cap, before any work.
+    """
+    classes = 1
+    for i in range(1, min(ctx.k, ctx.w) + 1):
+        classes = classes * (max(ctx.k, ctx.w) + i) // i
+        if classes > MEMO_CAP:
+            raise InputError("G(%d,%d) has more than %d Schubert classes, too many for the "
+                             "degree's Pieri fold" % (ctx.k, ctx.n, MEMO_CAP))
     d1 = degree_closed(ctx)
     d2 = degree_pieri(ctx)
     if d1 != d2:

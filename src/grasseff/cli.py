@@ -188,6 +188,7 @@ def cmd_cone_sgen(args) -> int:
 
 
 def cmd_orbits_list(args) -> int:
+    orbits.check_listing(args.k, args.dim, args.s)
     records = []
     for rep in orbits.enumerate_orbits(args.k, args.dim):
         records.append({

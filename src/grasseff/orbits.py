@@ -6,7 +6,8 @@ decodes, by inclusion-exclusion, to a distinguished representative spanned
 by vectors f_i + g_j with no basis vector reused, and each such set of
 pairs is one orbit. Includes exact orbit dimensions via the Lie algebra
 stabilizer condition and a finite-field enumeration used as an oracle. Both
-enumerations count their work first and refuse more than a module cap.
+enumerations, and a listing of orbits with their dimensions, count their
+work first and refuse more than a module cap.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class IncidenceMatrix:
     @property
     def subspace_dim(self) -> int:
         return self.entries[self.k][self.k]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
 
     def to_json(self) -> list:
         return [list(row) for row in self.entries]
@@ -126,8 +124,11 @@ def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
     return rep
 
 
-# Pair sets that one enumerate_orbits call may try: C((k+1)^2 - 1, d).
+# Candidate pairs ((k+1)^2 - 1) or pair sets (C((k+1)^2 - 1, d)) one enumerate_orbits may try.
 ENUMERATE_CAP = 50_000
+
+# Work units (about 0.2-0.3 us each) of one check_listing; k = d = 4, s = 2 needs 2.0 million.
+LIST_CAP = 4_000_000
 
 
 def enumerate_orbits(k: int, subspace_dim: int) -> list[OrbitRepresentative]:
@@ -135,14 +136,17 @@ def enumerate_orbits(k: int, subspace_dim: int) -> list[OrbitRepresentative]:
 
     Every set of pairs with no flag vector reused is one orbit: its incidence
     matrix gives the pairs back (representative_from_incidence), so distinct
-    sets are distinct orbits. More than ENUMERATE_CAP candidate sets is
-    refused before any work.
+    sets are distinct orbits. More than ENUMERATE_CAP candidate pairs or
+    pair sets is refused before any work.
     """
     if not (0 <= subspace_dim <= k):
         raise InputError("need 0 <= subspace_dim <= k")
-    tries = math.comb((k + 1) ** 2 - 1, subspace_dim)
+    tries = (k + 1) ** 2 - 1
+    # C(tries, d) >= tries for 1 <= d <= k; it is computed only for a short candidate list
+    if tries <= ENUMERATE_CAP:
+        tries = max(tries, math.comb(tries, subspace_dim))
     if tries > ENUMERATE_CAP:
-        raise InputError("enumerating the %d-plane orbits for k=%d tries %d pair sets, "
+        raise InputError("enumerating the %d-plane orbits for k=%d tries %d pairs or pair sets, "
                          "more than %d" % (subspace_dim, k, tries, ENUMERATE_CAP))
     candidates = [(i, j) for i in range(k + 1) for j in range(k + 1) if (i, j) != (0, 0)]
     reps = []
@@ -155,6 +159,31 @@ def enumerate_orbits(k: int, subspace_dim: int) -> list[OrbitRepresentative]:
     return reps
 
 
+def check_listing(k: int, d: int, s: int = 0) -> int:
+    """Work of listing every d-plane orbit with its dimension; more than LIST_CAP is refused.
+
+    Orbits x Lie positions x (d + 1) x n, from closed forms alone: an orbit
+    has j pairs with both indices positive, in C(k, j)^2 j! ways, and d - j
+    single flag vectors out of 2(k - j); there are k(k+1) + 2ks + s(s+1)/2
+    Lie positions.
+    """
+    if not (0 <= d <= k):
+        raise InputError("need 0 <= subspace_dim <= k")
+    if s < 0:
+        raise InputError("s must be nonnegative")
+    n = 2 * k + s
+    work = (k * (k + 1) + 2 * k * s + s * (s + 1) // 2) * (d + 1) * n
+    # there is at least one orbit, so the sum is taken only once k is known to be small
+    if work <= LIST_CAP:
+        work *= sum(math.comb(k, j) ** 2 * math.factorial(j) * math.comb(2 * (k - j), d - j)
+                    for j in range(d + 1))
+    if work > LIST_CAP:
+        # the estimate itself is not printed: for a huge k it has too many digits to format
+        raise InputError("listing the %d-plane orbits for k=%d, s=%d takes more than %d work "
+                         "units" % (d, k, s, LIST_CAP))
+    return work
+
+
 # ---------------------------------------------------------------------------
 # orbit dimensions via the Lie algebra stabilizer condition
 
@@ -162,22 +191,7 @@ def _lie_positions(k: int, s: int) -> list[tuple[int, int]]:
     """Free entries of the Lie algebra: two triangular k-blocks, full side
     columns over the last s coordinates, and a triangular s-block."""
     n = 2 * k + s
-    pos = []
-    for i in range(n):
-        for j in range(n):
-            if i < k and j < k and i <= j:
-                pos.append((i, j))
-            elif k <= i < 2 * k and k <= j < 2 * k and i <= j:
-                pos.append((i, j))
-            elif j >= 2 * k and i < 2 * k:
-                pos.append((i, j))
-            elif i >= 2 * k and j >= 2 * k and i <= j:
-                pos.append((i, j))
-    return pos
-
-
-def group_dimension(k: int, s: int = 0) -> int:
-    return len(_lie_positions(k, s))
+    return [(i, j) for i in range(n) for j in range(i, n) if j >= 2 * k or (i < k) == (j < k)]
 
 
 def _rep_vectors(rep: OrbitRepresentative, n: int) -> list[list[int]]:

@@ -7,7 +7,6 @@ trims them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,8 +103,3 @@ def enumerate_box(k: int, w: int, m: int) -> list[BoxedPartition]:
     if k < 1 or w < 1:
         raise InputError("box dimensions must be positive")
     return [BoxedPartition(p, k, w) for p in _enumerate(k, w, m, w)]
-
-
-def box_basis_size(k: int, w: int) -> int:
-    """Number of partitions in the k x w box."""
-    return math.comb(k + w, k)

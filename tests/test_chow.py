@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import pytest
@@ -90,6 +91,19 @@ def test_degree_table():
     assert chow.degree(G25) == 5
     assert chow.degree(G36) == 42
     assert chow.degree_closed(G24) == chow.degree_pieri(G24) == 2
+
+
+def test_degree_refuses_more_classes_than_the_memo_cap():
+    # C(16, 8) = 12,870 classes still run
+    assert chow.degree(GrassCtx(8, 16)) == 22081374992701950398847674830857600
+    for k, n in ((2, 10 ** 6), (10, 20), (10 ** 6 - 1, 10 ** 6)):
+        started = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ctx = GrassCtx(k, n)
+        with pytest.raises(InputError, match="more than %d Schubert classes" % chow.MEMO_CAP):
+            chow.degree(ctx)
+        assert time.perf_counter() - started < 0.5
 
 
 def test_duality_small_boxes():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from grasseff import chow, ring_io
+from grasseff import chow, orbits, ring_io
 from grasseff.cli import run_subcommand
 from grasseff.errors import DecompositionError, InputError, InternalError
 
@@ -149,11 +149,44 @@ def test_orbits_list_and_check(capsys):
 
 
 def test_orbits_list_refuses_more_pair_sets_than_the_cap(capsys):
-    # C(80, 3) = 82,160 candidate pair sets for k = 8, d = 3
+    # C(80, 3) = 82,160 candidate pair sets for k = 8, d = 3; the listing
+    # estimate, 44,016 orbits x 72 x 4 x 16 units, refuses first
+    with pytest.raises(InputError, match="82160"):
+        orbits.enumerate_orbits(8, 3)
     started = time.perf_counter()
     code, out, err = run(capsys, "orbits", "list", "--k", "8", "--dim", "3")
     assert code == 2 and out is None and time.perf_counter() - started < 1
-    assert "82160" in json.loads(err)["error"]
+    assert json.loads(err)["error"].endswith("more than %d work units" % orbits.LIST_CAP)
+
+
+@pytest.mark.parametrize("argv", [("--k", "7", "--dim", "3"), ("--k", "60", "--dim", "1"),
+                                  ("--k", "1", "--dim", "1", "--s", "100000"),
+                                  ("--k", "100000", "--dim", "0"), ("--k", "9" * 1500, "--dim", "0")])
+def test_orbits_list_refuses_work_over_the_listing_cap(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "orbits", "list", *argv)
+    assert code == 2 and out is None and time.perf_counter() - started < 1
+    [msg] = json_lines(err)
+    assert msg["error"].endswith("more than %d work units" % orbits.LIST_CAP)
+
+
+def test_degree_and_cone_sgen_refuse_too_many_classes(capsys):
+    for argv in (("degree", "--k", "2", "--n", "1000000"), ("degree", "--k", "10", "--n", "20"),
+                 ("cone", "sgen", "--k", "10", "--n", "20", "--r", "1", "--dim", "1")):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out is None and time.perf_counter() - started < 1
+        assert "more than 32768 Schubert classes" in json_lines(err)[-1]["error"]
+
+
+def test_product_expands_the_operand_with_fewer_parts(capsys):
+    for a, b in (("4,4,4,4,4,4,4,4", "1"), ("1", "4,4,4,4,4,4,4,4")):
+        started = time.perf_counter()
+        code, _, _ = run(capsys, "product", "--k", "8", "--n", "16", "--a", a, "--b", b)
+        assert code == 0 and time.perf_counter() - started < 2
+    run_subcommand(["product", "--k", "8", "--n", "16", "--a", "4,4,4,4,4,4,4,4", "--b", "1"])
+    assert capsys.readouterr().out == \
+        '{"codim":33,"k":8,"n":16,"terms":[{"c":1,"lambda":[5,4,4,4,4,4,4,4]}]}\n'
 
 
 def test_delpezzo_verify(capsys):

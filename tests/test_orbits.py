@@ -4,7 +4,7 @@ import pytest
 
 from grasseff import orbits
 from grasseff.orbits import IncidenceMatrix, dense_orbit_dimension_check, \
-    enumerate_orbits, ff_incidence, ff_orbit_counts, ff_subspaces, group_dimension, \
+    enumerate_orbits, ff_incidence, ff_orbit_counts, ff_subspaces, \
     incidence_of_representative, \
     make_representative, oracle_check, orbit_dimension, representative_from_incidence
 from grasseff.errors import InputError
@@ -42,6 +42,11 @@ def test_enumeration_cap():
         <= orbits.ENUMERATE_CAP
     with pytest.raises(InputError, match="52360"):
         enumerate_orbits(5, 4)
+    # at d = 0 the (k+1)^2 - 1 candidate pairs are the work
+    with pytest.raises(InputError, match="90600"):
+        enumerate_orbits(300, 0)
+    with pytest.raises(InputError, match="more than 50000"):
+        enumerate_orbits(10 ** 6, 10 ** 6)
 
 
 def test_invalid_incidence_rejected():
@@ -71,9 +76,32 @@ def test_max_orbit_dimension_is_k_squared():
 
 
 def test_group_dimensions():
-    assert group_dimension(2) == 6
-    assert group_dimension(2, 1) == 6 + 4 + 1
-    assert group_dimension(3, 2) == 12 + 12 + 3
+    assert len(orbits._lie_positions(2, 0)) == 6
+    assert len(orbits._lie_positions(2, 1)) == 6 + 4 + 1
+    assert len(orbits._lie_positions(3, 2)) == 12 + 12 + 3
+
+
+def test_listing_estimate_counts_every_orbit():
+    # orbits x Lie positions x (d + 1) x n, with the orbit count in closed form
+    cases = [(k, d, s) for k in range(5) for d in range(k + 1) for s in range(3)]
+    cases += [(5, d, 0) for d in range(4)]
+    for k, d, s in cases:
+        per_orbit = len(orbits._lie_positions(k, s)) * (d + 1) * (2 * k + s)
+        assert orbits.check_listing(k, d, s) == len(enumerate_orbits(k, d)) * per_orbit, (k, d, s)
+    assert len(enumerate_orbits(5, 3)) == 2620
+    assert orbits.check_listing(4, 4, 2) == 2_024_100 <= orbits.LIST_CAP
+
+
+def test_listing_estimate_refuses_before_any_work():
+    # k = 7, d = 3 is 19,768 orbits x 56 x 4 x 14 = 62 million units; the last k has 1,500 digits
+    for k, d, s in ((7, 3, 0), (60, 1, 0), (1, 1, 100_000), (100_000, 0, 0), (10 ** 9, 10 ** 8, 0),
+                    (10 ** 1500, 0, 0)):
+        with pytest.raises(InputError, match="more than %d work units" % orbits.LIST_CAP):
+            orbits.check_listing(k, d, s)
+    with pytest.raises(InputError, match="subspace_dim"):
+        orbits.check_listing(2, 3)
+    with pytest.raises(InputError, match="nonnegative"):
+        orbits.check_listing(2, 1, -1)
 
 
 def test_orbit_dimension_with_extra_coordinates():

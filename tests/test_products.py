@@ -175,7 +175,7 @@ def test_pieri_matches_the_earlier_interlacing_sum():
             assert chow.pieri(ctx, special, mu) == reference_pieri(ctx, special, mu)
 
 
-MEMOS = ("_boxed", "_pieri_parts", "_giambelli_monomials", "_sigma_product")
+MEMOS = ("_boxed", "_pieri_parts", "_giambelli_monomials", "_product_parts")
 
 
 def test_every_memo_is_bounded_by_the_one_cap():
@@ -199,3 +199,32 @@ def test_products_stay_right_after_the_memos_evict(monkeypatch):
         got = chow.multiply(chow.sigma(ctx, lam.parts), chow.sigma(ctx, mu.parts))
         assert as_parts(got) == lr_product(lam.parts, mu.parts, 3, 3)
     assert chow.degree(ctx) == 42
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
+def test_products_commute_and_share_one_memo_entry(k, n):
+    ctx = make_ctx(k, n)
+    chow._product_parts.cache_clear()
+    pairs = all_pairs(ctx)
+    for lam, mu in pairs:
+        a, b = chow.sigma(ctx, lam.parts), chow.sigma(ctx, mu.parts)
+        assert chow.multiply(a, b) == chow.multiply(b, a), (lam, mu)
+    unordered = {frozenset((lam, mu)) for lam, mu in pairs}
+    assert chow._product_parts.cache_info().currsize == len(unordered)
+
+
+def test_product_expands_the_smaller_determinant(monkeypatch):
+    expanded, expand = [], chow._giambelli_monomials
+
+    def recording(parts, w):
+        expanded.append(parts)
+        return expand(parts, w)
+
+    monkeypatch.setattr(chow, "_giambelli_monomials", recording)
+    monkeypatch.setattr(chow, "_product_parts", lru_cache(maxsize=chow.MEMO_CAP)(
+        chow._product_parts.__wrapped__))
+    ctx = make_ctx(8, 16)
+    big, line = chow.sigma(ctx, (4,) * 8), chow.sigma(ctx, (1,))
+    for a, b in ((big, line), (line, big)):
+        assert as_parts(chow.multiply(a, b)) == {(5,) + (4,) * 7: 1}
+    assert expanded == [(1,) + (0,) * 7]
