@@ -9,7 +9,7 @@ Validation happens at the API boundary: `GrassCtx.partition` and every
 plain part tuples, which interlacing keeps inside the box; it serves both
 the products and the degree. `_boxed` turns a result's tuples into
 BoxedPartitions, each validated once and then reused. Every memo here holds
-at most `MEMO_CAP` entries.
+at most `MEMO_CAP` entries, the one cap, defined in `partitions`.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from grasseff.errors import InputError, InternalError
-from grasseff.partitions import BoxedPartition, dual, enumerate_box, int_parts, make_partition
-
-# Entries each memo below may hold; past it, the least recently used goes.
-MEMO_CAP = 1 << 15
+from grasseff.partitions import (MEMO_CAP, BoxedPartition, dual, enumerate_box, int_parts,
+                                 make_partition)
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,27 @@ G(2, 4) that leaves the span of the Schubert classes.
 Each cone's generators are the terms its decomposition peels off, built by
 that decomposition's term-vector function: lemma41_vector for the divisor
 cone, lemma42_term_vector for the span cone and quadric_term_vector for the
-quadric cone. Membership has one path, the simplex, which also does the
-only conversion of coordinates.
+quadric cone. A cone may also carry facet normals: the divisor cone does,
+computed once from its generators by facets_3d. Membership has one path. It
+first tries the stored normals, and a normal negative on the query, re-checked
+against every generator, is the non-member certificate. Every other query goes
+to the simplex, which gives every witness and does the only conversion of
+coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from operator import mul
 
 from grasseff import chow
 from grasseff.blowup import BlowupClass, BlowupCtx, blow_class
 from grasseff.chow import GrassCtx
 from grasseff.errors import DecompositionError, InputError, InternalError
+from grasseff.jsonio import MAX_DIGITS
 from grasseff.simplex import solve_nonneg_combination
 
 
@@ -31,13 +38,15 @@ class ConeSpec:
     """A cone given by generators over a labeled rational basis.
 
     Coordinates are kept as given (ints, or Fractions from an input file);
-    the simplex converts them once per query.
+    the simplex converts them once per query. facets holds primitive integer
+    normals, each >= 0 on every generator; the list need not be complete.
     """
 
     dim: int
     basis_labels: tuple[str, ...]
     labels: tuple[str, ...]
     generators: tuple[tuple, ...]
+    facets: tuple[tuple[int, ...], ...] = ()
 
     @staticmethod
     def build(dim, basis_labels, labeled_generators) -> "ConeSpec":
@@ -61,10 +70,45 @@ class MembershipResult:
         return self.verdict == "in-span"
 
 
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def facets_3d(generators) -> tuple[tuple[int, int, int], ...]:
+    """Primitive normals of the facets of a cone in Z^3, sorted.
+
+    Each pair of generators spans a candidate plane; its cross product, or
+    the negation, is kept when every generator lies on its nonnegative side.
+    Every facet of a 3-dimensional cone contains two independent generators,
+    so all of them are found.
+    """
+    out = set()
+    for (a1, a2, a3), (b1, b2, b3) in itertools.combinations(generators, 2):
+        n = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        g = math.gcd(*n)
+        if g == 0:
+            continue
+        for s in (g, -g):
+            normal = tuple(x // s for x in n)
+            if all(_dot(normal, gen) >= 0 for gen in generators):
+                out.add(normal)
+    return tuple(sorted(out))
+
+
 def cone_membership(cone: ConeSpec, v) -> MembershipResult:
-    """Exact LP feasibility with a Farkas certificate on failure; v is a sequence."""
+    """Exact membership: a witness from the simplex, or a Farkas certificate.
+
+    v is a sequence. The first stored facet normal negative on v is the
+    certificate, after a check that it is >= 0 on every generator; with none,
+    the simplex decides.
+    """
     if len(v) != cone.dim:
         raise InputError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
+    for normal in cone.facets:
+        if _dot(normal, v) < 0:
+            if any(_dot(normal, g) < 0 for g in cone.generators):
+                raise InternalError("internal: stored facet normal negative on a generator")
+            return MembershipResult("not-in-span", None, tuple(map(Fraction, normal)))
     kind, data = solve_nonneg_combination(cone.generators, v)
     if kind == "witness":
         return MembershipResult("in-span", tuple(data), None)
@@ -123,12 +167,14 @@ def thm44_generators(k: int) -> ConeSpec:
 
     Basis (H, E_1, E_2); a class aH - b_1 E_1 - b_2 E_2 is the vector
     (a, -b_1, -b_2). The generators are the terms of lemma41_decompose:
-    e1, e2 and beta_m = H - m E_1 - (k - m) E_2 for m = 0..k.
+    e1, e2 and beta_m = H - m E_1 - (k - m) E_2 for m = 0..k. The facet
+    normals are those of a >= 0, ka >= b_2, ka >= b_1 and ka >= b_1 + b_2.
     """
     if k < 2:
         raise InputError("need k >= 2")
     labels = ["e1", "e2"] + ["beta_%d" % m for m in range(k + 1)]
-    return ConeSpec.build(3, ("H", "E1", "E2"), [(lbl, lemma41_vector(k, lbl)) for lbl in labels])
+    cone = ConeSpec.build(3, ("H", "E1", "E2"), [(lbl, lemma41_vector(k, lbl)) for lbl in labels])
+    return replace(cone, facets=facets_3d(cone.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +248,21 @@ def sgen_bound(ctx: GrassCtx, cycle_dim: int) -> int:
     """Largest r for which the dimension-1 or -2 cone is known span-generated.
 
     Base bound binom(n, k) - k(n-k); curves gain one more point when the
-    Plucker degree is at least base + 1.
+    Plucker degree is at least base + 1. A base of more than MAX_DIGITS
+    digits cannot be written as JSON and is refused: binom(n, j) >= (n/j)^j
+    for j = min(k, n-k), so a bound past the limit by that estimate is
+    refused before the binomial is computed.
     """
     if cycle_dim not in (1, 2):
         raise InputError("cycle_dim must be 1 or 2")
+    too_long = InputError("G(%d,%d): the bound binom(n, k) - k(n-k) has more than %d "
+                          "digits, too many to print" % (ctx.k, ctx.n, MAX_DIGITS))
+    j = min(ctx.k, ctx.w)
+    if j * (math.log10(ctx.n) - math.log10(j)) > MAX_DIGITS + 1:
+        raise too_long
     base = math.comb(ctx.n, ctx.k) - ctx.dim
+    if base >= 10 ** MAX_DIGITS:
+        raise too_long
     if cycle_dim == 1 and chow.degree(ctx) >= base + 1:
         return base + 1
     return base

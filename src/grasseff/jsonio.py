@@ -9,7 +9,7 @@ from fractions import Fraction
 from grasseff.errors import InputError
 
 # the longest integer Python reads from text by default
-_MAX_DIGITS = sys.int_info.default_max_str_digits
+MAX_DIGITS = sys.int_info.default_max_str_digits
 
 
 def frac_str(x) -> str:
@@ -39,13 +39,13 @@ def parse_frac(s) -> Fraction:
         return Fraction(s)
     text = str(s)
     try:
-        value = Fraction(text) if _expanded_digits(text) <= _MAX_DIGITS else None
+        value = Fraction(text) if _expanded_digits(text) <= MAX_DIGITS else None
     except ZeroDivisionError:
         raise InputError("zero denominator in %r" % (s,)) from None
     except ValueError:
         raise InputError("%r is not a rational" % (s,)) from None
     if value is None:
-        raise InputError("%r expands to an integer of more than %d digits" % (s, _MAX_DIGITS))
+        raise InputError("%r expands to an integer of more than %d digits" % (s, MAX_DIGITS))
     return value
 
 

@@ -12,6 +12,9 @@ from functools import lru_cache
 
 from grasseff.errors import InputError
 
+# Entries each memo of the package may hold; past it, the least recently used goes.
+MEMO_CAP = 1 << 15
+
 
 @dataclass(frozen=True)
 class BoxedPartition:
@@ -78,7 +81,7 @@ def dual(lam: BoxedPartition) -> BoxedPartition:
     return BoxedPartition(tuple(w - p for p in reversed(lam.parts)), lam.box_k, w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_CAP)
 def _enumerate(k: int, w: int, m: int, cap: int) -> tuple[tuple[int, ...], ...]:
     # All weakly decreasing k-tuples with entries <= cap summing to m,
     # first part descending (reverse-lexicographic order).

@@ -11,6 +11,7 @@ import pytest
 from grasseff import chow, orbits, ring_io
 from grasseff.cli import run_subcommand
 from grasseff.errors import DecompositionError, InputError, InternalError
+from grasseff.jsonio import MAX_DIGITS
 
 # stdout of `grasseff verify`, byte for byte
 VERIFY_STDOUT = Path(__file__).with_name("verify_stdout.json")
@@ -177,6 +178,22 @@ def test_degree_and_cone_sgen_refuse_too_many_classes(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out is None and time.perf_counter() - started < 1
         assert "more than 32768 Schubert classes" in json_lines(err)[-1]["error"]
+
+
+def test_cone_sgen_refuses_a_bound_too_long_to_print(capsys):
+    code, out, err = run(capsys, "cone", "sgen", "--k", "10000", "--n", "20000", "--r", "1",
+                         "--dim", "2")
+    assert code == 2 and out is None
+    assert "more than %d digits" % MAX_DIGITS in json_lines(err)[-1]["error"]
+
+
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_cone_sgen_refuses_a_huge_binomial_before_computing_it(capsys, dim):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "cone", "sgen", "--k", "200000", "--n", "400000", "--r", "1",
+                         "--dim", dim)
+    assert code == 2 and out is None and time.perf_counter() - started < 1
+    assert "more than %d digits" % MAX_DIGITS in json_lines(err)[-1]["error"]
 
 
 def test_product_expands_the_operand_with_fewer_parts(capsys):

@@ -1,15 +1,21 @@
 import hashlib
 import itertools
 import json
+import math
+from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasseff import chow, cones
 from grasseff.blowup import BlowupCtx, blow_class
 from grasseff.chow import GrassCtx
 from grasseff.cones import ConeSpec, DecompositionError, cone_membership
-from grasseff.errors import InputError
+from grasseff.errors import InputError, InternalError
+from grasseff.jsonio import MAX_DIGITS
 
 from support import g25_resum, quadric_in_cone, quadric_resum
 
@@ -54,6 +60,66 @@ def test_facet_normals_of_two_point_cone():
         for v in itertools.product(range(-1, 3), range(-2 * k - 1, 3), range(-2 * k - 1, 3)):
             inside = all(sum(c * x for c, x in zip(n, v)) >= 0 for n in normals)
             assert cone_membership(cone, v).is_member == inside, (k, v)
+
+
+def test_thm44_facets_are_the_inequalities():
+    # a >= 0, ka >= b2, ka >= b1 and ka >= b1 + b2 on (a, -b1, -b2)
+    for k in range(2, 7):
+        assert cones.thm44_generators(k).facets == ((1, 0, 0), (k, 0, 1), (k, 1, 0), (k, 1, 1))
+
+
+def test_facets_keep_verdicts_and_witnesses():
+    for k in (2, 3):
+        cone = cones.thm44_generators(k)
+        bare = replace(cone, facets=())
+        for a in range(5):
+            for b1 in range(2 * k + 1):
+                for b2 in range(2 * k + 1):
+                    target = (a, -b1, -b2)
+                    res, ref = cone_membership(cone, target), cone_membership(bare, target)
+                    assert (res.verdict, res.witness) == (ref.verdict, ref.witness), target
+                    if not res.is_member:
+                        assert tuple(map(int, res.certificate)) in cone.facets
+                        assert all(type(p) is Fraction for p in res.certificate)
+
+
+def test_incomplete_facets_fall_back_to_the_simplex():
+    cone = cones.thm44_generators(2)
+    bare = replace(cone, facets=())
+    partial_cone = replace(cone, facets=((1, 0, 0),))
+    target = (1, -2, -1)  # a >= 0, but 2a < b1 + b2
+    res = cone_membership(partial_cone, target)
+    assert not res.is_member
+    assert res.certificate == cone_membership(bare, target).certificate
+    assert cone_membership(partial_cone, (-1, 0, 0)).certificate == (1, 0, 0)
+
+
+def test_a_wrong_stored_normal_is_caught():
+    cone = replace(cones.thm44_generators(2), facets=((0, -1, 0),))
+    with pytest.raises(InternalError):
+        cone_membership(cone, (0, 1, 0))
+
+
+vec3 = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(vec3, min_size=1, max_size=6), st.lists(vec3, min_size=1, max_size=5))
+def test_facets_3d_certify_and_cut_out_full_cones(gens, points):
+    normals = cones.facets_3d(gens)
+    assert list(normals) == sorted(set(normals))
+    for n in normals:
+        assert math.gcd(*n) == 1
+        assert all(sum(c * g for c, g in zip(n, gen)) >= 0 for gen in gens)
+    full = any(u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+               + u[2] * (v[0] * w[1] - v[1] * w[0]) for u, v, w in itertools.combinations(gens, 3))
+    bare = ConeSpec.build(3, ("x", "y", "z"), [(str(i), g) for i, g in enumerate(gens)])
+    for p in points:
+        passes = all(sum(c * x for c, x in zip(n, p)) >= 0 for n in normals)
+        member = cone_membership(bare, p).is_member
+        assert member <= passes
+        if full:
+            assert member == passes
 
 
 def generator_digest(*parts):
@@ -132,6 +198,17 @@ def test_sgen_bounds():
     assert cones.sgen_bound(G25, 2) == 4
     assert cones.sgen_bound(G25, 1) == 5
     assert cones.very_general_curve_bound(G25) == 5
+
+
+def test_sgen_bound_prints_up_to_the_digit_limit():
+    limit = 10 ** MAX_DIGITS
+    # the largest n with binom(n, 2) - 2(n - 2) < 10^MAX_DIGITS, which prints as JSON
+    n = math.isqrt(2 * limit) + 10
+    while math.comb(n, 2) - 2 * (n - 2) >= limit:
+        n -= 1
+    assert cones.sgen_bound(GrassCtx(2, n), 2) == math.comb(n, 2) - 2 * (n - 2)
+    with pytest.raises(InputError, match="more than %d digits" % MAX_DIGITS):
+        cones.sgen_bound(GrassCtx(2, n + 1), 2)
 
 
 # ---------------------------------------------------------------------------

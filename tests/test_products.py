@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasseff import chow
+from grasseff import chow, partitions
 from grasseff.chow import ChowClass, GrassCtx
 from grasseff.partitions import BoxedPartition
 
@@ -179,7 +179,9 @@ MEMOS = ("_boxed", "_pieri_parts", "_giambelli_monomials", "_product_parts")
 
 
 def test_every_memo_is_bounded_by_the_one_cap():
+    assert chow.MEMO_CAP is partitions.MEMO_CAP
     assert all(getattr(chow, name).cache_info().maxsize == chow.MEMO_CAP for name in MEMOS)
+    assert partitions._enumerate.cache_info().maxsize == chow.MEMO_CAP
 
 
 def test_products_stay_right_after_the_memos_evict(monkeypatch):
