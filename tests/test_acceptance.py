@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import time
 import warnings
 
@@ -99,7 +100,10 @@ def test_criterion_4():
                     else:
                         res = cone_membership(cone, target)
                         assert not res.is_member
-                        phi = res.certificate
+                        # scaled by the positive LCM of its denominators, the certificate
+                        # is checked in ints, with the same signs
+                        lcm = math.lcm(*(p.denominator for p in res.certificate))
+                        phi = [p.numerator * (lcm // p.denominator) for p in res.certificate]
                         for gen in cone.generators:
                             assert sum(p * g for p, g in zip(phi, gen)) >= 0
                         assert sum(p * t for p, t in zip(phi, target)) < 0

@@ -149,6 +149,20 @@ def test_orbits_list_and_check(capsys):
     assert code == 2 and out is None and "--k" in json.loads(err)["error"]
 
 
+# sha256 of the stdout of `orbits list --k 4`, pinning every dimension and incidence byte
+ORBITS_LIST_SHA256 = {
+    ("--dim", "4", "--s", "2"): "53ead0ed7791331ac737c9d97abf589ab804cb85be4de8c207125bcc98429836",
+    ("--dim", "2"): "4d6b619c73bec38de63048654c6459f571b9ed891044c219597960d4283134d5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ORBITS_LIST_SHA256))
+def test_orbits_list_stdout_is_pinned(capsys, argv):
+    assert run_subcommand(["orbits", "list", "--k", "4", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBITS_LIST_SHA256[argv]
+
+
 def test_orbits_list_refuses_more_pair_sets_than_the_cap(capsys):
     # C(80, 3) = 82,160 candidate pair sets for k = 8, d = 3; the listing
     # estimate, 44,016 orbits x 72 x 4 x 16 units, refuses first

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from grasseff import orbits
+from grasseff import linalg, orbits
 from grasseff.orbits import IncidenceMatrix, dense_orbit_dimension_check, \
     enumerate_orbits, ff_incidence, ff_orbit_counts, ff_subspaces, \
     incidence_of_representative, \
@@ -102,6 +102,43 @@ def test_listing_estimate_refuses_before_any_work():
         orbits.check_listing(2, 3)
     with pytest.raises(InputError, match="nonnegative"):
         orbits.check_listing(2, 1, -1)
+
+
+def stabilizer_matrix(rep, s):
+    """Row (i, j) is D times [w[j] (e_i mod W)]_w, by exact elimination in linalg."""
+    k, n = rep.k, 2 * rep.k + s
+    basis = []
+    for i, j in rep.pairs:
+        v = [0] * n
+        if i > 0:
+            v[i - 1] = 1
+        if j > 0:
+            v[k + j - 1] = 1
+        basis.append(v)
+    basis_r, D = linalg.rref(basis)
+    reduced = [linalg.reduce_mod([int(a == i) for a in range(n)], basis_r, D) for i in range(n)]
+    return [[w[j] * x for w in basis for x in reduced[i]] for i, j in orbits._lie_positions(k, s)]
+
+
+def test_orbit_dimension_counts_the_rank_of_a_monomial_matrix():
+    cases = [(k, 0) for k in range(5)] + [(k, s) for k in range(4) for s in (1, 2)]
+    for k, s in cases:
+        for d in range(k + 1):
+            for rep in enumerate_orbits(k, d):
+                rows = stabilizer_matrix(rep, s)
+                assert all(sum(1 for x in row if x) <= 1 for row in rows), (rep, s)
+                assert orbit_dimension(rep, s) == linalg.rank(rows), (rep, s)
+
+
+def test_orbit_counts_sum_to_the_gaussian_binomial():
+    # an orbit with m pairs (i, j), i, j > 0, has (q-1)^m q^(dim-m) points over F_q
+    for k in range(5):
+        for d in range(k + 1):
+            terms = [(sum(1 for i, j in rep.pairs if i and j), orbit_dimension(rep))
+                     for rep in enumerate_orbits(k, d)]
+            for q in (2, 3, 4, 5, 7, 11):
+                assert sum((q - 1) ** m * q ** (dim - m) for m, dim in terms) \
+                    == orbits._subspace_count(2 * k, d, q), (k, d, q)
 
 
 def test_orbit_dimension_with_extra_coordinates():
