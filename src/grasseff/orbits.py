@@ -5,9 +5,11 @@ the sums F_i + G_j of two transverse partial flags); each realizable matrix
 decodes, by inclusion-exclusion, to a distinguished representative spanned
 by vectors f_i + g_j with no basis vector reused, and each such set of
 pairs is one orbit. Includes exact orbit dimensions via the Lie algebra
-stabilizer condition and a finite-field enumeration used as an oracle. Both
-enumerations, and a listing of orbits with their dimensions, count their
-work first and refuse more than a module cap.
+stabilizer condition and a finite-field enumeration used as an oracle. Every
+orbit bound counts what it builds, before any work: enumerate_orbits refuses
+more than ENUMERATE_CAP orbits, a listing more than LIST_CAP units of orbits x
+Lie positions x (d + 1) x n (both from the closed form orbit_count), and the
+oracle more than ORACLE_CAP subspaces (the Gaussian binomial).
 
 A representative's basis vectors have disjoint supports of size 1 or 2, so
 each e_i modulo W is 0 or a signed unit vector of V/W, and each row of the
@@ -141,48 +143,52 @@ def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
     return rep
 
 
-# Candidate pairs ((k+1)^2 - 1) or pair sets (C((k+1)^2 - 1, d)) one enumerate_orbits may try.
+# Orbits (orbit_count) one enumerate_orbits may build; k = 8, d = 3 builds 44,016.
 ENUMERATE_CAP = 50_000
 
 # Work units (about 0.06-0.15 us each) of one check_listing; k = d = 4, s = 2 needs 2.0 million.
 LIST_CAP = 4_000_000
 
 
-def enumerate_orbits(k: int, subspace_dim: int) -> list[OrbitRepresentative]:
-    """All orbit representatives of subspace_dim-planes, sorted by their pairs.
+def orbit_count(k: int, d: int) -> int:
+    """The number of d-plane orbits, 0 <= d <= k: j pairs with both indices positive, in
+    C(k, j)^2 j! ways, then d - j single flag vectors out of the 2(k - j) unused."""
+    return sum(math.comb(k, j) ** 2 * math.factorial(j) * math.comb(2 * (k - j), d - j)
+               for j in range(d + 1))
 
-    Every set of pairs with no flag vector reused is one orbit: its incidence
-    matrix gives the pairs back (representative_from_incidence), so distinct
-    sets are distinct orbits. More than ENUMERATE_CAP candidate pairs or
-    pair sets is refused before any work.
+
+def enumerate_orbits(k: int, d: int) -> list[OrbitRepresentative]:
+    """All orbit representatives of d-planes, sorted by their pairs.
+
+    Each set of pairs with no flag vector reused is one orbit (its incidence gives the pairs
+    back), and exactly these sets are built; more than ENUMERATE_CAP is refused first.
     """
-    if not (0 <= subspace_dim <= k):
+    if not (0 <= d <= k):
         raise InputError("need 0 <= subspace_dim <= k")
-    tries = (k + 1) ** 2 - 1
-    # C(tries, d) >= tries for 1 <= d <= k; it is computed only for a short candidate list
-    if tries <= ENUMERATE_CAP:
-        tries = max(tries, math.comb(tries, subspace_dim))
-    if tries > ENUMERATE_CAP:
-        raise InputError("enumerating the %d-plane orbits for k=%d tries %d pairs or pair sets, "
-                         "more than %d" % (subspace_dim, k, tries, ENUMERATE_CAP))
-    candidates = [(i, j) for i in range(k + 1) for j in range(k + 1) if (i, j) != (0, 0)]
-    reps = []
-    # combinations of the sorted candidates come sorted, and in lexicographic order
-    for combo in itertools.combinations(candidates, subspace_dim):
-        fs = [i for i, _ in combo if i > 0]
-        gs = [j for _, j in combo if j > 0]
-        if len(set(fs)) == len(fs) and len(set(gs)) == len(gs):
-            reps.append(OrbitRepresentative(k, combo))
-    return reps
+    if d == 0:
+        return [OrbitRepresentative(k, ())]  # the zero subspace
+    # the one-pair term alone is k^2 C(2k - 2, d - 1) >= k^2, so the sum waits for a small k
+    if k * k > ENUMERATE_CAP or orbit_count(k, d) > ENUMERATE_CAP:
+        raise InputError("k=%d has more than %d orbits of %d-planes" % (k, ENUMERATE_CAP, d))
+    flags = range(1, k + 1)
+    grid = [[(i, j) for j in range(k + 1)] for i in range(k + 1)]  # every set shares these pairs
+    sets = []
+    # j pairs f_i + g_j, then d - j of the 2(k - j) unused flag vectors, listed when j < d
+    for j in range(d + 1):
+        for fs in itertools.combinations(flags, j):
+            for gs in itertools.permutations(flags, j):
+                pairs = [grid[i][g] for i, g in zip(fs, gs)]
+                free = ([grid[i][0] for i in flags if i not in fs]
+                        + [grid[0][g] for g in flags if g not in gs]) if j < d else []
+                sets += (tuple(sorted(pairs + list(singles)))
+                         for singles in itertools.combinations(free, d - j))
+    return [OrbitRepresentative(k, pairs) for pairs in sorted(sets)]
 
 
 def check_listing(k: int, d: int, s: int = 0) -> int:
     """Work of listing every d-plane orbit with its dimension; more than LIST_CAP is refused.
 
-    Orbits x Lie positions x (d + 1) x n, from closed forms alone: an orbit
-    has j pairs with both indices positive, in C(k, j)^2 j! ways, and d - j
-    single flag vectors out of 2(k - j); there are k(k+1) + 2ks + s(s+1)/2
-    Lie positions.
+    Orbits (orbit_count) x (k(k+1) + 2ks + s(s+1)/2 Lie positions) x (d + 1) x n.
     """
     if not (0 <= d <= k):
         raise InputError("need 0 <= subspace_dim <= k")
@@ -192,8 +198,7 @@ def check_listing(k: int, d: int, s: int = 0) -> int:
     work = (k * (k + 1) + 2 * k * s + s * (s + 1) // 2) * (d + 1) * n
     # there is at least one orbit, so the sum is taken only once k is known to be small
     if work <= LIST_CAP:
-        work *= sum(math.comb(k, j) ** 2 * math.factorial(j) * math.comb(2 * (k - j), d - j)
-                    for j in range(d + 1))
+        work *= orbit_count(k, d)
     if work > LIST_CAP:
         # the estimate itself is not printed: for a huge k it has too many digits to format
         raise InputError("listing the %d-plane orbits for k=%d, s=%d takes more than %d work "
@@ -312,23 +317,18 @@ def _subspace_count(n: int, d: int, q: int) -> int:
 def oracle_check(k: int, d: int, qs=(2, 3)) -> dict:
     """Compare enumerate_orbits against the finite-field enumeration.
 
-    The realized incidence sets must agree across all fields and with the
-    combinatorial enumeration; disagreement is reported, not repaired. More
-    than ORACLE_CAP subspaces over all fields is refused before any work.
+    Each field must realize exactly the enumerated incidences, each by (q-1)^m q^(dim-m)
+    points (m pairs with both indices positive, dim from orbit_dimension); disagreement is
+    reported, not repaired. More than ORACLE_CAP subspaces over all fields is refused first.
     """
     # [2k choose d]_q >= q^(d(2k-d)) >= 2^(d(2k-d)): only a small exponent needs the exact count
     if d * (2 * k - d) >= ORACLE_CAP.bit_length() \
             or sum(_subspace_count(2 * k, d, q) for q in qs) > ORACLE_CAP:
         raise InputError("the F_q oracle for k=%d, d=%d enumerates more than %d subspaces"
                          % (k, d, ORACLE_CAP))
-    combinatorial = {incidence_of_representative(rep).entries
-                     for rep in enumerate_orbits(k, d)}
-    per_field = {q: set(ff_orbit_counts(k, d, q)) for q in qs}
-    agree = all(per_field[q] == combinatorial for q in qs)
-    return {
-        "k": k,
-        "dim": d,
-        "orbit_count": len(combinatorial),
-        "fields": sorted(qs),
-        "agree": agree,
-    }
+    expected = {incidence_of_representative(rep).entries:
+                (sum(1 for i, j in rep.pairs if i and j), orbit_dimension(rep))
+                for rep in enumerate_orbits(k, d)}
+    agree = all(ff_orbit_counts(k, d, q) == {key: (q - 1) ** m * q ** (dim - m)
+                                             for key, (m, dim) in expected.items()} for q in qs)
+    return {"k": k, "dim": d, "orbit_count": len(expected), "fields": sorted(qs), "agree": agree}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from grasseff import chow, orbits, ring_io
+from grasseff import chow, cones, orbits, ring_io
 from grasseff.cli import run_subcommand
 from grasseff.errors import DecompositionError, InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS
@@ -163,11 +163,10 @@ def test_orbits_list_stdout_is_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == ORBITS_LIST_SHA256[argv]
 
 
-def test_orbits_list_refuses_more_pair_sets_than_the_cap(capsys):
-    # C(80, 3) = 82,160 candidate pair sets for k = 8, d = 3; the listing
+def test_orbits_list_refuses_k8_dim3_before_enumerating(capsys):
+    # enumerate_orbits(8, 3) would build its 44,016 orbits, but the listing
     # estimate, 44,016 orbits x 72 x 4 x 16 units, refuses first
-    with pytest.raises(InputError, match="82160"):
-        orbits.enumerate_orbits(8, 3)
+    assert orbits.orbit_count(8, 3) == 44_016 <= orbits.ENUMERATE_CAP
     started = time.perf_counter()
     code, out, err = run(capsys, "orbits", "list", "--k", "8", "--dim", "3")
     assert code == 2 and out is None and time.perf_counter() - started < 1
@@ -183,6 +182,29 @@ def test_orbits_list_refuses_work_over_the_listing_cap(capsys, argv):
     assert code == 2 and out is None and time.perf_counter() - started < 1
     [msg] = json_lines(err)
     assert msg["error"].endswith("more than %d work units" % orbits.LIST_CAP)
+
+
+def test_orbits_check_exits_4_when_an_orbit_dimension_is_wrong(capsys, monkeypatch):
+    real = orbits.orbit_dimension
+    monkeypatch.setattr(orbits, "orbit_dimension", lambda rep, s=0: real(rep, s) + 1)
+    code, out, _ = run(capsys, "orbits", "check", "--k", "2")
+    assert code == 4 and not all(rep["agree"] for rep in out["reports"])
+
+
+def test_cone_sgen_refuses_a_cone_over_the_cap_before_building_it(capsys, tmp_path):
+    # G(2,4), --dim 1 has one Schubert class: 2r + 1 generators of r + 1 coordinates, so
+    # r = 446 is the largest r under the cap; the pinned r <= 8 grid needs 260 at most
+    assert (2 * 446 + 1) * 447 <= cones.SGEN_CAP < (2 * 447 + 1) * 448
+    path = tmp_path / "cls.json"
+    for r in (447, 1600):
+        path.write_text(json.dumps({"k": 2, "n": 4, "grading": "dim", "m": 1, "exc": [1] * r,
+                                    "terms": [{"lambda": [2, 1], "c": r + 1}]}))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "cone", "sgen", "--k", "2", "--n", "4", "--r", str(r),
+                             "--dim", "1", "--class", str(path))
+        assert code == 2 and out is None and time.perf_counter() - started < 1, r
+        assert json_lines(err)[-1]["error"].endswith("more than %d generator entries"
+                                                      % cones.SGEN_CAP)
 
 
 def test_degree_and_cone_sgen_refuse_too_many_classes(capsys):

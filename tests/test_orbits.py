@@ -1,4 +1,5 @@
-import math
+import itertools
+import time
 
 import pytest
 
@@ -36,17 +37,49 @@ def test_round_trip_exhaustive_k_up_to_4():
                 assert representative_from_incidence(inc) == rep
 
 
+def reference_orbits(k, d):
+    """Every d-set of the (k+1)^2 - 1 candidate pairs that reuses no flag vector, in order."""
+    candidates = [(i, j) for i in range(k + 1) for j in range(k + 1) if (i, j) != (0, 0)]
+    kept = []
+    for combo in itertools.combinations(candidates, d):
+        fs = [i for i, _ in combo if i > 0]
+        gs = [j for _, j in combo if j > 0]
+        if len(set(fs)) == len(fs) and len(set(gs)) == len(gs):
+            kept.append(combo)
+    return kept
+
+
+def test_enumeration_matches_the_combinations_and_filter_reference():
+    for k in range(6):
+        for d in range(k + 1):
+            assert [rep.pairs for rep in enumerate_orbits(k, d)] == reference_orbits(k, d), (k, d)
+
+
+def test_enumeration_builds_the_closed_form_orbit_count():
+    for k in range(8):
+        for d in range(k + 1):
+            if orbits.orbit_count(k, d) <= orbits.ENUMERATE_CAP:
+                assert len(enumerate_orbits(k, d)) == orbits.orbit_count(k, d), (k, d)
+            else:
+                with pytest.raises(InputError, match="more than 50000 orbits"):
+                    enumerate_orbits(k, d)
+    assert [orbits.orbit_count(7, d) for d in range(5)] == [1, 63, 1561, 19_768, 139_671]
+
+
 def test_enumeration_cap():
-    # every k <= 4 passes: C(24, 4) = 10,626 pair sets at most
-    assert max(math.comb((k + 1) ** 2 - 1, d) for k in range(5) for d in range(k + 1)) \
-        <= orbits.ENUMERATE_CAP
-    with pytest.raises(InputError, match="52360"):
-        enumerate_orbits(5, 4)
-    # at d = 0 the (k+1)^2 - 1 candidate pairs are the work
-    with pytest.raises(InputError, match="90600"):
-        enumerate_orbits(300, 0)
-    with pytest.raises(InputError, match="more than 50000"):
-        enumerate_orbits(10 ** 6, 10 ** 6)
+    # the cap counts orbits: k = 8, d = 3 builds 44,016 and k = 222, d = 1 builds 49,728
+    assert len(enumerate_orbits(8, 3)) == 44_016
+    assert len(enumerate_orbits(222, 1)) == 49_728 <= orbits.ENUMERATE_CAP
+    assert orbits.orbit_count(223, 1) == 50_175
+    assert enumerate_orbits(300, 0) == [orbits.OrbitRepresentative(300, ())]
+    # each refusal comes before any work; a huge k is refused by k^2 alone, before the sum
+    for k, d in ((223, 1), (8, 4), (10 ** 6, 10 ** 6), (10 ** 1500, 1)):
+        started = time.perf_counter()
+        with pytest.raises(InputError, match="more than 50000 orbits"):
+            enumerate_orbits(k, d)
+        assert time.perf_counter() - started < 1
+    with pytest.raises(InputError, match="subspace_dim"):
+        enumerate_orbits(2, 3)
 
 
 def test_invalid_incidence_rejected():
@@ -168,6 +201,15 @@ def test_oracle_agreement_small():
         for d in range(k + 1):
             report = oracle_check(k, d, qs=(2, 3))
             assert report["agree"], report
+
+
+def test_oracle_compares_each_orbits_point_count(monkeypatch):
+    # the same incidences, but one orbit's dimension off by one, must disagree
+    real = orbits.orbit_dimension
+    monkeypatch.setattr(orbits, "orbit_dimension",
+                        lambda rep, s=0: real(rep, s) + (rep.pairs == ((1, 2), (2, 1))))
+    assert oracle_check(2, 1)["agree"]
+    assert not oracle_check(2, 2)["agree"]
 
 
 def test_ff_rank():
