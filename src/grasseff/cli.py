@@ -188,15 +188,14 @@ def cmd_cone_sgen(args) -> int:
 
 
 def cmd_orbits_list(args) -> int:
-    orbits.check_listing(args.k, args.dim, args.s)
     records = []
     for rep in orbits.enumerate_orbits(args.k, args.dim):
         records.append({
             "pairs": rep.to_json(),
             "incidence": orbits.incidence_of_representative(rep).to_json(),
-            "dimension": orbits.orbit_dimension(rep, s=args.s),
+            "dimension": orbits.orbit_dimension(rep),
         })
-    _emit({"k": args.k, "dim": args.dim, "s": args.s, "orbits": records})
+    _emit({"k": args.k, "dim": args.dim, "orbits": records})
     return 0
 
 
@@ -292,7 +291,6 @@ def build_parser() -> _Parser:
     po = osub.add_parser("list", help="all orbits with incidence and dimension")
     po.add_argument("--k", type=int, required=True)
     po.add_argument("--dim", type=int, required=True)
-    po.add_argument("--s", type=int, default=0)
     po.set_defaults(func=cmd_orbits_list)
     pk = osub.add_parser("check", help="finite-field oracle comparison")
     pk.add_argument("--k", type=int, required=True)

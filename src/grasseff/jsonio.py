@@ -55,18 +55,15 @@ def _expanded_digits(text: str) -> int:
     return sum(ch.isdigit() for ch in mantissa) + abs(int(exponent)) if exponent else 0
 
 
-def jsonable(obj):
-    """Recursively convert to plain JSON types; Fractions become strings."""
+def _encode(obj):
+    """json.dumps hook for what it cannot encode: Fractions become strings, objects with a
+    to_json method their JSON."""
     if isinstance(obj, Fraction):
         return frac_str(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
     if hasattr(obj, "to_json"):
-        return jsonable(obj.to_json())
-    return obj
+        return obj.to_json()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)

@@ -1,21 +1,24 @@
-"""Orbits of the two-flag triangular group on G(k, 2k) and G(k, 2k+s).
+"""Orbits of the two-flag triangular group on G(k, 2k).
 
 Orbits are indexed by incidence matrices (dimensions of intersections with
 the sums F_i + G_j of two transverse partial flags); each realizable matrix
 decodes, by inclusion-exclusion, to a distinguished representative spanned
 by vectors f_i + g_j with no basis vector reused, and each such set of
 pairs is one orbit. Includes exact orbit dimensions via the Lie algebra
-stabilizer condition and a finite-field enumeration used as an oracle. Every
-orbit bound counts what it builds, before any work: enumerate_orbits refuses
-more than ENUMERATE_CAP orbits, a listing more than LIST_CAP units of orbits x
-Lie positions x (d + 1) x n (both from the closed form orbit_count), and the
-oracle more than ORACLE_CAP subspaces (the Gaussian binomial).
+stabilizer condition and a finite-field enumeration used as an oracle. Two
+bounds count what they would build, before any work: enumerate_orbits
+refuses more than ORBIT_CAP incidence entries, orbit_count(k, d) x (k+1)^2,
+which every caller (the listing, the oracle, the benchmark) builds one
+matrix per orbit of; the oracle refuses more than ORACLE_CAP subspaces (the
+Gaussian binomial).
 
 A representative's basis vectors have disjoint supports of size 1 or 2, so
 each e_i modulo W is 0 or a signed unit vector of V/W, and each row of the
 stabilizer matrix (the image w -> w[j] (e_i mod W) of E_ij) has at most one
 nonzero entry. Its rank is therefore a count of distinct positions, exact
-with no elimination.
+with no elimination. The representatives lie in F^{2k}, and the Lie algebra
+of the triangular group on F^{2k+s} has no entry (i, j) with i >= 2k > j, so
+extra coordinates never change an orbit's dimension and are not modelled.
 """
 
 from __future__ import annotations
@@ -143,11 +146,9 @@ def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
     return rep
 
 
-# Orbits (orbit_count) one enumerate_orbits may build; k = 8, d = 3 builds 44,016.
-ENUMERATE_CAP = 50_000
-
-# Work units (about 0.06-0.15 us each) of one check_listing; k = d = 4, s = 2 needs 2.0 million.
-LIST_CAP = 4_000_000
+# Incidence entries, orbit_count(k, d) x (k+1)^2, one enumerate_orbits may build;
+# k = d = 5 needs 393,192 and k = 7, d = 3 needs 1,265,152.
+ORBIT_CAP = 400_000
 
 
 def orbit_count(k: int, d: int) -> int:
@@ -161,15 +162,16 @@ def enumerate_orbits(k: int, d: int) -> list[OrbitRepresentative]:
     """All orbit representatives of d-planes, sorted by their pairs.
 
     Each set of pairs with no flag vector reused is one orbit (its incidence gives the pairs
-    back), and exactly these sets are built; more than ENUMERATE_CAP is refused first.
+    back), and exactly these sets are built. More than ORBIT_CAP incidence entries is
+    refused first: each caller builds one (k+1) x (k+1) incidence matrix per orbit.
     """
     if not (0 <= d <= k):
         raise InputError("need 0 <= subspace_dim <= k")
-    if d == 0:
-        return [OrbitRepresentative(k, ())]  # the zero subspace
-    # the one-pair term alone is k^2 C(2k - 2, d - 1) >= k^2, so the sum waits for a small k
-    if k * k > ENUMERATE_CAP or orbit_count(k, d) > ENUMERATE_CAP:
-        raise InputError("k=%d has more than %d orbits of %d-planes" % (k, ENUMERATE_CAP, d))
+    # there is at least one orbit, so the sum waits for (k+1)^2 alone to pass
+    entries = (k + 1) ** 2
+    if entries > ORBIT_CAP or orbit_count(k, d) * entries > ORBIT_CAP:
+        raise InputError("the %d-plane orbits for k=%d have more than %d incidence entries"
+                         % (d, k, ORBIT_CAP))
     flags = range(1, k + 1)
     grid = [[(i, j) for j in range(k + 1)] for i in range(k + 1)]  # every set shares these pairs
     sets = []
@@ -185,51 +187,24 @@ def enumerate_orbits(k: int, d: int) -> list[OrbitRepresentative]:
     return [OrbitRepresentative(k, pairs) for pairs in sorted(sets)]
 
 
-def check_listing(k: int, d: int, s: int = 0) -> int:
-    """Work of listing every d-plane orbit with its dimension; more than LIST_CAP is refused.
-
-    Orbits (orbit_count) x (k(k+1) + 2ks + s(s+1)/2 Lie positions) x (d + 1) x n.
-    """
-    if not (0 <= d <= k):
-        raise InputError("need 0 <= subspace_dim <= k")
-    if s < 0:
-        raise InputError("s must be nonnegative")
-    n = 2 * k + s
-    work = (k * (k + 1) + 2 * k * s + s * (s + 1) // 2) * (d + 1) * n
-    # there is at least one orbit, so the sum is taken only once k is known to be small
-    if work <= LIST_CAP:
-        work *= orbit_count(k, d)
-    if work > LIST_CAP:
-        # the estimate itself is not printed: for a huge k it has too many digits to format
-        raise InputError("listing the %d-plane orbits for k=%d, s=%d takes more than %d work "
-                         "units" % (d, k, s, LIST_CAP))
-    return work
-
-
 # ---------------------------------------------------------------------------
 # orbit dimensions via the Lie algebra stabilizer condition
 
-def _lie_positions(k: int, s: int) -> list[tuple[int, int]]:
-    """Free entries of the Lie algebra: two triangular k-blocks, full side
-    columns over the last s coordinates, and a triangular s-block."""
-    n = 2 * k + s
-    return [(i, j) for i in range(n) for j in range(i, n) if j >= 2 * k or (i < k) == (j < k)]
-
-
-def orbit_dimension(rep: OrbitRepresentative, s: int = 0) -> int:
+def orbit_dimension(rep: OrbitRepresentative) -> int:
     """dim B - dim Stab_B(W), as the rank of the map X -> (X.w mod W)_w.
 
-    E_ij sends the basis vector w_t to w_t[j] e_i, which is nonzero only for
-    the one t with j in supp(w_t). The supports are disjoint, of size 1 or 2,
-    so e_i mod W is 0 (e_i spans a support of size 1), -(e_a mod W) (the
-    support is {a, i} with a < i) or a unit vector of its own. Each row of
-    the stabilizer matrix thus has at most one nonzero entry, +-1 at the
+    The Lie algebra of B has the entries (i, j), i <= j, of its two
+    triangular k-blocks. E_ij sends the basis vector w_t to w_t[j] e_i, which
+    is nonzero only for the one t with j in supp(w_t), so only the
+    coordinates j inside W's supports count, with i running over j's own
+    k-block up to j. The supports are disjoint, of size 1 or 2, so e_i mod W
+    is 0 (e_i spans a support of size 1), -(e_a mod W) (the support is
+    {a, i} with a < i) or a unit vector of its own. Each row of the
+    stabilizer matrix thus has at most one nonzero entry, +-1 at the
     position (t, class of e_i), and the rank is the number of distinct
     positions reached.
     """
     k = rep.k
-    if s < 0:
-        raise InputError("s must be nonnegative")
     # coordinate c -> the t with c in supp(w_t), and -> the class of e_c mod W (None: e_c in W);
     # a coordinate outside every support is its own class
     owner, cls = {}, {}
@@ -238,8 +213,8 @@ def orbit_dimension(rep: OrbitRepresentative, s: int = 0) -> int:
         for c in support:
             owner[c] = t
             cls[c] = support[0] if len(support) == 2 else None
-    return len({(owner[j], cls.get(i, i)) for i, j in _lie_positions(k, s)
-                if j in owner and cls.get(i, i) is not None})
+    return len({(t, cls.get(i, i)) for j, t in owner.items()
+                for i in range(j - j % k, j + 1) if cls.get(i, i) is not None})
 
 
 def dense_orbit_dimension_check(k: int, d: int) -> dict:
@@ -260,7 +235,8 @@ def dense_orbit_dimension_check(k: int, d: int) -> dict:
 # ---------------------------------------------------------------------------
 # finite-field oracle
 
-# Subspaces that one oracle_check may enumerate, summed over its fields.
+# The fields F_q that oracle_check enumerates, and the subspaces it may enumerate over them.
+FIELDS = (2, 3)
 ORACLE_CAP = 50_000
 
 
@@ -314,21 +290,22 @@ def _subspace_count(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def oracle_check(k: int, d: int, qs=(2, 3)) -> dict:
+def oracle_check(k: int, d: int) -> dict:
     """Compare enumerate_orbits against the finite-field enumeration.
 
-    Each field must realize exactly the enumerated incidences, each by (q-1)^m q^(dim-m)
-    points (m pairs with both indices positive, dim from orbit_dimension); disagreement is
-    reported, not repaired. More than ORACLE_CAP subspaces over all fields is refused first.
+    Each field in FIELDS must realize exactly the enumerated incidences, each by
+    (q-1)^m q^(dim-m) points (m pairs with both indices positive, dim from orbit_dimension);
+    disagreement is reported, not repaired. More than ORACLE_CAP subspaces over all fields is
+    refused first.
     """
     # [2k choose d]_q >= q^(d(2k-d)) >= 2^(d(2k-d)): only a small exponent needs the exact count
     if d * (2 * k - d) >= ORACLE_CAP.bit_length() \
-            or sum(_subspace_count(2 * k, d, q) for q in qs) > ORACLE_CAP:
+            or sum(_subspace_count(2 * k, d, q) for q in FIELDS) > ORACLE_CAP:
         raise InputError("the F_q oracle for k=%d, d=%d enumerates more than %d subspaces"
                          % (k, d, ORACLE_CAP))
     expected = {incidence_of_representative(rep).entries:
                 (sum(1 for i, j in rep.pairs if i and j), orbit_dimension(rep))
                 for rep in enumerate_orbits(k, d)}
     agree = all(ff_orbit_counts(k, d, q) == {key: (q - 1) ** m * q ** (dim - m)
-                                             for key, (m, dim) in expected.items()} for q in qs)
-    return {"k": k, "dim": d, "orbit_count": len(expected), "fields": sorted(qs), "agree": agree}
+                                             for key, (m, dim) in expected.items()} for q in FIELDS)
+    return {"k": k, "dim": d, "orbit_count": len(expected), "fields": list(FIELDS), "agree": agree}

@@ -53,6 +53,11 @@ def _record(claim_id, location, inputs, computed, expected, tag, ops,
     }
 
 
+def _str_keys(terms: dict) -> dict:
+    """Decomposition terms keyed by str(term key), as JSON writes them."""
+    return {str(key): c for key, c in terms.items()}
+
+
 def run_all() -> dict:
     records = []
     add = records.append
@@ -212,7 +217,7 @@ def run_all() -> dict:
     q1 = cones.quadric_curve_decompose(2, [1, 1, 1])
     add(_record("quadric-single-conic", "a conic through three points",
                 {"a": 2, "b": [1, 1, 1]},
-                q1, {("conic", 0, 1, 2): 1}, "trivial",
+                _str_keys(q1), _str_keys({("conic", 0, 1, 2): 1}), "trivial",
                 ["cones.quadric_curve_decompose"]))
     q2 = cones.quadric_curve_decompose(5, [2, 2, 1, 1])
     add(_record("quadric-greedy-two-conics", "two conics plus a residual line",
@@ -247,8 +252,8 @@ def run_all() -> dict:
     g2 = cones.g25_threecycle_decompose(1, 1, [3])
     add(_record("threecycle-decompositions", "doubled-singularity peels on G(2,5) 3-cycles",
                 {"cases": [[1, 0, [2]], [1, 1, [3]]]},
-                [g1, g2],
-                [{("s21-2E", 0): 1}, {("s21-2E", 0): 1, ("s3-E", 0): 1}],
+                [_str_keys(g1), _str_keys(g2)],
+                [_str_keys({("s21-2E", 0): 1}), _str_keys({("s21-2E", 0): 1, ("s3-E", 0): 1})],
                 "stated", ["cones.g25_threecycle_decompose"]))
     cls, cert = cones.g24_nonspan_witness()
     back = cones.cone_membership(cones.g24_sgen_cone(2), (1, 1, -1, -1))

@@ -1,4 +1,4 @@
-"""Shared brute-force oracles and resum shorthands for the test suite."""
+"""Shared brute-force oracles, resum shorthands and orbit references for the test suite."""
 
 from functools import lru_cache, partial
 
@@ -44,3 +44,12 @@ def quadric_resum(terms, r: int) -> tuple:
 def g25_resum(terms, r: int) -> tuple:
     """(a21, a3, b_1..b_r) that G(2,5) three-cycle terms sum to."""
     return cones.resum(terms, partial(cones.g25_term_vector, r=r), r + 2)
+
+
+def lie_positions(k: int, s: int) -> list:
+    """Free entries (i, j) of the Lie algebra of the triangular group on F^{2k+s}: two
+    triangular k-blocks, full side columns over the last s coordinates, and a triangular
+    s-block. The side columns and the s-block have i or j >= 2k, outside every orbit
+    representative, which lies in F^{2k}."""
+    n = 2 * k + s
+    return [(i, j) for i in range(n) for j in range(i, n) if j >= 2 * k or (i < k) == (j < k)]

@@ -163,7 +163,7 @@ def test_criterion_7():
                 assert orbits.representative_from_incidence(inc) == rep
     for k in (1, 2):
         for d in range(k + 1):
-            assert orbits.oracle_check(k, d, qs=(2, 3))["agree"]
+            assert orbits.oracle_check(k, d)["agree"]
     counts = orbits.ff_orbit_counts(2, 2, 2)
     assert sum(counts.values()) == 35
     for k in range(1, 4):

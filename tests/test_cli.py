@@ -151,8 +151,8 @@ def test_orbits_list_and_check(capsys):
 
 # sha256 of the stdout of `orbits list --k 4`, pinning every dimension and incidence byte
 ORBITS_LIST_SHA256 = {
-    ("--dim", "4", "--s", "2"): "53ead0ed7791331ac737c9d97abf589ab804cb85be4de8c207125bcc98429836",
-    ("--dim", "2"): "4d6b619c73bec38de63048654c6459f571b9ed891044c219597960d4283134d5",
+    ("--dim", "2"): "23a7ea9f9df49ff1fa50d3a509a7f394503f7f1e23144ea75a1bf3ed7581f1c4",
+    ("--dim", "4"): "0cca78c1f252364aed411a61b948ea81fbd3bd727ff2a4859eb388c529cbc910",
 }
 
 
@@ -164,29 +164,35 @@ def test_orbits_list_stdout_is_pinned(capsys, argv):
 
 
 def test_orbits_list_refuses_k8_dim3_before_enumerating(capsys):
-    # enumerate_orbits(8, 3) would build its 44,016 orbits, but the listing
-    # estimate, 44,016 orbits x 72 x 4 x 16 units, refuses first
-    assert orbits.orbit_count(8, 3) == 44_016 <= orbits.ENUMERATE_CAP
+    # its 44,016 orbits would build 44,016 x 81 incidence entries
+    assert orbits.orbit_count(8, 3) * 9 ** 2 == 3_565_296 > orbits.ORBIT_CAP
     started = time.perf_counter()
     code, out, err = run(capsys, "orbits", "list", "--k", "8", "--dim", "3")
     assert code == 2 and out is None and time.perf_counter() - started < 1
-    assert json.loads(err)["error"].endswith("more than %d work units" % orbits.LIST_CAP)
+    assert json.loads(err)["error"].endswith("more than %d incidence entries" % orbits.ORBIT_CAP)
 
 
 @pytest.mark.parametrize("argv", [("--k", "7", "--dim", "3"), ("--k", "60", "--dim", "1"),
-                                  ("--k", "1", "--dim", "1", "--s", "100000"),
+                                  ("--k", "6", "--dim", "4"),
                                   ("--k", "100000", "--dim", "0"), ("--k", "9" * 1500, "--dim", "0")])
 def test_orbits_list_refuses_work_over_the_listing_cap(capsys, argv):
     started = time.perf_counter()
     code, out, err = run(capsys, "orbits", "list", *argv)
     assert code == 2 and out is None and time.perf_counter() - started < 1
     [msg] = json_lines(err)
-    assert msg["error"].endswith("more than %d work units" % orbits.LIST_CAP)
+    assert msg["error"].endswith("more than %d incidence entries" % orbits.ORBIT_CAP)
+
+
+def test_orbits_list_has_no_s_option(capsys):
+    code, out, err = run(capsys, "orbits", "list", "--k", "1", "--dim", "1", "--s", "1")
+    assert code == 2 and out is None
+    [msg] = json_lines(err)
+    assert "--s" in msg["error"]
 
 
 def test_orbits_check_exits_4_when_an_orbit_dimension_is_wrong(capsys, monkeypatch):
     real = orbits.orbit_dimension
-    monkeypatch.setattr(orbits, "orbit_dimension", lambda rep, s=0: real(rep, s) + 1)
+    monkeypatch.setattr(orbits, "orbit_dimension", lambda rep: real(rep) + 1)
     code, out, _ = run(capsys, "orbits", "check", "--k", "2")
     assert code == 4 and not all(rep["agree"] for rep in out["reports"])
 

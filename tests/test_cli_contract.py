@@ -69,7 +69,7 @@ COMMANDS = [
     (["degree"], [("--k", K), ("--n", N)]),
     (["mult"], [("--k", K), ("--n", N), ("--lambda", PARTS), ("--mu", PARTS)]),
     (["cone", "sgen"], [("--k", K), ("--n", N), ("--r", ints(-1, 4)), ("--dim", ints(1, 2))]),
-    (["orbits", "list"], [("--k", ints(0, 3)), ("--dim", ints(-1, 4)), ("--s", ints(-1, 2))]),
+    (["orbits", "list"], [("--k", ints(0, 3)), ("--dim", ints(-1, 4))]),
     (["orbits", "check"], [("--k", ints(-3, 2) | ints(4, 6))]),
     (["delpezzo", "verify"], [("--case", st.sampled_from([c.name for c in FANO_TABLE])),
                               ("--q", Q)]),

@@ -56,10 +56,13 @@ def test_canonical_dumps_is_sorted_and_compact():
     assert jsonio.canonical_dumps(json.loads(s)) == s
 
 
-def test_jsonable_uses_to_json():
+def test_canonical_dumps_uses_to_json():
+    import pytest
     ctx = GrassCtx(2, 4)
-    data = jsonio.jsonable(chow.sigma(ctx, (1,)))
-    assert data["terms"] == [{"lambda": [1], "c": 1}]
+    data = json.loads(jsonio.canonical_dumps({"x": chow.sigma(ctx, (1,))}))
+    assert data["x"]["terms"] == [{"lambda": [1], "c": 1}]
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        jsonio.canonical_dumps(object())
 
 
 def test_ring_export_round_trip(tmp_path):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from grasseff import linalg, orbits
 
+from support import lie_positions
+
 PRIMES = (2, 3, 5)
 
 
@@ -102,7 +104,7 @@ def ref_det(matrix):
 
 
 def ref_orbit_dimension(rep, s):
-    """The orbit dimension pipeline over Fraction, one reduction per image."""
+    """The orbit dimension in G(d, 2k+s) over Fraction, one reduction per image."""
     k = rep.k
     n = 2 * k + s
     basis = []
@@ -115,7 +117,7 @@ def ref_orbit_dimension(rep, s):
         basis.append(v)
     basis_r = ref_rref(basis)
     rows = []
-    for i, j in orbits._lie_positions(k, s):
+    for i, j in lie_positions(k, s):
         row = []
         for w in basis:
             image = [Fraction(0)] * n
@@ -221,4 +223,4 @@ def test_pivot_mod_p_scales_the_pivot_row_to_one():
 def test_orbit_dimension_matches_reference_pipeline(k, s):
     for d in range(k + 1):
         for rep in orbits.enumerate_orbits(k, d):
-            assert orbits.orbit_dimension(rep, s=s) == ref_orbit_dimension(rep, s), rep
+            assert orbits.orbit_dimension(rep) == ref_orbit_dimension(rep, s), rep

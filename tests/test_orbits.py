@@ -10,6 +10,10 @@ from grasseff.orbits import IncidenceMatrix, dense_orbit_dimension_check, \
     make_representative, oracle_check, orbit_dimension, representative_from_incidence
 from grasseff.errors import InputError
 
+from support import lie_positions
+
+REFUSED = "more than %d incidence entries" % orbits.ORBIT_CAP
+
 
 def test_representative_validation():
     with pytest.raises(InputError):
@@ -58,28 +62,24 @@ def test_enumeration_matches_the_combinations_and_filter_reference():
 def test_enumeration_builds_the_closed_form_orbit_count():
     for k in range(8):
         for d in range(k + 1):
-            if orbits.orbit_count(k, d) <= orbits.ENUMERATE_CAP:
+            if orbits.orbit_count(k, d) * (k + 1) ** 2 <= orbits.ORBIT_CAP:
                 assert len(enumerate_orbits(k, d)) == orbits.orbit_count(k, d), (k, d)
             else:
-                with pytest.raises(InputError, match="more than 50000 orbits"):
+                with pytest.raises(InputError, match=REFUSED):
                     enumerate_orbits(k, d)
     assert [orbits.orbit_count(7, d) for d in range(5)] == [1, 63, 1561, 19_768, 139_671]
 
 
 def test_enumeration_cap():
-    # the cap counts orbits: k = 8, d = 3 builds 44,016 and k = 222, d = 1 builds 49,728
-    assert len(enumerate_orbits(8, 3)) == 44_016
-    assert len(enumerate_orbits(222, 1)) == 49_728 <= orbits.ENUMERATE_CAP
-    assert orbits.orbit_count(223, 1) == 50_175
-    assert enumerate_orbits(300, 0) == [orbits.OrbitRepresentative(300, ())]
-    # each refusal comes before any work; a huge k is refused by k^2 alone, before the sum
-    for k, d in ((223, 1), (8, 4), (10 ** 6, 10 ** 6), (10 ** 1500, 1)):
-        started = time.perf_counter()
-        with pytest.raises(InputError, match="more than 50000 orbits"):
-            enumerate_orbits(k, d)
-        assert time.perf_counter() - started < 1
+    # the cap counts incidence entries, orbits x (k+1)^2: k = d = 5 builds 393,192 and
+    # k = 631, d = 0 builds 399,424, while k = 632, d = 0 needs 400,689
+    assert orbits.orbit_count(5, 5) * 6 ** 2 == 393_192 <= orbits.ORBIT_CAP
+    assert enumerate_orbits(631, 0) == [orbits.OrbitRepresentative(631, ())]
+    assert orbits.orbit_count(7, 3) * 8 ** 2 == 1_265_152
     with pytest.raises(InputError, match="subspace_dim"):
         enumerate_orbits(2, 3)
+    with pytest.raises(InputError, match="subspace_dim"):
+        enumerate_orbits(2, -1)
 
 
 def test_invalid_incidence_rejected():
@@ -109,36 +109,32 @@ def test_max_orbit_dimension_is_k_squared():
 
 
 def test_group_dimensions():
-    assert len(orbits._lie_positions(2, 0)) == 6
-    assert len(orbits._lie_positions(2, 1)) == 6 + 4 + 1
-    assert len(orbits._lie_positions(3, 2)) == 12 + 12 + 3
+    assert len(lie_positions(2, 0)) == 6
+    assert len(lie_positions(2, 1)) == 6 + 4 + 1
+    assert len(lie_positions(3, 2)) == 12 + 12 + 3
 
 
 def test_listing_estimate_counts_every_orbit():
-    # orbits x Lie positions x (d + 1) x n, with the orbit count in closed form
-    cases = [(k, d, s) for k in range(5) for d in range(k + 1) for s in range(3)]
-    cases += [(5, d, 0) for d in range(4)]
-    for k, d, s in cases:
-        per_orbit = len(orbits._lie_positions(k, s)) * (d + 1) * (2 * k + s)
-        assert orbits.check_listing(k, d, s) == len(enumerate_orbits(k, d)) * per_orbit, (k, d, s)
+    # every k <= 5 enumerates at every d, the largest k = d = 5 with 393,192 incidence entries
+    for k in range(6):
+        for d in range(k + 1):
+            reps = enumerate_orbits(k, d)
+            assert len(reps) == orbits.orbit_count(k, d), (k, d)
+            assert len(reps) * (k + 1) ** 2 <= orbits.ORBIT_CAP
     assert len(enumerate_orbits(5, 3)) == 2620
-    assert orbits.check_listing(4, 4, 2) == 2_024_100 <= orbits.LIST_CAP
 
 
 def test_listing_estimate_refuses_before_any_work():
-    # k = 7, d = 3 is 19,768 orbits x 56 x 4 x 14 = 62 million units; the last k has 1,500 digits
-    for k, d, s in ((7, 3, 0), (60, 1, 0), (1, 1, 100_000), (100_000, 0, 0), (10 ** 9, 10 ** 8, 0),
-                    (10 ** 1500, 0, 0)):
-        with pytest.raises(InputError, match="more than %d work units" % orbits.LIST_CAP):
-            orbits.check_listing(k, d, s)
-    with pytest.raises(InputError, match="subspace_dim"):
-        orbits.check_listing(2, 3)
-    with pytest.raises(InputError, match="nonnegative"):
-        orbits.check_listing(2, 1, -1)
+    # (6, 4) needs 1,823,535 entries and (7, 3) 1,265,152; a huge k is refused by (k+1)^2 alone
+    for k, d in ((6, 4), (7, 3), (8, 3), (60, 1), (632, 0), (10 ** 1500, 1)):
+        started = time.perf_counter()
+        with pytest.raises(InputError, match=REFUSED):
+            enumerate_orbits(k, d)
+        assert time.perf_counter() - started < 1, (k, d)
 
 
 def stabilizer_matrix(rep, s):
-    """Row (i, j) is D times [w[j] (e_i mod W)]_w, by exact elimination in linalg."""
+    """Row (i, j) is D times [w[j] (e_i mod W)]_w in F^{2k+s}, by exact elimination in linalg."""
     k, n = rep.k, 2 * rep.k + s
     basis = []
     for i, j in rep.pairs:
@@ -150,17 +146,16 @@ def stabilizer_matrix(rep, s):
         basis.append(v)
     basis_r, D = linalg.rref(basis)
     reduced = [linalg.reduce_mod([int(a == i) for a in range(n)], basis_r, D) for i in range(n)]
-    return [[w[j] * x for w in basis for x in reduced[i]] for i, j in orbits._lie_positions(k, s)]
+    return [[w[j] * x for w in basis for x in reduced[i]] for i, j in lie_positions(k, s)]
 
 
 def test_orbit_dimension_counts_the_rank_of_a_monomial_matrix():
-    cases = [(k, 0) for k in range(5)] + [(k, s) for k in range(4) for s in (1, 2)]
-    for k, s in cases:
+    for k in range(5):
         for d in range(k + 1):
             for rep in enumerate_orbits(k, d):
-                rows = stabilizer_matrix(rep, s)
-                assert all(sum(1 for x in row if x) <= 1 for row in rows), (rep, s)
-                assert orbit_dimension(rep, s) == linalg.rank(rows), (rep, s)
+                rows = stabilizer_matrix(rep, 0)
+                assert all(sum(1 for x in row if x) <= 1 for row in rows), rep
+                assert orbit_dimension(rep) == linalg.rank(rows), rep
 
 
 def test_orbit_counts_sum_to_the_gaussian_binomial():
@@ -175,8 +170,12 @@ def test_orbit_counts_sum_to_the_gaussian_binomial():
 
 
 def test_orbit_dimension_with_extra_coordinates():
-    rep = make_representative(2, [(1, 2), (2, 1)])
-    assert orbit_dimension(rep, s=1) >= orbit_dimension(rep)
+    # the side columns and the s-block of G(d, 2k+s) never reach a representative in F^{2k}
+    for k in range(4):
+        for d in range(k + 1):
+            for rep in enumerate_orbits(k, d):
+                for s in (0, 1, 2):
+                    assert orbit_dimension(rep) == linalg.rank(stabilizer_matrix(rep, s)), (rep, s)
 
 
 def test_dense_orbit_dimension_check():
@@ -199,7 +198,7 @@ def test_point_count_partition_g24_f2():
 def test_oracle_agreement_small():
     for k in (1, 2):
         for d in range(k + 1):
-            report = oracle_check(k, d, qs=(2, 3))
+            report = oracle_check(k, d)
             assert report["agree"], report
 
 
@@ -207,7 +206,7 @@ def test_oracle_compares_each_orbits_point_count(monkeypatch):
     # the same incidences, but one orbit's dimension off by one, must disagree
     real = orbits.orbit_dimension
     monkeypatch.setattr(orbits, "orbit_dimension",
-                        lambda rep, s=0: real(rep, s) + (rep.pairs == ((1, 2), (2, 1))))
+                        lambda rep: real(rep) + (rep.pairs == ((1, 2), (2, 1))))
     assert oracle_check(2, 1)["agree"]
     assert not oracle_check(2, 2)["agree"]
 
@@ -240,6 +239,7 @@ def test_oracle_refuses_work_over_the_cap():
         for d in range(n + 1):
             for q in (2, 3):
                 assert orbits._subspace_count(n, d, q) == sum(1 for _ in ff_subspaces(n, d, q))
+    assert orbits.FIELDS == (2, 3)
     assert sum(orbits._subspace_count(6, 3, q) for q in (2, 3)) == 35_275 <= orbits.ORACLE_CAP
     assert sum(orbits._subspace_count(8, 2, q) for q in (2, 3)) == 907_055
     for k, d in ((4, 2), (4, 4), (10 ** 6, 10 ** 6)):
