@@ -4,9 +4,12 @@ Orbits are indexed by incidence matrices (dimensions of intersections with
 the sums F_i + G_j of two transverse partial flags); each realizable matrix
 decodes, by inclusion-exclusion, to a distinguished representative spanned
 by vectors f_i + g_j with no basis vector reused, and each such set of
-pairs is one orbit. Includes exact orbit dimensions via the Lie algebra
-stabilizer condition and a finite-field enumeration used as an oracle. Two
-bounds count what they would build, before any work: enumerate_orbits
+pairs is one orbit. The decoder, representative_from_incidence, is the one
+place a matrix is checked; every other one is built from a valid
+representative or read off ranks. Includes exact orbit dimensions via the
+Lie algebra stabilizer condition and a finite-field enumeration used as an
+oracle, which reads each row of a subspace's incidence off one echelon over
+F_q. Two bounds count what they would build, before any work: enumerate_orbits
 refuses more than ORBIT_CAP incidence entries, orbit_count(k, d) x (k+1)^2,
 which every caller (the listing, the oracle, the benchmark) builds one
 matrix per orbit of; the oracle refuses more than ORACLE_CAP subspaces (the
@@ -23,41 +26,26 @@ extra coordinates never change an orbit's dimension and are not modelled.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 from grasseff.errors import InputError
-# rref and reduce_mod are not called here; they stay bound because bench/tracing.py
-# looks up rank, rref and reduce_mod in this module
-from grasseff.linalg import rank, reduce_mod, rref  # noqa: F401
+# bench/tracing.py looks up rank, rref, reduce_mod and ff_rank in this module, so all four
+# stay bound: rref and reduce_mod are not called here, and ff_rank (through it rank) only by
+# the tests
+from grasseff.linalg import echelon, rank, reduce_mod, rref  # noqa: F401
 
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """(k+1) x (k+1) matrix of intersection dimensions, indices 0..k."""
+    """(k+1) x (k+1) matrix of intersection dimensions, indices 0..k; a plain record,
+    checked only by representative_from_incidence."""
 
     k: int
     entries: tuple  # tuple of k+1 rows, each a tuple of k+1 ints
-
-    def __post_init__(self):
-        k = self.k
-        e = self.entries
-        if len(e) != k + 1 or any(len(row) != k + 1 for row in e):
-            raise InputError("expected a %dx%d matrix" % (k + 1, k + 1))
-        if e[0][0] != 0:
-            raise InputError("entry (0,0) must be 0")
-        if e[k][k] > k:
-            raise InputError("entry (k,k) exceeds k")
-        for i in range(k + 1):
-            for j in range(k + 1):
-                if e[i][j] < 0:
-                    raise InputError("negative entry at (%d,%d)" % (i, j))
-                if i > 0 and e[i][j] - e[i - 1][j] not in (0, 1):
-                    raise InputError("column step at (%d,%d) not 0 or 1" % (i, j))
-                if j > 0 and e[i][j] - e[i][j - 1] not in (0, 1):
-                    raise InputError("row step at (%d,%d) not 0 or 1" % (i, j))
 
     @property
     def subspace_dim(self) -> int:
@@ -125,11 +113,15 @@ def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
 
     entry(i,j) counts the pairs dominated by (i,j), so (i,j) is a pair exactly
     when e[i][j] - e[i-1][j] - e[i][j-1] + e[i-1][j-1] is 1 (entries with a
-    negative index are 0). Any value other than 0 or 1, a reused flag vector,
-    or pairs that do not re-encode to the matrix mean it is not the incidence
-    profile of any subspace.
+    negative index are 0). A shape other than (k+1) x (k+1), any value other
+    than 0 or 1, the pair (0,0), a reused flag vector, more than k pairs, or
+    pairs that do not re-encode to the matrix mean it is not the incidence
+    profile of any subspace; together these imply (0,0) = 0, (k,k) <= k,
+    nonnegative entries and row and column steps of 0 or 1.
     """
     k = inc.k
+    if len(inc.entries) != k + 1 or any(len(row) != k + 1 for row in inc.entries):
+        raise InputError("expected a %dx%d matrix" % (k + 1, k + 1))
     e = [[0] * (k + 2)] + [[0, *row] for row in inc.entries]  # one row and column of zeros
     pairs = []
     for i in range(k + 1):
@@ -141,6 +133,8 @@ def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
             if m:
                 pairs.append((i, j))
     rep = make_representative(k, pairs)
+    if len(pairs) > k:
+        raise InputError("invalid incidence profile: %d pairs, more than k=%d" % (len(pairs), k))
     if incidence_of_representative(rep).entries != inc.entries:
         raise InputError("invalid incidence profile: its pairs do not reproduce the matrix")
     return rep
@@ -264,12 +258,17 @@ def ff_incidence(basis, k: int, q: int) -> IncidenceMatrix:
     """Incidence matrix of the row span W of basis inside F_q^{2k}.
 
     F_i + G_j is the span of the coordinates 0..i-1 and k..k+j-1, so W meets
-    it in dimension d minus the rank of W's other columns.
+    it in dimension d minus the rank of W's other columns. With W's columns
+    ordered as i..k-1, then 2k-1 down to k, those are the first 2k-i-j, and
+    the rank of a prefix of columns is the number of pivot columns before its
+    end: one echelon per i gives the whole row i.
     """
     d = len(basis)
-    return IncidenceMatrix(k, tuple(
-        tuple(d - ff_rank([row[i:k] + row[k + j:] for row in basis], q) for j in range(k + 1))
-        for i in range(k + 1)))
+    entries = []
+    for i in range(k + 1):
+        cols = echelon([row[i:k] + row[k:][::-1] for row in basis], q)[2]
+        entries.append(tuple(d - bisect.bisect_left(cols, 2 * k - i - j) for j in range(k + 1)))
+    return IncidenceMatrix(k, tuple(entries))
 
 
 def ff_orbit_counts(k: int, d: int, q: int) -> dict:

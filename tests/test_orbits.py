@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -87,6 +88,66 @@ def test_invalid_incidence_rejected():
     bad = IncidenceMatrix(2, ((0, 0, 1), (0, 1, 2), (1, 2, 2)))
     with pytest.raises(InputError):
         representative_from_incidence(bad)
+
+
+def old_rules_accept(k, e):
+    """The checks an IncidenceMatrix once ran on construction, written out as a reference."""
+    if len(e) != k + 1 or any(len(row) != k + 1 for row in e):
+        return False
+    if e[0][0] != 0 or e[k][k] > k:
+        return False
+    return all(e[i][j] >= 0
+               and (i == 0 or e[i][j] - e[i - 1][j] in (0, 1))
+               and (j == 0 or e[i][j] - e[i][j - 1] in (0, 1))
+               for i in range(k + 1) for j in range(k + 1))
+
+
+def reference_decode(k, e):
+    """The pairs by inclusion-exclusion after the old rules, or None where either rejects."""
+    if not old_rules_accept(k, e):
+        return None
+
+    def at(i, j):
+        return e[i][j] if i >= 0 and j >= 0 else 0
+    pairs = []
+    for i in range(k + 1):
+        for j in range(k + 1):
+            m = at(i, j) - at(i - 1, j) - at(i, j - 1) + at(i - 1, j - 1)
+            if m not in (0, 1):
+                return None
+            if m:
+                pairs.append((i, j))
+    return tuple(pairs)
+
+
+def test_decoder_accepts_exactly_what_the_old_rules_and_decoding_accept():
+    grids = [(1, range(-1, 4)), (2, range(3))]
+    accepted = 0
+    for k, values in grids:
+        for flat in itertools.product(values, repeat=(k + 1) ** 2):
+            e = tuple(flat[r * (k + 1):(r + 1) * (k + 1)] for r in range(k + 1))
+            expected = reference_decode(k, e)
+            try:
+                got = representative_from_incidence(IncidenceMatrix(k, e)).pairs
+            except InputError:
+                got = None
+            assert got == expected, e
+            accepted += got is not None
+    # every orbit of k = 1 and k = 2 has entries in 0..2, and nothing else is accepted
+    assert accepted == sum(orbits.orbit_count(k, d) for k in (1, 2) for d in range(k + 1))
+
+
+@pytest.mark.parametrize("k, entries", [
+    (2, ((0, 0), (0, 1))),  # wrong shape
+    (1, ((0, 0), (-1, 0))),  # negative entry
+    (1, ((0, 0), (0, 2))),  # a step of 2
+    (1, ((1, 1), (1, 1))),  # e[0][0] = 1
+    # e[k][k] = k + 1 from a valid pair set
+    (2, incidence_of_representative(make_representative(2, [(1, 0), (2, 0), (0, 1)])).entries),
+])
+def test_decoder_rejects(k, entries):
+    with pytest.raises(InputError):
+        representative_from_incidence(IncidenceMatrix(k, entries))
 
 
 def test_orbit_counts_p1():
@@ -228,10 +289,21 @@ def stacked_ff_incidence(basis, k, q):
 
 def test_incidence_on_restricted_columns_matches_stacked_flags():
     cases = [(k, d, q) for k in (1, 2) for d in range(k + 1) for q in (2, 3)]
-    cases += [(3, d, 2) for d in range(3)]
+    cases += [(3, d, 2) for d in range(4)]
     for k, d, q in cases:
         for basis in ff_subspaces(2 * k, d, q):
             assert ff_incidence(basis, k, q).entries == stacked_ff_incidence(basis, k, q), basis
+
+
+def test_incidence_of_random_bases_at_k_4_matches_stacked_flags():
+    # the oracle refuses k = 4, so these are its only k = 4 inputs; the bases are not in RREF
+    rng = random.Random(16)
+    for d in range(5):
+        for _ in range(40):
+            basis = []
+            while len(basis) < d or orbits.ff_rank(basis, 3) < d:
+                basis = [[rng.randrange(3) for _ in range(8)] for _ in range(d)]
+            assert ff_incidence(basis, 4, 3).entries == stacked_ff_incidence(basis, 4, 3), basis
 
 
 def test_oracle_refuses_work_over_the_cap():
