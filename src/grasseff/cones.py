@@ -9,18 +9,19 @@ G(2, 4) that leaves the span of the Schubert classes.
 Each cone's generators are the terms its decomposition peels off, built by
 that decomposition's term-vector function: lemma41_vector for the divisor
 cone, lemma42_term_vector for the span cone and quadric_term_vector for the
-quadric cone. A cone may also carry facet normals: the divisor cone does,
-computed once from its generators by facets_3d. Membership has one path. It
-first tries the stored normals, and a normal negative on the query, re-checked
-against every generator, is the non-member certificate. Every other query goes
-to the simplex, which gives every witness and does the only conversion of
-coordinates.
+quadric cone. The divisor and span cones also carry a separation rule, the
+paper's inequalities for them (Theorem 4.4, Lemma 4.2). Membership has one
+path. A normal from the rule, re-checked by substitution to be negative on the
+query and >= 0 on every generator, is the non-member certificate. Every other
+query goes to the simplex, which gives every witness and does the only
+conversion of coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
@@ -38,15 +39,15 @@ class ConeSpec:
     """A cone given by generators over a labeled rational basis.
 
     Coordinates are kept as given (ints, or Fractions from an input file);
-    the simplex converts them once per query. facets holds primitive integer
-    normals, each >= 0 on every generator; the list need not be complete.
+    the simplex converts them once per query. separate, if set, maps a query
+    to an integer normal < 0 on it and >= 0 on every generator, or to None.
     """
 
     dim: int
     basis_labels: tuple[str, ...]
     labels: tuple[str, ...]
     generators: tuple[tuple, ...]
-    facets: tuple[tuple[int, ...], ...] = ()
+    separate: Callable[[tuple], tuple[int, ...] | None] | None = None
 
     @staticmethod
     def build(dim, basis_labels, labeled_generators) -> "ConeSpec":
@@ -74,41 +75,19 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def facets_3d(generators) -> tuple[tuple[int, int, int], ...]:
-    """Primitive normals of the facets of a cone in Z^3, sorted.
-
-    Each pair of generators spans a candidate plane; its cross product, or
-    the negation, is kept when every generator lies on its nonnegative side.
-    Every facet of a 3-dimensional cone contains two independent generators,
-    so all of them are found.
-    """
-    out = set()
-    for (a1, a2, a3), (b1, b2, b3) in itertools.combinations(generators, 2):
-        n = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-        g = math.gcd(*n)
-        if g == 0:
-            continue
-        for s in (g, -g):
-            normal = tuple(x // s for x in n)
-            if all(_dot(normal, gen) >= 0 for gen in generators):
-                out.add(normal)
-    return tuple(sorted(out))
-
-
 def cone_membership(cone: ConeSpec, v) -> MembershipResult:
     """Exact membership: a witness from the simplex, or a Farkas certificate.
 
-    v is a sequence. The first stored facet normal negative on v is the
-    certificate, after a check that it is >= 0 on every generator; with none,
-    the simplex decides.
+    v is a sequence. A normal from the cone's separation rule is the
+    certificate, once substitution shows it < 0 on v and >= 0 on every
+    generator; with none, the simplex decides.
     """
     if len(v) != cone.dim:
         raise InputError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
-    for normal in cone.facets:
-        if _dot(normal, v) < 0:
-            if any(_dot(normal, g) < 0 for g in cone.generators):
-                raise InternalError("internal: stored facet normal negative on a generator")
-            return MembershipResult("not-in-span", None, tuple(map(Fraction, normal)))
+    if cone.separate and (normal := cone.separate(v)) is not None:
+        if _dot(normal, v) >= 0 or any(_dot(normal, g) < 0 for g in cone.generators):
+            raise InternalError("internal: rule normal %s fails its re-check on %s" % (normal, v))
+        return MembershipResult("not-in-span", None, tuple(map(Fraction, normal)))
     kind, data = solve_nonneg_combination(cone.generators, v)
     if kind == "witness":
         return MembershipResult("in-span", tuple(data), None)
@@ -167,14 +146,24 @@ def thm44_generators(k: int) -> ConeSpec:
 
     Basis (H, E_1, E_2); a class aH - b_1 E_1 - b_2 E_2 is the vector
     (a, -b_1, -b_2). The generators are the terms of lemma41_decompose:
-    e1, e2 and beta_m = H - m E_1 - (k - m) E_2 for m = 0..k. The facet
-    normals are those of a >= 0, ka >= b_2, ka >= b_1 and ka >= b_1 + b_2.
+    e1, e2 and beta_m = H - m E_1 - (k - m) E_2 for m = 0..k. The rule is
+    Theorem 4.4, tried in the order a >= 0, ka >= b_2, ka >= b_1, ka >= b_1 + b_2.
     """
     if k < 2:
         raise InputError("need k >= 2")
     labels = ["e1", "e2"] + ["beta_%d" % m for m in range(k + 1)]
     cone = ConeSpec.build(3, ("H", "E1", "E2"), [(lbl, lemma41_vector(k, lbl)) for lbl in labels])
-    return replace(cone, facets=facets_3d(cone.generators))
+
+    def separate(v):  # v = (a, -b_1, -b_2)
+        a, y, z = v
+        if a < 0:
+            return (1, 0, 0)
+        if k * a + z < 0:
+            return (k, 0, 1)
+        if k * a + y < 0:
+            return (k, 1, 0)
+        return (k, 1, 1) if k * a + y + z < 0 else None
+    return replace(cone, separate=separate)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +266,11 @@ def very_general_curve_bound(ctx: GrassCtx) -> int:
 # quadric curve decomposition (blow-ups of G(2,4) at r <= 7 points)
 
 def _violated_inequality(a: int, bs: list[int], r: int):
-    """Name an inequality of the applicable family violated by (a, bs), if any."""
+    """Name an inequality of the applicable family violated by (a, bs), if any.
+
+    These are sufficient conditions, not inequalities of the cone: the generator
+    2l - l_1 - l_2 - l_3 violates both families, so the cone gets no rule.
+    """
     pos = [max(b, 0) for b in bs]
     if r <= 6:
         for i, j in itertools.combinations(range(r), 2):
@@ -299,7 +292,8 @@ def quadric_curve_decompose(a: int, bs) -> dict[tuple, int]:
     Conics 2l - l_i - l_j - l_k are subtracted greedily on the three largest
     current coefficients, at most floor(a/2) times, until the residual has
     a' >= sum of its positive coefficients; the residual is then lines.
-    Negative coefficients (given or produced) are absorbed by l_i terms.
+    Negative coefficients (given or produced) are absorbed by l_i terms. A
+    stall names an inequality of a sufficient family that is not one of the cone.
 
     Term keys: ("ell",), ("ell_i", i), ("line", i) for l - l_i,
     ("conic", i, j, k).
@@ -490,7 +484,8 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
     generators are the lemma42 terms sigma, sigma - E_i and E_i, in that
     order per sigma and with the E_i last. With b Schubert classes there are
     (b + 1) r + b generators of b + r coordinates; more than SGEN_CAP
-    entries in all is refused before any is built.
+    entries in all is refused before any is built. The rule is Lemma 4.2:
+    e_lam for the first a_lam < 0, else (1, ..., 1, 1_S) with S = {i : b_i > 0}.
     """
     if cycle_dim not in (1, 2):
         raise InputError("cycle_dim must be 1 or 2")
@@ -504,9 +499,17 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
         keys += [("sigma", lam)] + [("sigma-E", lam, i) for i in range(r)]
     keys += [("E", i) for i in range(r)]
     basis = [("sigma", lam) for lam in sigmas] + [("E", i) for i in range(r)]
-    return ConeSpec.build(len(sigmas) + r, tuple(map(_lemma42_label, basis)),
+    cone = ConeSpec.build(b + r, tuple(map(_lemma42_label, basis)),
                           [(_lemma42_label(key), lemma42_term_vector(sigmas, r, key))
                            for key in keys])
+
+    def separate(v):  # v = (a_lam..., -b_1, ..., -b_r)
+        for j, a in enumerate(v[:b]):
+            if a < 0:
+                return tuple(int(t == j) for t in range(b + r))
+        normal = (1,) * b + tuple(int(c < 0) for c in v[b:])
+        return normal if _dot(normal, v) < 0 else None
+    return replace(cone, separate=separate)
 
 
 def blowup_cycle_vector(cls: BlowupClass) -> tuple:
@@ -535,6 +538,5 @@ def g24_nonspan_witness():
     bctx = BlowupCtx(ctx, 3)
     amb = chow.sigma(ctx, (2,)) + chow.sigma(ctx, (1, 1))
     cls = blow_class(bctx, "dim", 2, amb, (1, 1, 1))
-    result = cone_membership(g24_sgen_cone(3), (1, 1, -1, -1, -1))
-    return cls, result
+    return cls, cone_membership(g24_sgen_cone(3), blowup_cycle_vector(cls))
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
-
-from grasseff import chow
+from grasseff import chow, jsonio
 from grasseff.chow import GrassCtx
 from grasseff.errors import InputError
 
@@ -42,6 +40,6 @@ def export_ring(k: int, n: int, path: str, cap: int = 16) -> dict:
     capped_ctx(k, n, cap)
     with open(path, "w") as fh:
         table = ring_table(k, n, cap)
-        json.dump(table, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(jsonio.canonical_dumps(table))
     return table
 

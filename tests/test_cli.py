@@ -87,7 +87,9 @@ def test_cone_sgen_nonspan_class(capsys, tmp_path):
     path.write_text(json.dumps(cls))
     code, out, _ = run(capsys, "cone", "sgen", "--k", "2", "--n", "4", "--r", "3",
                        "--dim", "2", "--class", str(path))
-    assert code == 3 and out["verdict"] == "not-in-span"
+    assert code == 3 and out == {"bound": 2, "bound_satisfied": False,
+                                 "certificate": ["1", "1", "1", "1", "1"], "cycle_dim": 2,
+                                 "k": 2, "n": 4, "r": 3, "verdict": "not-in-span"}
     cls["exc"] = [1, 1]
     path.write_text(json.dumps(cls))
     code, out, _ = run(capsys, "cone", "sgen", "--k", "2", "--n", "4", "--r", "2",

@@ -2,13 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from grasseff import chow, cones
 from grasseff.blowup import BlowupCtx, blow_class
@@ -62,31 +61,93 @@ def test_facet_normals_of_two_point_cone():
             assert cone_membership(cone, v).is_member == inside, (k, v)
 
 
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def cross_product_facets(gens):
+    """Primitive normals of the facets of a cone in Z^3, sorted.
+
+    Each pair of generators spans a candidate plane; its cross product, or the
+    negation, is kept when every generator lies on its nonnegative side. Every
+    facet of a 3-dimensional cone contains two independent generators.
+    """
+    out = set()
+    for u, w in itertools.combinations(gens, 2):
+        n = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        g = math.gcd(*n)
+        for s in ((g, -g) if g else ()):
+            normal = tuple(x // s for x in n)
+            if all(dot(normal, gen) >= 0 for gen in gens):
+                out.add(normal)
+    return sorted(out)
+
+
 def test_thm44_facets_are_the_inequalities():
-    # a >= 0, ka >= b2, ka >= b1 and ka >= b1 + b2 on (a, -b1, -b2)
+    # Theorem 4.4's normals are the facets the generators span, and the rule
+    # returns the first one, in sorted order, that is negative on the query
     for k in range(2, 7):
-        assert cones.thm44_generators(k).facets == ((1, 0, 0), (k, 0, 1), (k, 1, 0), (k, 1, 1))
+        cone = cones.thm44_generators(k)
+        normals = [(1, 0, 0), (k, 0, 1), (k, 1, 0), (k, 1, 1)]
+        assert cross_product_facets(cone.generators) == normals
+        returned = set()
+        for v in itertools.product(range(-1, 3), range(-2 * k - 1, 3), range(-2 * k - 1, 3)):
+            normal = cone.separate(v)
+            assert normal == next((n for n in normals if dot(n, v) < 0), None), (k, v)
+            returned.add(normal)
+        assert returned == {None, *normals}
 
 
-def test_facets_keep_verdicts_and_witnesses():
+def test_divisor_rule_keeps_verdicts_and_witnesses():
     for k in (2, 3):
         cone = cones.thm44_generators(k)
-        bare = replace(cone, facets=())
-        for a in range(5):
-            for b1 in range(2 * k + 1):
-                for b2 in range(2 * k + 1):
+        bare = replace(cone, separate=None)
+        normals = [(1, 0, 0), (k, 0, 1), (k, 1, 0), (k, 1, 1)]
+        for a in range(-1, 5):
+            for b1 in range(-1, 2 * k + 1):
+                for b2 in range(-1, 2 * k + 1):
                     target = (a, -b1, -b2)
                     res, ref = cone_membership(cone, target), cone_membership(bare, target)
                     assert (res.verdict, res.witness) == (ref.verdict, ref.witness), target
                     if not res.is_member:
-                        assert tuple(map(int, res.certificate)) in cone.facets
+                        assert tuple(map(int, res.certificate)) in normals
                         assert all(type(p) is Fraction for p in res.certificate)
 
 
-def test_incomplete_facets_fall_back_to_the_simplex():
+def test_span_rule_keeps_verdicts_and_witnesses():
+    # Lemma 4.2: the first a_lam < 0 gives e_lam, and otherwise
+    # sum a_lam < sum of the b_i > 0 gives (1, ..., 1, 1_S) with S = {i : b_i > 0}
+    rng = random.Random(17)
+    kinds = set()
+    for ctx in (G24, G25, GrassCtx(3, 6)):
+        for cycle_dim in (1, 2):
+            for r in (0, 1, 3, 6):
+                cone = cones.sgen_cycle_cone(ctx, cycle_dim, r)
+                bare = replace(cone, separate=None)
+                b = cone.dim - r
+                for _ in range(40):
+                    a = [rng.randint(-1, 3) for _ in range(b)]
+                    bs = [rng.randint(-1, 3) for _ in range(r)]
+                    target = (*a, *(-x for x in bs))
+                    res, ref = cone_membership(cone, target), cone_membership(bare, target)
+                    assert (res.verdict, res.witness) == (ref.verdict, ref.witness), target
+                    if res.is_member:
+                        continue
+                    cert = tuple(map(int, res.certificate))
+                    neg = [j for j in range(b) if a[j] < 0]
+                    if neg:
+                        kinds.add("e_lam")
+                        assert cert == tuple(int(t == neg[0]) for t in range(b + r)), target
+                    else:
+                        kinds.add("1_S")
+                        assert cert == (1,) * b + tuple(int(x > 0) for x in bs), target
+    assert kinds == {"e_lam", "1_S"}
+
+
+def test_an_incomplete_rule_falls_back_to_the_simplex():
     cone = cones.thm44_generators(2)
-    bare = replace(cone, facets=())
-    partial_cone = replace(cone, facets=((1, 0, 0),))
+    bare = replace(cone, separate=None)
+    partial_cone = replace(cone, separate=lambda v: (1, 0, 0) if v[0] < 0 else None)
     target = (1, -2, -1)  # a >= 0, but 2a < b1 + b2
     res = cone_membership(partial_cone, target)
     assert not res.is_member
@@ -94,32 +155,14 @@ def test_incomplete_facets_fall_back_to_the_simplex():
     assert cone_membership(partial_cone, (-1, 0, 0)).certificate == (1, 0, 0)
 
 
-def test_a_wrong_stored_normal_is_caught():
-    cone = replace(cones.thm44_generators(2), facets=((0, -1, 0),))
+def test_a_wrong_rule_normal_is_caught():
+    cone = cones.thm44_generators(2)
+    negative_on_a_generator = replace(cone, separate=lambda v: (0, -1, 0))
     with pytest.raises(InternalError):
-        cone_membership(cone, (0, 1, 0))
-
-
-vec3 = st.tuples(*[st.integers(-3, 3)] * 3)
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.lists(vec3, min_size=1, max_size=6), st.lists(vec3, min_size=1, max_size=5))
-def test_facets_3d_certify_and_cut_out_full_cones(gens, points):
-    normals = cones.facets_3d(gens)
-    assert list(normals) == sorted(set(normals))
-    for n in normals:
-        assert math.gcd(*n) == 1
-        assert all(sum(c * g for c, g in zip(n, gen)) >= 0 for gen in gens)
-    full = any(u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
-               + u[2] * (v[0] * w[1] - v[1] * w[0]) for u, v, w in itertools.combinations(gens, 3))
-    bare = ConeSpec.build(3, ("x", "y", "z"), [(str(i), g) for i, g in enumerate(gens)])
-    for p in points:
-        passes = all(sum(c * x for c, x in zip(n, p)) >= 0 for n in normals)
-        member = cone_membership(bare, p).is_member
-        assert member <= passes
-        if full:
-            assert member == passes
+        cone_membership(negative_on_a_generator, (0, 1, 0))
+    not_negative_on_the_query = replace(cone, separate=lambda v: (1, 0, 0))
+    with pytest.raises(InternalError):
+        cone_membership(not_negative_on_the_query, (1, 0, 0))
 
 
 def generator_digest(*parts):
@@ -282,6 +325,17 @@ def test_quadric_cone_matches_brute_force_oracle():
             for bs in itertools.combinations_with_replacement(range(-1, 3), r):
                 member = cone_membership(cone, (a, *(-b for b in bs))).is_member
                 assert member == quadric_in_cone(a, bs), (a, bs)
+
+
+def test_quadric_families_are_not_cone_inequalities():
+    # the conic 2l - l_1 - l_2 - l_3 is a generator, yet it violates the r <= 6
+    # family (2*2 < 5) and the r = 7 family (2 < 3): the cone gets no rule
+    assert "(2*2 < 5)" in cones._violated_inequality(2, [1, 1, 1], 3)
+    assert "(2 < 3)" in cones._violated_inequality(2, [1, 1, 1, 0, 0, 0, 0], 7)
+    assert cones.quadric_curve_decompose(2, [1, 1, 1]) == {("conic", 0, 1, 2): 1}
+    cone = cones.quadric_cone(3)
+    assert cone.separate is None
+    assert cone_membership(cone, (2, -1, -1, -1)).is_member
 
 
 def test_quadric_success_iff_in_cone_even_beyond_inequality():
