@@ -9,12 +9,14 @@ G(2, 4) that leaves the span of the Schubert classes.
 Each cone's generators are the terms its decomposition peels off, built by
 that decomposition's term-vector function: lemma41_vector for the divisor
 cone, lemma42_term_vector for the span cone and quadric_term_vector for the
-quadric cone. The divisor and span cones also carry a separation rule, the
-paper's inequalities for them (Theorem 4.4, Lemma 4.2). Membership has one
-path. A normal from the rule, re-checked by substitution to be negative on the
-query and >= 0 on every generator, is the non-member certificate. Every other
-query goes to the simplex, which gives every witness and does the only
-conversion of coordinates.
+quadric cone. The divisor and span cones also carry a rule that answers every
+integer query from the paper: a violated inequality (Theorem 4.4, Lemma 4.2)
+is the certificate, and otherwise the cone's own decomposition (Lemma 4.1,
+Lemma 4.2) is the witness. Membership has one path. A rule's answer is
+re-checked by substitution: a certificate must be < 0 on the query and >= 0
+on every generator, a witness >= 0 with sum c_j g_j equal to the query. A
+query without a rule, or one its rule passes over, goes to the simplex, the
+only place coordinates are converted.
 """
 
 from __future__ import annotations
@@ -39,15 +41,16 @@ class ConeSpec:
     """A cone given by generators over a labeled rational basis.
 
     Coordinates are kept as given (ints, or Fractions from an input file);
-    the simplex converts them once per query. separate, if set, maps a query
-    to an integer normal < 0 on it and >= 0 on every generator, or to None.
+    the simplex converts them once per query. rule, if set, answers a query
+    in the simplex's own shape, ("witness", coefficients per generator) or
+    ("certificate", a normal), in integers, or passes it over with None.
     """
 
     dim: int
     basis_labels: tuple[str, ...]
     labels: tuple[str, ...]
     generators: tuple[tuple, ...]
-    separate: Callable[[tuple], tuple[int, ...] | None] | None = None
+    rule: Callable[[tuple], tuple[str, tuple[int, ...]] | None] | None = None
 
     @staticmethod
     def build(dim, basis_labels, labeled_generators) -> "ConeSpec":
@@ -75,20 +78,38 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def cone_membership(cone: ConeSpec, v) -> MembershipResult:
-    """Exact membership: a witness from the simplex, or a Farkas certificate.
+def _rule_answer_holds(cone: ConeSpec, v, kind: str, data) -> bool:
+    """A certificate is < 0 on v and >= 0 on every generator; a witness is >= 0 and
+    sum c_j g_j is v."""
+    if kind == "certificate":
+        return len(data) == cone.dim and _dot(data, v) < 0 \
+            and all(_dot(data, g) >= 0 for g in cone.generators)
+    if kind != "witness" or len(data) != len(cone.generators) or any(c < 0 for c in data):
+        return False
+    total = [0] * cone.dim
+    for c, g in zip(data, cone.generators):
+        if c:
+            total = [t + c * x for t, x in zip(total, g)]
+    return tuple(total) == tuple(v)
 
-    v is a sequence. A normal from the cone's separation rule is the
-    certificate, once substitution shows it < 0 on v and >= 0 on every
-    generator; with none, the simplex decides.
+
+def cone_membership(cone: ConeSpec, v) -> MembershipResult:
+    """Exact membership: a witness, or a Farkas certificate.
+
+    v is a sequence. The cone's rule answers first; its answer stands once
+    substitution re-checks it, and one that fails is an internal error.
+    When there is no rule or it returns None, the simplex decides.
     """
     if len(v) != cone.dim:
         raise InputError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
-    if cone.separate and (normal := cone.separate(v)) is not None:
-        if _dot(normal, v) >= 0 or any(_dot(normal, g) < 0 for g in cone.generators):
-            raise InternalError("internal: rule normal %s fails its re-check on %s" % (normal, v))
-        return MembershipResult("not-in-span", None, tuple(map(Fraction, normal)))
-    kind, data = solve_nonneg_combination(cone.generators, v)
+    answer = cone.rule(v) if cone.rule else None
+    if answer is None:
+        kind, data = solve_nonneg_combination(cone.generators, v)
+    else:
+        kind, data = answer
+        if not _rule_answer_holds(cone, v, kind, data):
+            raise InternalError("internal: rule %s %s fails its re-check on %s" % (kind, data, v))
+        data = map(Fraction, data)
     if kind == "witness":
         return MembershipResult("in-span", tuple(data), None)
     return MembershipResult("not-in-span", None, tuple(data))
@@ -128,9 +149,7 @@ def lemma41_decompose(k: int, a: int, b1: int, b2: int) -> list[tuple[str, int]]
 
 
 def lemma41_vector(k: int, label: str) -> tuple[int, int, int]:
-    """Coordinate vector of a lemma41 generator label in the (e0, e1, e2) basis."""
-    if label == "e0":
-        return (1, 0, 0)
+    """Coordinate vector of a lemma41 generator label in the (H, E1, E2) basis."""
     if label == "e1":
         return (0, 1, 0)
     if label == "e2":
@@ -147,38 +166,71 @@ def thm44_generators(k: int) -> ConeSpec:
     Basis (H, E_1, E_2); a class aH - b_1 E_1 - b_2 E_2 is the vector
     (a, -b_1, -b_2). The generators are the terms of lemma41_decompose:
     e1, e2 and beta_m = H - m E_1 - (k - m) E_2 for m = 0..k. The rule is
-    Theorem 4.4, tried in the order a >= 0, ka >= b_2, ka >= b_1, ka >= b_1 + b_2.
+    Theorem 4.4, tried in the order a >= 0, ka >= b_2, ka >= b_1, ka >= b_1 + b_2;
+    a class meeting all four has the witness lemma41_decompose(k, a, b_1+, b_2+)
+    plus b_i- times e_i (b+ = max(b, 0), b- = max(-b, 0)).
     """
     if k < 2:
         raise InputError("need k >= 2")
     labels = ["e1", "e2"] + ["beta_%d" % m for m in range(k + 1)]
     cone = ConeSpec.build(3, ("H", "E1", "E2"), [(lbl, lemma41_vector(k, lbl)) for lbl in labels])
+    index = {label: j for j, label in enumerate(cone.labels)}
 
-    def separate(v):  # v = (a, -b_1, -b_2)
+    def rule(v):  # v = (a, -b_1, -b_2)
         a, y, z = v
         if a < 0:
-            return (1, 0, 0)
+            return "certificate", (1, 0, 0)
         if k * a + z < 0:
-            return (k, 0, 1)
+            return "certificate", (k, 0, 1)
         if k * a + y < 0:
-            return (k, 1, 0)
-        return (k, 1, 1) if k * a + y + z < 0 else None
-    return replace(cone, separate=separate)
+            return "certificate", (k, 1, 0)
+        if k * a + y + z < 0:
+            return "certificate", (k, 1, 1)
+        if not all(type(x) is int for x in v):  # Lemma 4.1 peels whole copies of H
+            return None
+        witness = [0] * len(index)
+        for label, c in lemma41_decompose(k, a, max(-y, 0), max(-z, 0)):
+            witness[index[label]] = c
+        witness[index["e1"]] += max(y, 0)
+        witness[index["e2"]] += max(z, 0)
+        return "witness", tuple(witness)
+    return replace(cone, rule=rule)
 
 
 # ---------------------------------------------------------------------------
 # span decomposition for blow-up classes
 
-def lemma42_decompose(c: BlowupClass) -> list[tuple[tuple, object]]:
-    """Decompose c into sigma_lam - E_i, E_i and bare sigma_lam terms.
+def _lemma42_greedy(a: dict, bs) -> dict[tuple, object]:
+    """Lemma 4.2's induction on the number of points, for a mapping lam -> a_lam >= 0
+    and b_i >= 0 with sum a_lam >= sum b_i.
 
-    Requires a_lam >= 0, b_i >= 0 and sum a_lam >= sum b_i. Induction on the
-    number of points: at each step the coefficients a'_lam with total b_r are
-    drawn greedily from the largest a_lam.
-
-    Term keys: ("sigma-E", lam, i), ("E", i), ("sigma", lam).
+    From the last point to the first, the coefficients a'_lam with total b_i
+    are drawn greedily from the largest remaining a_lam (ties to the larger
+    parts). Each lam is drawn at most once per point. Term keys:
+    ("sigma-E", lam, i) and ("sigma", lam).
     """
-    coeffs = dict(c.ambient.coeffs)
+    coeffs = {lam: c for lam, c in a.items() if c}
+    out: dict[tuple, object] = {}
+    for i in range(len(bs) - 1, -1, -1):
+        need = bs[i]
+        while need > 0:
+            lam = max(coeffs, key=lambda l: (coeffs[l], l.parts))
+            take = min(coeffs[lam], need)
+            out[("sigma-E", lam, i)] = take
+            coeffs[lam] -= take
+            if coeffs[lam] == 0:
+                del coeffs[lam]
+            need -= take
+    out.update((("sigma", lam), v) for lam, v in coeffs.items())
+    return out
+
+
+def lemma42_decompose(c: BlowupClass) -> list[tuple[tuple, object]]:
+    """Decompose c into sigma_lam - E_i and bare sigma_lam terms by _lemma42_greedy.
+
+    Requires a_lam >= 0, b_i >= 0 and sum a_lam >= sum b_i.
+    """
+    coeffs = c.ambient.coeffs
     if any(v < 0 for v in coeffs.values()):
         raise DecompositionError("ambient coefficients must be nonnegative")
     bs = list(c.exc)
@@ -188,22 +240,7 @@ def lemma42_decompose(c: BlowupClass) -> list[tuple[tuple, object]]:
     if total_a < total_b:
         raise DecompositionError("sum of ambient coefficients falls short by %s"
                                  % (total_b - total_a))
-    out: dict[tuple, object] = {}
-    for i in range(len(bs) - 1, -1, -1):
-        need = bs[i]
-        while need > 0:
-            lam = max(coeffs, key=lambda l: (coeffs[l], l.parts))
-            take = min(coeffs[lam], need)
-            key = ("sigma-E", lam, i)
-            out[key] = out.get(key, 0) + take
-            coeffs[lam] -= take
-            if coeffs[lam] == 0:
-                del coeffs[lam]
-            need -= take
-    for lam, v in coeffs.items():
-        if v != 0:
-            out[("sigma", lam)] = v
-    return sorted(out.items(), key=lambda t: repr(t[0]))
+    return sorted(_lemma42_greedy(coeffs, bs).items(), key=lambda t: repr(t[0]))
 
 
 def lemma42_term_vector(sigmas, r: int, key: tuple) -> tuple:
@@ -485,7 +522,9 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
     order per sigma and with the E_i last. With b Schubert classes there are
     (b + 1) r + b generators of b + r coordinates; more than SGEN_CAP
     entries in all is refused before any is built. The rule is Lemma 4.2:
-    e_lam for the first a_lam < 0, else (1, ..., 1, 1_S) with S = {i : b_i > 0}.
+    e_lam for the first a_lam < 0, else (1, ..., 1, 1_S) with S = {i : b_i > 0}
+    when that is negative on the query, else the witness _lemma42_greedy(a, b+)
+    plus -b_i times E_i for each b_i < 0.
     """
     if cycle_dim not in (1, 2):
         raise InputError("cycle_dim must be 1 or 2")
@@ -502,14 +541,26 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
     cone = ConeSpec.build(b + r, tuple(map(_lemma42_label, basis)),
                           [(_lemma42_label(key), lemma42_term_vector(sigmas, r, key))
                            for key in keys])
+    # build keeps every key (their vectors are distinct), so keys index the generators
+    position = {key: j for j, key in enumerate(keys)}
 
-    def separate(v):  # v = (a_lam..., -b_1, ..., -b_r)
-        for j, a in enumerate(v[:b]):
-            if a < 0:
-                return tuple(int(t == j) for t in range(b + r))
-        normal = (1,) * b + tuple(int(c < 0) for c in v[b:])
-        return normal if _dot(normal, v) < 0 else None
-    return replace(cone, separate=separate)
+    def rule(v):  # v = (a_lam..., -b_1, ..., -b_r)
+        a, minus_b = v[:b], v[b:]
+        for j, x in enumerate(a):
+            if x < 0:
+                return "certificate", tuple(int(t == j) for t in range(b + r))
+        normal = (1,) * b + tuple(int(c < 0) for c in minus_b)
+        if _dot(normal, v) < 0:
+            return "certificate", normal
+        witness = [0] * len(keys)
+        for key, c in _lemma42_greedy(dict(zip(sigmas, a)),
+                                      [max(-c, 0) for c in minus_b]).items():
+            witness[position[key]] = c
+        for i, c in enumerate(minus_b):
+            if c > 0:
+                witness[position[("E", i)]] = c
+        return "witness", tuple(witness)
+    return replace(cone, rule=rule)
 
 
 def blowup_cycle_vector(cls: BlowupClass) -> tuple:

@@ -95,8 +95,11 @@ def test_criterion_4():
                             vec = cones.lemma41_vector(k, label)
                             total = tuple(t + c * v for t, v in zip(total, vec))
                         assert total == target
+                        # the witness is Lemma 4.1's decomposition itself
                         res = cone_membership(cone, target)
                         assert res.is_member
+                        assert {label: c for label, c in zip(cone.labels, res.witness) if c} \
+                            == dict(terms)
                     else:
                         res = cone_membership(cone, target)
                         assert not res.is_member

@@ -102,9 +102,9 @@ def test_cone_sgen_bound_only(capsys):
     assert code == 0 and out["bound"] == 4 and out["bound_satisfied"] is True
 
 
-# sha256 of the stdout of `cone sgen` on G(2,4), G(2,5), G(3,6), --dim 1 and 2,
-# r = 0..8, for the two class files of sgen_class_files, in that order
-SGEN_STDOUT_SHA256 = "51dbdb12f8cc7e0343a0dcc6507350f6d68c1d0dae4d4d62415dc2f4dbc3f7df"
+# the stdout of `cone sgen` on G(2,4), G(2,5), G(3,6), --dim 1 and 2, r = 0..8,
+# for the two class files of sgen_class_files, in that order: one record a line
+SGEN_STDOUT = Path(__file__).with_name("cone_sgen_stdout.jsonl")
 
 
 def sgen_class_files(ctx, cycle_dim, r):
@@ -121,19 +121,22 @@ def sgen_class_files(ctx, cycle_dim, r):
 
 
 def test_cone_sgen_stdout_is_pinned(capsys, tmp_path):
-    digest, codes = hashlib.sha256(), []
+    expected = SGEN_STDOUT.read_text().splitlines(keepends=True)
+    assert len(expected) == 108
     path = tmp_path / "cls.json"
+    records = iter(expected)
     for k, n in ((2, 4), (2, 5), (3, 6)):
         for cycle_dim in (1, 2):
             for r in range(9):
-                for doc in sgen_class_files(chow.GrassCtx(k, n), cycle_dim, r):
+                docs = sgen_class_files(chow.GrassCtx(k, n), cycle_dim, r)
+                for (which, code), doc in zip((("inside", 0), ("outside", 3)), docs):
                     path.write_text(json.dumps(doc))
-                    codes.append(run_subcommand(["cone", "sgen", "--k", str(k), "--n", str(n),
-                                                 "--r", str(r), "--dim", str(cycle_dim),
-                                                 "--class", str(path)]))
-                    digest.update(capsys.readouterr().out.encode())
-    assert codes == [0, 3] * 54
-    assert digest.hexdigest() == SGEN_STDOUT_SHA256
+                    argv = ["cone", "sgen", "--k", str(k), "--n", str(n), "--r", str(r),
+                            "--dim", str(cycle_dim), "--class", str(path)]
+                    got = (run_subcommand(argv), capsys.readouterr().out)
+                    assert got == (code, next(records)), \
+                        ("k=%d n=%d r=%d dim=%d" % (k, n, r, cycle_dim), which, doc["terms"],
+                         doc["exc"])
 
 
 def test_orbits_list_and_check(capsys):

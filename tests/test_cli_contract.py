@@ -2,8 +2,9 @@
 
 For every input: the exit code is 0, 2 or 3 (4 would be a bug of ours, and a
 traceback breaks the contract outright), stdout is empty or one canonical
-JSON line, and stderr holds canonical JSON lines only. Sizes stay small
-enough that each call costs milliseconds.
+JSON line, and stderr holds canonical JSON lines only. A `cone sgen` verdict
+is re-checked from what it prints, against generators written here. Sizes
+stay small enough that each call costs milliseconds.
 """
 
 import contextlib
@@ -201,6 +202,56 @@ def file_command(draw):
     return words, {"--class": draw(mostly_near(blowup_doc(k, n, r, cycle_dim)))}
 
 
+def span_generators(ctx, cycle_dim, r):
+    """label -> (a, b) of the generators sigma, sigma - E_i and E_i, for a class
+    sum a_lam sigma_lam - sum b_i E_i with a keyed by trimmed parts."""
+    unit = [[int(t == i) for t in range(r)] for i in range(r)]
+    gens = {}
+    for lam in chow.basis(ctx, ctx.dim - cycle_dim):
+        parts = tuple(p for p in lam.parts if p)
+        name = "s(%s)" % ",".join(map(str, parts))
+        gens[name] = ({parts: 1}, [0] * r)
+        gens.update(("%s-E%d" % (name, i + 1), ({parts: 1}, unit[i])) for i in range(r))
+    gens.update(("E%d" % (i + 1), ({}, [-x for x in unit[i]])) for i in range(r))
+    return gens
+
+
+def check_sgen_stdout(words, doc, code, out):
+    """Re-check a printed verdict against the class file and span_generators alone."""
+    k, n, r, cycle_dim = (int(words[words.index(flag) + 1])
+                          for flag in ("--k", "--n", "--r", "--dim"))
+    ctx = GrassCtx(k, n)
+    order = [tuple(p for p in lam.parts if p) for lam in chow.basis(ctx, ctx.dim - cycle_dim)]
+    gens = span_generators(ctx, cycle_dim, r)
+    amb = {}
+    for term in doc.get("terms", []):
+        parts = tuple(p for p in term["lambda"] if p)
+        amb[parts] = amb.get(parts, 0) + Fraction(term["c"])
+    cls = ({p: c for p, c in amb.items() if c}, [Fraction(x) for x in doc["exc"]])
+    printed = json.loads(out)
+    if code == 0:
+        assert printed["verdict"] == "in-span", printed
+        witness = {label: Fraction(c) for label, c in printed["witness"].items()}
+        assert set(witness) <= set(gens) and all(c >= 0 for c in witness.values()), printed
+        total_a, total_b = {}, [0] * r
+        for label, c in witness.items():
+            a, b = gens[label]
+            for p, x in a.items():
+                total_a[p] = total_a.get(p, 0) + c * x
+            total_b = [t + c * x for t, x in zip(total_b, b)]
+        assert ({p: c for p, c in total_a.items() if c}, total_b) == cls, (printed, doc)
+    else:
+        assert printed["verdict"] == "not-in-span", printed
+        phi = [Fraction(x) for x in printed["certificate"]]
+        assert len(phi) == len(order) + r, printed
+
+        def pair(a, b):
+            return sum(phi[order.index(p)] * x for p, x in a.items()) \
+                - sum(f * x for f, x in zip(phi[len(order):], b))
+        assert all(pair(*gen) >= 0 for gen in gens.values()), printed
+        assert pair(*cls) < 0, (printed, doc)
+
+
 @settings(max_examples=100, **FUZZ)
 @given(command=file_command())
 def test_random_input_files_keep_the_contract(command, tmp_path_factory):
@@ -210,5 +261,7 @@ def test_random_input_files_keep_the_contract(command, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / ("fuzz%s.json" % flag)
         path.write_text(json.dumps(doc))
         args += [flag, str(path)]
-    run_checked(args)
+    code, out, _ = run_checked(args)
+    if words[:2] == ["cone", "sgen"] and code in (0, 3):
+        check_sgen_stdout(words, files["--class"], code, out)
 

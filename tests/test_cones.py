@@ -92,46 +92,100 @@ def test_thm44_facets_are_the_inequalities():
         assert cross_product_facets(cone.generators) == normals
         returned = set()
         for v in itertools.product(range(-1, 3), range(-2 * k - 1, 3), range(-2 * k - 1, 3)):
-            normal = cone.separate(v)
+            kind, data = cone.rule(v)
+            normal = data if kind == "certificate" else None
             assert normal == next((n for n in normals if dot(n, v) < 0), None), (k, v)
             returned.add(normal)
         assert returned == {None, *normals}
 
 
+def nonzero(labels, coefficients):
+    return {label: c for label, c in zip(labels, coefficients) if c}
+
+
+def resums(cone, witness, target):
+    total = [0] * cone.dim
+    for c, gen in zip(witness, cone.generators):
+        total = [t + c * g for t, g in zip(total, gen)]
+    return tuple(total) == tuple(target)
+
+
+def lemma41_witness(k, a, b1, b2):
+    """Lemma 4.1 on (a, b1+, b2+), plus b_i- times e_i: the divisor rule's witness."""
+    terms = dict(cones.lemma41_decompose(k, a, max(b1, 0), max(b2, 0)))
+    for label, b in (("e1", b1), ("e2", b2)):
+        if b < 0:
+            terms[label] = terms.get(label, 0) - b
+    return terms
+
+
 def test_divisor_rule_keeps_verdicts_and_witnesses():
+    # members get Lemma 4.1's decomposition, not the simplex's witness, so the
+    # two are compared by verdict only; a member never reaches the simplex
     for k in (2, 3):
         cone = cones.thm44_generators(k)
-        bare = replace(cone, separate=None)
+        bare = replace(cone, rule=None)
         normals = [(1, 0, 0), (k, 0, 1), (k, 1, 0), (k, 1, 1)]
+        kinds = set()
         for a in range(-1, 5):
             for b1 in range(-1, 2 * k + 1):
                 for b2 in range(-1, 2 * k + 1):
                     target = (a, -b1, -b2)
+                    assert cone.rule(target) is not None, target
                     res, ref = cone_membership(cone, target), cone_membership(bare, target)
-                    assert (res.verdict, res.witness) == (ref.verdict, ref.witness), target
-                    if not res.is_member:
+                    assert res.verdict == ref.verdict, target
+                    if res.is_member:
+                        kinds.add("witness with e_i" if min(b1, b2) < 0 else "witness")
+                        assert all(type(c) is Fraction for c in res.witness)
+                        assert nonzero(cone.labels, res.witness) == lemma41_witness(k, a, b1, b2)
+                        assert resums(cone, res.witness, target), target
+                    else:
                         assert tuple(map(int, res.certificate)) in normals
                         assert all(type(p) is Fraction for p in res.certificate)
+        assert kinds == {"witness", "witness with e_i"}
+    # Lemma 4.1 peels whole copies of H, so a non-integral member goes to the simplex
+    cone = cones.thm44_generators(2)
+    half = (Fraction(1, 2), -1, 0)
+    assert cone.rule(half) is None and cone_membership(cone, half).witness == (0, 0, 0, 0, half[0])
+    assert cone.rule((Fraction(1, 2), -2, 0)) == ("certificate", (2, 1, 0))
+
+
+def span_label(key):
+    if key[0] == "sigma":
+        return "s%s" % (key[1],)
+    return "s%s-E%d" % (key[1], key[2] + 1)
 
 
 def test_span_rule_keeps_verdicts_and_witnesses():
     # Lemma 4.2: the first a_lam < 0 gives e_lam, and otherwise
-    # sum a_lam < sum of the b_i > 0 gives (1, ..., 1, 1_S) with S = {i : b_i > 0}
+    # sum a_lam < sum of the b_i > 0 gives (1, ..., 1, 1_S) with S = {i : b_i > 0};
+    # a member's witness is lemma42_decompose of (a, b+) plus -b_i times E_i
     rng = random.Random(17)
     kinds = set()
     for ctx in (G24, G25, GrassCtx(3, 6)):
         for cycle_dim in (1, 2):
+            sigmas = chow.basis(ctx, ctx.dim - cycle_dim)
             for r in (0, 1, 3, 6):
                 cone = cones.sgen_cycle_cone(ctx, cycle_dim, r)
-                bare = replace(cone, separate=None)
+                bare = replace(cone, rule=None)
                 b = cone.dim - r
                 for _ in range(40):
                     a = [rng.randint(-1, 3) for _ in range(b)]
                     bs = [rng.randint(-1, 3) for _ in range(r)]
                     target = (*a, *(-x for x in bs))
+                    assert cone.rule(target) is not None, target
                     res, ref = cone_membership(cone, target), cone_membership(bare, target)
-                    assert (res.verdict, res.witness) == (ref.verdict, ref.witness), target
+                    assert res.verdict == ref.verdict, target
                     if res.is_member:
+                        kinds.add("witness with E_i" if any(x < 0 for x in bs) else "witness")
+                        amb = sum((chow.sigma(ctx, lam.parts).scale(c)
+                                   for lam, c in zip(sigmas, a)), chow.zero(ctx, ctx.dim - cycle_dim))
+                        cls = blow_class(BlowupCtx(ctx, r), "dim", cycle_dim, amb,
+                                         [max(x, 0) for x in bs])
+                        expected = {span_label(key): c for key, c in cones.lemma42_decompose(cls)}
+                        expected.update(("E%d" % (i + 1), -x) for i, x in enumerate(bs) if x < 0)
+                        assert nonzero(cone.labels, res.witness) == expected, target
+                        assert resums(cone, res.witness, target), target
                         continue
                     cert = tuple(map(int, res.certificate))
                     neg = [j for j in range(b) if a[j] < 0]
@@ -141,28 +195,48 @@ def test_span_rule_keeps_verdicts_and_witnesses():
                     else:
                         kinds.add("1_S")
                         assert cert == (1,) * b + tuple(int(x > 0) for x in bs), target
-    assert kinds == {"e_lam", "1_S"}
+    assert kinds == {"e_lam", "1_S", "witness", "witness with E_i"}
 
 
 def test_an_incomplete_rule_falls_back_to_the_simplex():
     cone = cones.thm44_generators(2)
-    bare = replace(cone, separate=None)
-    partial_cone = replace(cone, separate=lambda v: (1, 0, 0) if v[0] < 0 else None)
+    bare = replace(cone, rule=None)
+    partial_cone = replace(cone, rule=lambda v: ("certificate", (1, 0, 0)) if v[0] < 0 else None)
     target = (1, -2, -1)  # a >= 0, but 2a < b1 + b2
     res = cone_membership(partial_cone, target)
     assert not res.is_member
     assert res.certificate == cone_membership(bare, target).certificate
     assert cone_membership(partial_cone, (-1, 0, 0)).certificate == (1, 0, 0)
+    # a member the rule passes over gets the simplex's witness
+    assert cone_membership(partial_cone, (1, -1, -1)).witness \
+        == cone_membership(bare, (1, -1, -1)).witness
 
 
 def test_a_wrong_rule_normal_is_caught():
     cone = cones.thm44_generators(2)
-    negative_on_a_generator = replace(cone, separate=lambda v: (0, -1, 0))
+    negative_on_a_generator = replace(cone, rule=lambda v: ("certificate", (0, -1, 0)))
     with pytest.raises(InternalError):
         cone_membership(negative_on_a_generator, (0, 1, 0))
-    not_negative_on_the_query = replace(cone, separate=lambda v: (1, 0, 0))
+    not_negative_on_the_query = replace(cone, rule=lambda v: ("certificate", (1, 0, 0)))
     with pytest.raises(InternalError):
         cone_membership(not_negative_on_the_query, (1, 0, 0))
+
+
+def test_a_wrong_rule_witness_is_caught():
+    # generators e1, e2, beta_0 = (1, 0, -2), beta_1 = (1, -1, -1), beta_2 = (1, -2, 0)
+    cone = cones.thm44_generators(2)
+    assert cone.labels == ("e1", "e2", "beta_0", "beta_1", "beta_2")
+    target = (1, -1, -1)
+    assert cone_membership(cone, target).witness == (0, 0, 0, 1, 0)
+    # sums back to the target, but with a negative coefficient
+    negative = replace(cone, rule=lambda v: ("witness", (1, -1, 0, 0, 1)))
+    assert resums(cone, (1, -1, 0, 0, 1), target)
+    with pytest.raises(InternalError, match="fails its re-check"):
+        cone_membership(negative, target)
+    for wrong in ((0, 0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1, 0, 0)):
+        # nonnegative, but beta_0 alone does not sum back, nor does a witness of the wrong length
+        with pytest.raises(InternalError, match="fails its re-check"):
+            cone_membership(replace(cone, rule=lambda v, w=wrong: ("witness", w)), target)
 
 
 def generator_digest(*parts):
@@ -334,7 +408,7 @@ def test_quadric_families_are_not_cone_inequalities():
     assert "(2 < 3)" in cones._violated_inequality(2, [1, 1, 1, 0, 0, 0, 0], 7)
     assert cones.quadric_curve_decompose(2, [1, 1, 1]) == {("conic", 0, 1, 2): 1}
     cone = cones.quadric_cone(3)
-    assert cone.separate is None
+    assert cone.rule is None
     assert cone_membership(cone, (2, -1, -1, -1)).is_member
 
 
