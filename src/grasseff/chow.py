@@ -151,12 +151,36 @@ def pieri(ctx: GrassCtx, special: int, mu: BoxedPartition) -> ChowClass:
     """sigma_special * sigma_mu as the multiplicity-free interlacing sum.
 
     The sum runs over nu with mu_i <= nu_i <= mu_{i-1} (mu_0 := w) and
-    |nu| = special + |mu|.
+    |nu| = special + |mu|. The terms are counted before any is built, and
+    more than MEMO_CAP of them are refused.
     """
     if not (0 <= special <= ctx.w):
         raise InputError("need 0 <= special <= w, got special=%d, w=%d" % (special, ctx.w))
+    terms = _pieri_count(mu.parts, ctx.w, special)
+    if terms > MEMO_CAP:
+        raise InputError("sigma_%d * sigma_%s has %d terms, more than %d"
+                         % (special, mu, terms, MEMO_CAP))
     return _chow_class(ctx, special + mu.size,
                        dict.fromkeys(_pieri_parts(mu.parts, ctx.w, special), 1))
+
+
+def _pieri_count(mu: tuple[int, ...], w: int, special: int) -> int:
+    """len(_pieri_parts(mu, w, special)), by a DP over the rows in O(k * special).
+
+    Row i takes 0..(mu_{i-1} - mu_i) boxes (mu_0 := w); ways[s] counts the
+    fillings of the rows so far that take s boxes in all.
+    """
+    ways = [1] + [0] * special
+    cap = w
+    for m in mu:
+        width, acc, nxt = cap - m, 0, []
+        for s in range(special + 1):
+            acc += ways[s]
+            if s > width:
+                acc -= ways[s - width - 1]
+            nxt.append(acc)
+        ways, cap = nxt, m
+    return ways[special]
 
 
 @lru_cache(maxsize=MEMO_CAP)

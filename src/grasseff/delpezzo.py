@@ -7,7 +7,10 @@ D = h - (1/3) sum e_i - sqrt(q') f_1 - sqrt(q) sum_{j>=2} f_j has D^2 = 0
 identically in q once q' = (9-N)(1/9 - q). D is not itself a lattice class:
 it is kept as the linear form C -> D.C, which on an integer class C is
 (C_h + sum C_e / 3) + (sum_{j>=2} C_f_j) sqrt(q) + C_f_1 sqrt(q'), and each
-check decides the exact sign of that number (`radicals.RadicalNumber.sign`).
+check decides the exact sign of that number (`radicals.RadicalNumber.sign`,
+which clears denominators once and decides in ints). The classes a row
+pairs with D are fixed: they are built once per row (per N for the sample
+classes) and held as tuples.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from grasseff.errors import InputError
 from grasseff.radicals import RadicalNumber
@@ -65,7 +69,7 @@ class NullDivisor:
         h, e, f = c
         if len(e) != self.N:
             raise InputError("classes live in different lattices")
-        return RadicalNumber(h + Fraction(sum(e), 3), sum(f[1:]), f[0], self.q, self.qp)
+        return RadicalNumber(Fraction(3 * h + sum(e), 3), sum(f[1:]), f[0], self.q, self.qp)
 
     def square(self) -> Fraction:
         """D.D = 1 - N/9 - qp - (9-N) q; the sqrt(q) sqrt(qp) cross terms never arise."""
@@ -104,15 +108,19 @@ def verify_nef_conditions(N: int, q) -> dict:
     The K-nonnegative half of nefness needs the blown-up-plane interpolation
     conjecture; it is recorded as an assumption, never computed.
     """
-    q = Fraction(q)
-    D = build_D_delta(N, q)
+    return _nef_report(build_D_delta(N, q))
+
+
+def _nef_report(D: NullDivisor) -> dict:
+    N, q = D.N, D.q
+    basis = _samples(N)
     checks = [
         _check("D.D == 0", D.square() == 0),
-        _check("D.h > 0", D.pair(_unit_sum(N, 1)).sign() > 0),
+        _check("D.h > 0", D.pair(basis[0]).sign() > 0),
     ]
     for a in range(10):
         label = "e%d" % (a + 1) if a < N else "f%d" % (a - N + 1)
-        checks.append(_check("D.%s > 0" % label, D.pair(_unit_sum(N, 0, (1, a))).sign() > 0))
+        checks.append(_check("D.%s > 0" % label, D.pair(basis[a + 1]).sign() > 0))
     checks.append(_check("9q < 1", 9 * q < 1, 9 * q))
     checks.append(_check("9q' < 1", 9 * D.qp < 1, 9 * D.qp))
     const, linear = d_squared_symbolic(N)
@@ -137,7 +145,7 @@ def check_lemma65(D: NullDivisor, kernel_gens, gamma_gens, sample_eff_gens) -> d
     """
     checks = [
         _check("D.D == 0", D.square() == 0),
-        _check("D.h > 0", D.pair(_unit_sum(D.N, 1)).sign() > 0),
+        _check("D.h > 0", D.pair(_samples(D.N)[0]).sign() > 0),
     ]
     for idx, c in enumerate(kernel_gens):
         val = D.pair(c)
@@ -232,8 +240,22 @@ def gamma_classes(case: FanoCase) -> tuple[list[tuple], list[int]]:
 
 def sample_effective_classes(N: int) -> list[tuple]:
     """A spot-check list of effective classes: the basis and the (-1)-lines."""
-    return ([_unit_sum(N, 1)] + [_unit_sum(N, 0, (1, a)) for a in range(10)]
-            + [_unit_sum(N, 1, (-1, a), (-1, b)) for a, b in itertools.combinations(range(10), 2)])
+    return list(_samples(N))
+
+
+@lru_cache(maxsize=8)  # one entry per N; a bad N raises and is not kept
+def _samples(N: int) -> tuple:
+    """h, e_1..e_N, f_1..f_{10-N}, then the (-1)-lines h - x_a - x_b, built once per N."""
+    return ((_unit_sum(N, 1),) + tuple(_unit_sum(N, 0, (1, a)) for a in range(10))
+            + tuple(_unit_sum(N, 1, (-1, a), (-1, b))
+                    for a, b in itertools.combinations(range(10), 2)))
+
+
+@lru_cache(maxsize=len(FANO_TABLE))  # one entry per row
+def _row_classes(case: FanoCase) -> tuple:
+    """A row's kernel classes, Gamma classes and dropped Gamma indices, built once."""
+    gamma, dropped = gamma_classes(case)
+    return tuple(kernel_classes(case)), tuple(gamma), tuple(dropped)
 
 
 def verify_case(name: str, q) -> dict:
@@ -241,21 +263,20 @@ def verify_case(name: str, q) -> dict:
     case = fano_case(name)
     N = case.N
     D = build_D_delta(N, q)
-    nef = verify_nef_conditions(N, q)
-    kern = kernel_classes(case)
-    gamma, dropped = gamma_classes(case)
-    lemma = check_lemma65(D, kern, gamma, sample_effective_classes(N))
+    nef = _nef_report(D)
+    kern, gamma, dropped = _row_classes(case)
+    lemma = check_lemma65(D, kern, gamma, _samples(N))
     report = {
         "case": name,
         "degree": case.degree,
         "N": N,
-        "q": str(Fraction(q)),
+        "q": str(D.q),
         "checks": nef["checks"] + lemma["checks"],
         "assumptions": ["SHGH"],
         "ok": nef["ok"] and lemma["ok"],
     }
     if dropped:
-        report["dropped_gamma_indices"] = dropped
+        report["dropped_gamma_indices"] = list(dropped)
         report["notes"] = ["printed gamma indices beyond the %d available f-classes "
                            "were skipped" % (10 - N)]
     return report

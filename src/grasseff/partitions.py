@@ -105,4 +105,10 @@ def enumerate_box(k: int, w: int, m: int) -> list[BoxedPartition]:
     """
     if k < 1 or w < 1:
         raise InputError("box dimensions must be positive")
-    return [BoxedPartition(p, k, w) for p in _enumerate(k, w, m, w)]
+    return list(_enumerate_boxed(k, w, m))
+
+
+@lru_cache(maxsize=MEMO_CAP)
+def _enumerate_boxed(k: int, w: int, m: int) -> tuple[BoxedPartition, ...]:
+    """enumerate_box's partitions, validated on first use and then reused."""
+    return tuple(BoxedPartition(p, k, w) for p in _enumerate(k, w, m, w))

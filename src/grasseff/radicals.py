@@ -2,8 +2,11 @@
 
 A RadicalNumber is a value, not a ring element: the Fano checks build one per
 pairing from integer sums (see `delpezzo.NullDivisor.pair`) and ask for its
-sign. Signs are decided exactly by case analysis and squaring; no floating
-point.
+sign. The sign is decided in integers: with q = n1/d1, q' = n2/d2 and L the
+product of the denominators of a, b and c, multiplying by L*d1*d2 > 0 turns
+the value into A + B*sqrt(n1*d1) + C*sqrt(n2*d2) with A, B, C ints, and the
+case analysis compares squares of ints. No floating point, no Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from grasseff.errors import InputError
+
+_FIELDS = ("a", "b", "c", "q", "qp")
 
 
 @dataclass(frozen=True)
@@ -25,28 +30,24 @@ class RadicalNumber:
     qp: Fraction
 
     def __post_init__(self):
-        if self.q <= 0 or self.qp <= 0:
+        for name, x in zip(_FIELDS, (self.a, self.b, self.c, self.q, self.qp)):
+            # a bool is an int, but never a coefficient
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise InputError("RadicalNumber.%s must be an int or a Fraction, got %r"
+                                 % (name, x))
+        if self.q.numerator <= 0 or self.qp.numerator <= 0:
             raise InputError("radicands must be positive")
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(q) + c*sqrt(qp)."""
-        s1 = _sign_quadratic(self.a, self.b, self.q)
-        if self.c == 0:
-            return s1
-        s2 = 1 if self.c > 0 else -1
-        if s1 == 0:
-            return s2
-        if s1 == s2:
-            return s1
-        # opposite signs: compare (a + b*sqrt(q))^2 against c^2 * qp
-        big_a = self.a * self.a + self.b * self.b * self.q - self.c * self.c * self.qp
-        big_b = 2 * self.a * self.b
-        cmp = _sign_quadratic(big_a, big_b, self.q)
-        if cmp > 0:
-            return s1
-        if cmp < 0:
-            return s2
-        return 0
+        a, b, c = self.a, self.b, self.c
+        n1, d1 = self.q.numerator, self.q.denominator
+        n2, d2 = self.qp.numerator, self.qp.denominator
+        da, db, dc = a.denominator, b.denominator, c.denominator
+        scale = da * db * dc
+        return _sign_two_radicals(a.numerator * (scale // da) * d1 * d2,
+                                  b.numerator * (scale // db) * d2, n1 * d1,
+                                  c.numerator * (scale // dc) * d1, n2 * d2)
 
     def is_zero(self) -> bool:
         return self.sign() == 0
@@ -55,17 +56,31 @@ class RadicalNumber:
         return "%s + %s*sqrt(%s) + %s*sqrt(%s)" % (self.a, self.b, self.q, self.c, self.qp)
 
 
-def _sign_quadratic(a: Fraction, b: Fraction, q: Fraction) -> int:
-    """Exact sign of a + b*sqrt(q)."""
+def _sign_two_radicals(a: int, b: int, r1: int, c: int, r2: int) -> int:
+    """Exact sign of a + b*sqrt(r1) + c*sqrt(r2) for ints, r1 and r2 positive."""
+    s1 = _sign_quadratic(a, b, r1)
+    if c == 0:
+        return s1
+    s2 = 1 if c > 0 else -1
+    if s1 == 0 or s1 == s2:
+        return s2
+    # opposite signs: compare (a + b*sqrt(r1))^2 against c^2 * r2
+    cmp = _sign_quadratic(a * a + b * b * r1 - c * c * r2, 2 * a * b, r1)
+    if cmp > 0:
+        return s1
+    if cmp < 0:
+        return s2
+    return 0
+
+
+def _sign_quadratic(a: int, b: int, r: int) -> int:
+    """Exact sign of a + b*sqrt(r) for ints, r positive."""
     if b == 0:
-        return 0 if a == 0 else (1 if a > 0 else -1)
-    if a == 0:
-        return 1 if b > 0 else -1
-    sa = 1 if a > 0 else -1
+        return (a > 0) - (a < 0)
     sb = 1 if b > 0 else -1
-    if sa == sb:
-        return sa
-    diff = a * a - b * b * q
+    if a == 0 or (a > 0) == (b > 0):
+        return sb
+    diff = a * a - b * b * r
     if diff == 0:
         return 0
-    return sa if diff > 0 else sb
+    return -sb if diff > 0 else sb

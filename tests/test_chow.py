@@ -52,6 +52,24 @@ def test_pieri_interlacing_cap():
     assert out.is_zero()
 
 
+def test_pieri_count_matches_the_enumeration():
+    for k, w in all_boxes(16):
+        for m in range(k * w + 1):
+            for mu in enumerate_box(k, w, m):
+                for special in range(w + 1):
+                    assert chow._pieri_count(mu.parts, w, special) \
+                        == len(chow._pieri_parts(mu.parts, w, special)), (mu, special)
+
+
+def test_pieri_refuses_more_than_memo_cap_terms_before_work():
+    ctx = GrassCtx(40, 80)
+    staircase = ctx.partition(range(40, 0, -1))
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="68923264410 terms"):
+        chow.pieri(ctx, 20, staircase)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_hyperplane_cube_g25():
     s1 = chow.sigma(G25, (1,))
     cube = chow.multiply(chow.multiply(s1, s1), s1)

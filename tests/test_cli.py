@@ -489,6 +489,14 @@ def test_pieri_special_out_of_range(capsys):
     assert code == 2 and out is None and msg["error"].startswith("need 0 <= special <= w")
 
 
+def test_pieri_with_too_many_terms_is_refused(capsys):
+    staircase = ",".join(str(p) for p in range(40, 0, -1))
+    code, out, err = run(capsys, "pieri", "--k", "40", "--n", "80", "--special", "20",
+                         "--mu", staircase)
+    [msg] = json_lines(err)
+    assert code == 2 and out is None and "68923264410 terms, more than" in msg["error"]
+
+
 def check_refused(capsys, path, needle, *argv):
     code, out, err = run(capsys, *argv)
     [msg] = json_lines(err)

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,20 +98,36 @@ def test_verify_all_cases_on_admissible_samples():
             assert statuses == {"pass"}
 
 
-# sha256 of the canonical JSON of every row's verify_case report, then its
-# verify_nef_conditions report, at q = lo + (hi - lo) t/17 for t = 1..16
-FANO_REPORTS_SHA256 = "f14bc87698194a3375547327472d30a522c0f730b70e68d5f36cbf0d8777b296"
+# One line per Fano report record: row, t, report kind and the sha256 of the
+# report's canonical JSON, at q = lo + (hi - lo) t/17 for t = 1..16. The
+# records, concatenated in file order, hash to f14bc876...b296, the single
+# digest this list replaced.
+FANO_REPORTS = os.path.join(os.path.dirname(__file__), "fano_reports.sha256")
 
 
-def test_reports_are_pinned_byte_for_byte():
-    digest = hashlib.sha256()
+def _fano_records():
     for case in FANO_TABLE:
         lo, hi = admissible_q_interval(case.N)
         for t in range(1, 17):
             q = lo + (hi - lo) * Fraction(t, 17)
-            digest.update(jsonio.canonical_dumps(verify_case(case.name, q)).encode())
-            digest.update(jsonio.canonical_dumps(verify_nef_conditions(case.N, q)).encode())
-    assert digest.hexdigest() == FANO_REPORTS_SHA256
+            yield (case.name, t, "verify_case"), verify_case(case.name, q)
+            yield (case.name, t, "verify_nef_conditions"), verify_nef_conditions(case.N, q)
+
+
+def test_reports_are_pinned_byte_for_byte():
+    pinned = {}
+    with open(FANO_REPORTS) as fh:
+        for line in fh:
+            name, t, kind, digest = line.split()
+            pinned[(name, int(t), kind)] = digest
+    keys, changed = [], []
+    for key, report in _fano_records():
+        keys.append(key)
+        digest = hashlib.sha256(jsonio.canonical_dumps(report).encode()).hexdigest()
+        if pinned.get(key) != digest:
+            changed.append("%s t=%d %s" % key)
+    assert not changed, "reports differ from their pinned bytes: " + "; ".join(changed)
+    assert keys == list(pinned)
 
 
 def test_sextic_report_notes_dropped_indices():

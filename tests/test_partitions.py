@@ -23,6 +23,14 @@ def test_enumerate_out_of_range_is_empty():
     assert enumerate_box(2, 2, -1) == []
 
 
+def test_enumerate_reuses_its_partitions_in_a_fresh_list():
+    first = enumerate_box(3, 3, 4)
+    first.append(None)
+    again = enumerate_box(3, 3, 4)
+    assert again == first[:-1] and again is not first
+    assert all(x is y for x, y in zip(again, first))
+
+
 def test_enumerate_counts_telescope():
     for k, w in [(2, 2), (2, 3), (3, 3), (4, 2)]:
         total = sum(len(enumerate_box(k, w, m)) for m in range(k * w + 1))

@@ -182,6 +182,7 @@ def test_every_memo_is_bounded_by_the_one_cap():
     assert chow.MEMO_CAP is partitions.MEMO_CAP
     assert all(getattr(chow, name).cache_info().maxsize == chow.MEMO_CAP for name in MEMOS)
     assert partitions._enumerate.cache_info().maxsize == chow.MEMO_CAP
+    assert partitions._enumerate_boxed.cache_info().maxsize == chow.MEMO_CAP
 
 
 def test_products_stay_right_after_the_memos_evict(monkeypatch):
