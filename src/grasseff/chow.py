@@ -1,13 +1,17 @@
 """The Chow ring of G(k, n): Pieri, Giambelli, duality pairing, Plucker degree.
 
-Products route through the Giambelli determinant and iterated Pieri rather
-than Littlewood-Richardson tableaux; correctness is testable by Poincare
-duality. All coefficients are Python ints (arbitrary precision).
+A product sigma_lam * sigma_mu expands the Jacobi-Trudi (Giambelli)
+determinant of lam along its last column: each term is one Pieri step on
+the product of a minor, a partition with one row fewer, with mu. Those
+minor products are entries of the same product memo, so a table of
+products reuses its own smaller entries, and since each call removes a
+row, the recursion is at most l(lam) + l(mu) deep. Correctness is testable
+by Poincare duality. All coefficients are Python ints (arbitrary precision).
 
 Validation happens at the API boundary: `GrassCtx.partition` and every
-`ChowClass` check their partitions. Inside, one Pieri fold, `_fold`, runs on
-plain part tuples, which interlacing keeps inside the box; it serves both
-the products and the degree. `_boxed` turns a result's tuples into
+`ChowClass` check their partitions. Inside, products and the Pieri fold
+`_fold` (which serves the degree) run on plain part tuples, which
+interlacing keeps inside the box. `_boxed` turns a result's tuples into
 BoxedPartitions, each validated once and then reused. Every memo here holds
 at most `MEMO_CAP` entries, the one cap, defined in `partitions`.
 """
@@ -242,8 +246,8 @@ def giambelli(lam: BoxedPartition) -> list[tuple[int, tuple[int, ...]]]:
 def _fold(cur: dict, sizes, w: int) -> dict:
     """cur (part tuples to coefficients) times sigma_s for each s in sizes.
 
-    The one Pieri chain: one `_pieri_parts` step per size, stopping early
-    once the strips have left the box and nothing is left.
+    One `_pieri_parts` step per size, stopping early once the strips have
+    left the box and nothing is left; `degree_pieri` folds sigma_1 this way.
     """
     for size in sizes:
         nxt: dict = {}
@@ -256,26 +260,50 @@ def _fold(cur: dict, sizes, w: int) -> dict:
     return cur
 
 
+def _order(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
+    """The pair in the one order every product takes: fewer nonzero parts first."""
+    if (len(lam) - lam.count(0), lam) <= (len(mu) - mu.count(0), mu):
+        return lam, mu
+    return mu, lam
+
+
 @lru_cache(maxsize=MEMO_CAP)
 def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> tuple:
     """sigma_lam * sigma_mu in a box of width w, as (parts, coefficient) pairs: the product memo.
 
-    Each signed Giambelli monomial of lam is folded onto mu; a monomial whose
-    strips leave the box contributes nothing.
+    The Jacobi-Trudi determinant sigma_lam = det(sigma_{lam_i - i + j}),
+    l x l for the l nonzero parts of lam, expanded along its last column:
+    sigma_lam * sigma_mu = sum_{i=1..l} (-1)^(l-i) sigma_{lam_i + l - i} * (sigma_nu(i) * sigma_mu),
+    where the minor nu(i) drops row i and takes 1 from each part below it.
+    A term with lam_i + l - i > w vanishes. Each minor product comes from
+    this memo, in `_order`. The product is zero at once when some
+    lam_i + mu_{k+1-i} > w: then lam does not fit in the complement of mu,
+    and the two Schubert varieties in opposite position do not meet.
     """
+    rows = len(lam) - lam.count(0)
+    if rows == 0:
+        return ((mu, 1),)
+    if any(p + q > w for p, q in zip(lam, reversed(mu))):
+        return ()
     acc: dict = {}
-    for sign, mono in _giambelli_monomials(lam, w):
-        for nu, c in _fold({mu: 1}, mono, w).items():
-            acc[nu] = acc.get(nu, 0) + sign * c
+    pad = (0,) * (len(lam) - rows + 1)
+    for i in range(rows):
+        special = lam[i] + rows - 1 - i
+        if special > w:
+            continue
+        sign = -1 if (rows - 1 - i) % 2 else 1
+        minor = lam[:i] + tuple(p - 1 for p in lam[i + 1:rows]) + pad
+        for nu, c in _product_parts(*_order(minor, mu), w):
+            for rho in _pieri_parts(nu, w, special):
+                acc[rho] = acc.get(rho, 0) + sign * c
     return tuple((nu, c) for nu, c in acc.items() if c)
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     """Bilinear product; classes exceeding the box vanish.
 
-    Products commute, so each pair of terms goes in one order, fewer nonzero
-    parts first: the smaller Giambelli determinant is expanded, and both
-    orders share one memo entry.
+    Products commute, so each pair of terms goes in `_order`: both orders
+    share one memo entry.
     """
     if a.ctx != b.ctx:
         raise InputError("classes live on different Grassmannians")
@@ -285,8 +313,7 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     acc: dict = {}
     for lam, c in a.coeffs.items():
         for mu, d in b.coeffs.items():
-            x, y = sorted((lam.parts, mu.parts), key=lambda p: (len(p) - p.count(0), p))
-            for nu, e in _product_parts(x, y, a.ctx.w):
+            for nu, e in _product_parts(*_order(lam.parts, mu.parts), a.ctx.w):
                 acc[nu] = acc.get(nu, 0) + c * d * e
     return _chow_class(a.ctx, codim, acc)
 

@@ -82,7 +82,7 @@ def dual(lam: BoxedPartition) -> BoxedPartition:
 
 
 @lru_cache(maxsize=MEMO_CAP)
-def _enumerate(k: int, w: int, m: int, cap: int) -> tuple[tuple[int, ...], ...]:
+def _enumerate(k: int, m: int, cap: int) -> tuple[tuple[int, ...], ...]:
     # All weakly decreasing k-tuples with entries <= cap summing to m,
     # first part descending (reverse-lexicographic order).
     if m < 0 or m > k * cap:
@@ -92,7 +92,7 @@ def _enumerate(k: int, w: int, m: int, cap: int) -> tuple[tuple[int, ...], ...]:
     out = []
     lo = -(-m // k)  # ceil(m/k): smallest feasible first part
     for first in range(min(cap, m), lo - 1, -1):
-        for rest in _enumerate(k - 1, w, m - first, min(cap, first)):
+        for rest in _enumerate(k - 1, m - first, min(cap, first)):
             out.append((first,) + rest)
     return tuple(out)
 
@@ -111,4 +111,4 @@ def enumerate_box(k: int, w: int, m: int) -> list[BoxedPartition]:
 @lru_cache(maxsize=MEMO_CAP)
 def _enumerate_boxed(k: int, w: int, m: int) -> tuple[BoxedPartition, ...]:
     """enumerate_box's partitions, validated on first use and then reused."""
-    return tuple(BoxedPartition(p, k, w) for p in _enumerate(k, w, m, w))
+    return tuple(BoxedPartition(p, k, w) for p in _enumerate(k, m, w))

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import pytest
 
+from grasseff import partitions
 from grasseff.partitions import BoxedPartition, dual, enumerate_box, make_partition
 
 
@@ -43,6 +45,19 @@ def test_enumerate_strictly_ordered_no_duplicates():
             parts = [p.parts for p in enumerate_box(k, w, m)]
             assert len(set(parts)) == len(parts)
             assert parts == sorted(parts, reverse=True)
+
+
+def test_enumerate_memo_is_keyed_by_subproblem_alone():
+    # the 3 x w boxes share their subproblems across w: 439 distinct (k, m, cap)
+    partitions._enumerate.cache_clear()
+    partitions._enumerate_boxed.cache_clear()
+    for w in range(2, 12):
+        for m in range(3 * w + 1):
+            parts = [p.parts for p in enumerate_box(3, w, m)]
+            brute = [p for p in itertools.product(range(w, -1, -1), repeat=3)
+                     if sum(p) == m and p[0] >= p[1] >= p[2]]
+            assert parts == brute, (w, m)
+    assert partitions._enumerate.cache_info().currsize == 439
 
 
 def test_dual_examples():

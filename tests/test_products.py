@@ -2,8 +2,8 @@
 
 - A Littlewood-Richardson tableau count (Fulton, Young Tableaux, ch. 5),
   written on plain tuples without grasseff.
-- The earlier product path: Giambelli monomials folded one Pieri step at a
-  time over BoxedPartition/ChowClass objects, with no memo.
+- The earlier product path, `reference_product`: Giambelli monomials folded
+  one Pieri step at a time over BoxedPartition/ChowClass objects, with no memo.
 """
 
 import warnings
@@ -216,18 +216,49 @@ def test_products_commute_and_share_one_memo_entry(k, n):
     assert chow._product_parts.cache_info().currsize == len(unordered)
 
 
-def test_product_expands_the_smaller_determinant(monkeypatch):
-    expanded, expand = [], chow._giambelli_monomials
+def record_products(monkeypatch):
+    """A fresh product memo that lists, in order, the pairs it computes."""
+    computed, compute = [], chow._product_parts.__wrapped__
 
-    def recording(parts, w):
-        expanded.append(parts)
-        return expand(parts, w)
+    def recording(lam, mu, w):
+        computed.append((lam, mu))
+        return compute(lam, mu, w)
 
-    monkeypatch.setattr(chow, "_giambelli_monomials", recording)
-    monkeypatch.setattr(chow, "_product_parts", lru_cache(maxsize=chow.MEMO_CAP)(
-        chow._product_parts.__wrapped__))
+    monkeypatch.setattr(chow, "_product_parts", lru_cache(maxsize=chow.MEMO_CAP)(recording))
+    return computed
+
+
+def test_product_recurses_only_on_the_operand_with_fewer_rows(monkeypatch):
+    computed = record_products(monkeypatch)
     ctx = make_ctx(8, 16)
     big, line = chow.sigma(ctx, (4,) * 8), chow.sigma(ctx, (1,))
     for a, b in ((big, line), (line, big)):
         assert as_parts(chow.multiply(a, b)) == {(5,) + (4,) * 7: 1}
-    assert expanded == [(1,) + (0,) * 7]
+    # sigma_1's one row, then its empty minor; the second order is a memo hit
+    assert computed == [((1,) + (0,) * 7, (4,) * 8), ((0,) * 8, (4,) * 8)]
+
+
+def test_a_product_that_does_not_fit_the_complement_stops_at_once(monkeypatch):
+    computed = record_products(monkeypatch)
+    ctx = make_ctx(4, 8)
+    # lam_3 + mu_2 = 2 + 3 > 4: the codimensions fit (14 <= 16), the shapes do not
+    got = chow.multiply(chow.sigma(ctx, (2, 2, 2, 2)), chow.sigma(ctx, (3, 3)))
+    assert got.is_zero() and lr_product((2, 2, 2, 2), (3, 3), 4, 4) == {}
+    assert computed == [((3, 3, 0, 0), (2, 2, 2, 2))]
+
+
+@pytest.mark.parametrize("k,part", [(7, 3), (8, 4)])
+def test_tall_squares_multiply_to_one_term(k, part):
+    ctx = make_ctx(k, 3 * k)
+    square = chow.sigma(ctx, (part,) * k)
+    assert as_parts(chow.multiply(square, square)) == {(2 * part,) * k: 1}
+
+
+def test_a_many_term_product_matches_littlewood_richardson():
+    k, w = 4, 6
+    ctx = make_ctx(k, k + w)
+    lam = ctx.partition((3, 2, 1))
+    got = chow.multiply(chow.sigma(ctx, lam.parts), chow.sigma(ctx, lam.parts))
+    assert len(got.coeffs) > 1 and max(got.coeffs.values()) > 1
+    assert as_parts(got) == lr_product(lam.parts, lam.parts, k, w)
+    assert got == reference_product(ctx, lam, lam)
