@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from grasseff.errors import InputError, InternalError
-from grasseff.partitions import (MEMO_CAP, BoxedPartition, dual, enumerate_box, int_parts,
-                                 make_partition)
+from grasseff.partitions import MEMO_CAP, BoxedPartition, enumerate_box, int_parts, make_partition
 
 
 @dataclass(frozen=True)
@@ -96,12 +95,6 @@ class ChowClass:
         for lam, c in other.coeffs.items():
             out[lam] = out.get(lam, 0) + c
         return ChowClass(self.ctx, self.codim if self.coeffs or not other.coeffs else other.codim, out)
-
-    def __neg__(self):
-        return ChowClass(self.ctx, self.codim, {l: -c for l, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c) -> "ChowClass":
         return ChowClass(self.ctx, self.codim, {l: c * v for l, v in self.coeffs.items()})

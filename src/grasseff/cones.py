@@ -6,17 +6,17 @@ quadric curve-cone reduction for blow-ups of G(2, 4) at up to 7 points, the
 three-cycle reduction on G(2, 5) for up to 4 points, and the r = 3 class on
 G(2, 4) that leaves the span of the Schubert classes.
 
-Each cone's generators are the terms its decomposition peels off, built by
-that decomposition's term-vector function: lemma41_vector for the divisor
-cone, lemma42_term_vector for the span cone and quadric_term_vector for the
-quadric cone. The divisor and span cones also carry a rule that answers every
-integer query from the paper: a violated inequality (Theorem 4.4, Lemma 4.2)
-is the certificate, and otherwise the cone's own decomposition (Lemma 4.1,
-Lemma 4.2) is the witness. Membership has one path. A rule's answer is
-re-checked by substitution: a certificate must be < 0 on the query and >= 0
-on every generator, a witness >= 0 with sum c_j g_j equal to the query. A
-query without a rule, or one its rule passes over, goes to the simplex, the
-only place coordinates are converted.
+Each cone's generators are the terms its decomposition peels off, built by its
+term-vector function: lemma41_vector for the divisor cone, lemma42_term_vector
+for the span cone and quadric_term_vector for the quadric cone. Each carries a
+rule that answers every integer query: a violated inequality of the cone
+(Theorem 4.4, Lemma 4.2, the quadric facets) is the certificate, else the
+cone's own decomposition (Lemma 4.1, Lemma 4.2, the quadric greedy) is the
+witness. Membership has one path: a rule's answer is re-checked by
+substitution (a certificate < 0 on the query and >= 0 on every generator, a
+witness >= 0 with sum c_j g_j equal to the query), and other queries (`cone
+check` cones, non-integral members) go to the simplex, the only place
+coordinates are converted.
 """
 
 from __future__ import annotations
@@ -141,8 +141,6 @@ def lemma41_decompose(k: int, a: int, b1: int, b2: int) -> list[tuple[str, int]]
     # the peels remove k from (b1 + b2) each round, so both residuals end <= 0
     if r1 > 0 or r2 > 0:
         raise InternalError("internal: greedy peel left positive residual")
-    if r1 < 0:
-        terms["e1"] = -r1
     if r2 < 0:
         terms["e2"] = -r2
     return sorted(terms.items())
@@ -302,53 +300,47 @@ def very_general_curve_bound(ctx: GrassCtx) -> int:
 # ---------------------------------------------------------------------------
 # quadric curve decomposition (blow-ups of G(2,4) at r <= 7 points)
 
-def _violated_inequality(a: int, bs: list[int], r: int):
-    """Name an inequality of the applicable family violated by (a, bs), if any.
-
-    These are sufficient conditions, not inequalities of the cone: the generator
-    2l - l_1 - l_2 - l_3 violates both families, so the cone gets no rule.
+def _violated_facet(a, bs):
+    """Normal on (a, -b_1, ..., -b_r) of the facet of quadric_cone(r) that (a, bs) violates
+    most within the first violated form, or None. With i, j not in S and |S| = m the forms
+    are a >= 0, a >= b_i, a >= b_i + b_j, 2a >= 2b_i + sum_S b_j (m = 3..r-1) and
+    3a >= 2 sum_S b_j (m = 4..r). Their b-coefficients are >= 0, so one sort finds each.
     """
-    pos = [max(b, 0) for b in bs]
-    if r <= 6:
-        for i, j in itertools.combinations(range(r), 2):
-            rest = sum(pos[t] for t in range(r) if t not in (i, j))
-            if 2 * a < 2 * pos[i] + 2 * pos[j] + rest:
-                return "2a >= 2b_%d + 2b_%d + sum of the rest (2*%d < %d)" % (
-                    i + 1, j + 1, a, 2 * pos[i] + 2 * pos[j] + rest)
+    r = len(bs)
+    order = sorted(range(r), key=bs.__getitem__, reverse=True)  # stable: ties keep i order
+    prefix = list(itertools.accumulate((bs[i] for i in order), initial=0))
+    # (form, slack, coefficient of a, weights on the b's in order) of each form's facets
+    facets = [(m, a - prefix[m], 1, (1,) * m) for m in range(min(r, 2) + 1)]
+    facets += [(3, 2 * a - prefix[1] - prefix[m + 1], 2, (2,) + (1,) * m) for m in range(3, r)]
+    facets += [(4, 3 * a - 2 * prefix[m], 3, (2,) * m) for m in range(4, r + 1)]
+    _, slack, c, weights = min(facets, key=lambda f: (f[1] >= 0, f))  # violated ones first
+    if slack >= 0:
         return None
-    for subset in itertools.combinations(range(r), 5):
-        s = sum(pos[t] for t in subset)
-        if a < s:
-            return "a >= b_%s (%d < %d)" % ("+b_".join(str(t + 1) for t in subset), a, s)
-    return None
+    place = dict(zip(order, weights))
+    return (c, *(place.get(i, 0) for i in range(r)))
 
 
 def quadric_curve_decompose(a: int, bs) -> dict[tuple, int]:
     """Decompose a*l - sum b_i l_i into lines, conics and exceptional lines.
 
     Conics 2l - l_i - l_j - l_k are subtracted greedily on the three largest
-    current coefficients, at most floor(a/2) times, until the residual has
-    a' >= sum of its positive coefficients; the residual is then lines.
-    Negative coefficients (given or produced) are absorbed by l_i terms. A
-    stall names an inequality of a sufficient family that is not one of the cone.
+    current coefficients, while a' >= 2, until the residual has a' >= sum of
+    its positive coefficients; the residual is then lines. Negative
+    coefficients (given or produced) are absorbed by l_i terms. A stall names
+    the facet of the cone that (a, bs) violates.
 
     Term keys: ("ell",), ("ell_i", i), ("line", i) for l - l_i,
     ("conic", i, j, k).
     """
-    bs = list(bs)
     r = len(bs)
     if r > 7:
         raise InputError("at most 7 points supported")
-    if a < 0:
-        raise DecompositionError("negative line coefficient")
     out: dict[tuple, int] = {}
-    cur = [b for b in bs]
-    limit = a // 2
-    used = 0
+    cur = list(bs)
     cur_a = a
 
     # keep peeling conics while three positive coefficients remain
-    while sum(1 for b in cur if b > 0) >= 3 and used < limit and cur_a >= 2:
+    while sum(1 for b in cur if b > 0) >= 3 and cur_a >= 2:
         order = sorted(range(r), key=lambda i: (-cur[i], i))
         i, j, k = sorted(order[:3])
         key = ("conic", i, j, k)
@@ -356,13 +348,15 @@ def quadric_curve_decompose(a: int, bs) -> dict[tuple, int]:
         for t in (i, j, k):
             cur[t] -= 1
         cur_a -= 2
-        used += 1
 
     if sum(max(b, 0) for b in cur) > cur_a:
-        name = _violated_inequality(a, bs, r)
-        if name is None:
-            raise InternalError("internal: greedy stalled although the inequality family holds")
-        raise DecompositionError("violated inequality: " + name)
+        normal = _violated_facet(a, bs)
+        if normal is None:
+            raise InternalError("internal: greedy stalled on (%s, %s) inside the cone" % (a, bs))
+        c, *ws = normal
+        rhs = " + ".join("%sb_%d" % (w if w > 1 else "", i + 1) for i, w in enumerate(ws) if w)
+        raise DecompositionError("violated facet: %sa >= %s (%s < %s)"
+                                 % (c if c > 1 else "", rhs or "0", c * a, _dot(ws, bs)))
 
     for i, b in enumerate(cur):
         if b > 0:
@@ -394,11 +388,14 @@ def quadric_term_vector(key: tuple, r: int) -> tuple:
 
 
 def quadric_cone(r: int) -> ConeSpec:
-    """Curve cone of the quadric blown up at r points: lines, conics, exceptional lines.
+    """Curve cone of the quadric blown up at r <= 7 points: lines, conics, exceptional lines.
 
     One generator per term kind of quadric_curve_decompose; a class
-    a*l - sum b_i l_i is the vector (a, -b_1, ..., -b_r).
+    a*l - sum b_i l_i is the vector (a, -b_1, ..., -b_r). The rule: the certificate
+    is _violated_facet, else an integer query's witness is quadric_curve_decompose.
     """
+    if r > 7:
+        raise InputError("at most 7 points supported")
     keys = [("ell",)] + [("ell_i", i) for i in range(r)] + [("line", i) for i in range(r)] \
         + [("conic", *ijk) for ijk in itertools.combinations(range(r), 3)]
     gens = []
@@ -406,7 +403,21 @@ def quadric_cone(r: int) -> ConeSpec:
         a, *bs = quadric_term_vector(key, r)
         label = key[0] + "".join("_%d" % (i + 1) for i in key[1:])
         gens.append((label, (a, *(-b for b in bs))))
-    return ConeSpec.build(r + 1, ("ell",) + tuple("ell_%d" % (i + 1) for i in range(r)), gens)
+    # build keeps every key (their vectors are distinct), so keys index the generators
+    cone = ConeSpec.build(r + 1, ("ell",) + tuple("ell_%d" % (i + 1) for i in range(r)), gens)
+
+    def rule(v):  # v = (a, -b_1, ..., -b_r)
+        a, bs = v[0], [-x for x in v[1:]]
+        normal = _violated_facet(a, bs)
+        if normal is not None:
+            return "certificate", normal
+        if not all(type(x) is int for x in v):  # the greedy peels whole conics and lines
+            return None
+        witness = [0] * len(keys)
+        for key, c in quadric_curve_decompose(a, bs).items():
+            witness[keys.index(key)] = c
+        return "witness", tuple(witness)
+    return replace(cone, rule=rule)
 
 
 def resum(terms, vector_of, length: int) -> tuple:

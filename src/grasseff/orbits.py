@@ -79,10 +79,6 @@ class OrbitRepresentative:
         if len(set(fs)) != len(fs) or len(set(gs)) != len(gs):
             raise InputError("a flag basis vector is reused across pairs")
 
-    @property
-    def subspace_dim(self) -> int:
-        return len(self.pairs)
-
     def to_json(self) -> list:
         return [list(p) for p in self.pairs]
 

@@ -1,5 +1,6 @@
 """Shared brute-force oracles, resum shorthands and orbit references for the test suite."""
 
+import itertools
 from functools import lru_cache, partial
 
 from grasseff import cones
@@ -34,6 +35,27 @@ def quadric_in_cone(a: int, bs) -> bool:
         return False
     pos = tuple(sorted((max(b, 0) for b in bs), reverse=True))
     return _search(a, pos)
+
+
+def quadric_facets(r: int) -> set:
+    """The five facet forms of the quadric curve cone at r points, written out as normals
+    on (a, -b_1, ..., -b_r), with i, j not in S and |S| = m: a >= 0, a >= b_i,
+    a >= b_i + b_j, 2a >= 2b_i + sum_S b_j (m = 3..r-1) and 3a >= 2 sum_S b_j (m = 4..r)."""
+    def normal(c, weights):
+        return (c, *(weights.get(i, 0) for i in range(r)))
+    out = {normal(1, dict.fromkeys(s, 1))
+           for m in (0, 1, 2) for s in itertools.combinations(range(r), m)}
+    for m, i in itertools.product(range(3, r), range(r)):
+        out.update(normal(2, {**dict.fromkeys(s, 1), i: 2})
+                   for s in itertools.combinations([t for t in range(r) if t != i], m))
+    out.update(normal(3, dict.fromkeys(s, 2))
+               for m in range(4, r + 1) for s in itertools.combinations(range(r), m))
+    return out
+
+
+def facet_slack(normal, a: int, bs) -> int:
+    """c a - sum w_i b_i for the facet c a >= sum w_i b_i: negative when (a, bs) violates it."""
+    return normal[0] * a - sum(w * b for w, b in zip(normal[1:], bs))
 
 
 def quadric_resum(terms, r: int) -> tuple:

@@ -12,7 +12,7 @@ from grasseff.cones import DecompositionError, cone_membership
 from grasseff.multiplicity import max_point_multiplicity, rz_multiplicity
 from grasseff.partitions import dual
 
-from support import quadric_in_cone, quadric_resum
+from support import facet_slack, quadric_facets, quadric_in_cone, quadric_resum
 
 
 def criterion(number, label, limit=None):
@@ -127,19 +127,20 @@ def test_criterion_5():
                     continue
                 assert expected, (a, bs)
                 assert quadric_resum(terms, r) == (a, *bs)
-    # r = 7: the 5-subset inequalities are sufficient for success; outside
-    # them the outcome must still match the exhaustive search oracle
+    # r = 7: success exactly where every facet of the cone holds, and a refusal
+    # names one of them; the exhaustive search oracle agrees
+    facets = quadric_facets(7)
     for a in range(7):
         for bs in itertools.combinations_with_replacement(range(min(a, 3) + 1), 7):
             bs = tuple(sorted(bs, reverse=True))
-            satisfied = all(a >= sum(bs[t] for t in sub)
-                            for sub in itertools.combinations(range(7), 5))
+            satisfied = all(facet_slack(n, a, bs) >= 0 for n in facets)
             try:
                 terms = cones.quadric_curve_decompose(a, bs)
-            except DecompositionError:
-                assert not satisfied, (a, bs)
+            except DecompositionError as exc:
+                assert not satisfied and "violated facet" in str(exc), (a, bs)
                 assert not quadric_in_cone(a, bs), (a, bs)
                 continue
+            assert satisfied, (a, bs)
             assert quadric_resum(terms, 7) == (a, *bs)
 
 

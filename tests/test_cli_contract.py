@@ -2,8 +2,9 @@
 
 For every input: the exit code is 0, 2 or 3 (4 would be a bug of ours, and a
 traceback breaks the contract outright), stdout is empty or one canonical
-JSON line, and stderr holds canonical JSON lines only. A `cone sgen` verdict
-is re-checked from what it prints, against generators written here. Sizes
+JSON line, and stderr holds canonical JSON lines only. Every `cone check` and
+`cone sgen` verdict is re-checked from what it prints: against the input files
+read with Fraction, and for `cone sgen` against generators written here. Sizes
 stay small enough that each call costs milliseconds.
 """
 
@@ -158,7 +159,8 @@ def near(draw, valid):
 @st.composite
 def cone_docs(draw):
     """A generator file and a class file over the same coordinates; half the
-    time the class is the sum of the generators, so a witness names them."""
+    time the class is plus or minus the sum of the generators, so that a witness
+    names them or, for a pointed cone, a certificate separates the class."""
     d = draw(st.integers(0, 3))
     vecs = draw(st.lists(st.lists(COORD, min_size=d, max_size=d), min_size=1, max_size=4))
     gens = vecs if draw(st.booleans()) else {
@@ -167,7 +169,8 @@ def cone_docs(draw):
     if draw(st.booleans()):
         vector = draw(st.lists(COORD, min_size=d, max_size=d))
     else:
-        vector = [str(sum(Fraction(v[i]) for v in vecs)) for i in range(d)]
+        sign = draw(st.sampled_from([1, -1]))
+        vector = [str(sign * sum(Fraction(v[i]) for v in vecs)) for i in range(d)]
     return gens, (vector if draw(st.booleans()) else {"vector": vector})
 
 
@@ -189,17 +192,22 @@ def mostly_near(valid):
 
 @st.composite
 def file_command(draw):
-    if draw(st.booleans()):
+    """(words, files, member): member is True when the class file is a combination of
+    span_generators, so `cone sgen` must print a witness for it."""
+    kind = draw(st.sampled_from(["check", "check", "sgen", "member"]))
+    if kind == "check":
         gens, vector = draw(cone_docs())
         files = {"--generators": gens, "--class": vector}
         for flag in draw(st.sampled_from([["--generators"], ["--class"], list(files)])):
             files[flag] = draw(mostly_near(st.just(files[flag])))
-        return ["cone", "check"], files
+        return ["cone", "check"], files, False
     k, r, cycle_dim = draw(st.integers(2, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
     n = draw(st.integers(k + 2, 5))
     words = ["cone", "sgen", "--k", str(k), "--n", str(n), "--r", str(r),
              "--dim", str(cycle_dim)]
-    return words, {"--class": draw(mostly_near(blowup_doc(k, n, r, cycle_dim)))}
+    if kind == "member":
+        return words, {"--class": draw(span_member_doc(k, n, r, cycle_dim))}, True
+    return words, {"--class": draw(mostly_near(blowup_doc(k, n, r, cycle_dim)))}, False
 
 
 def span_generators(ctx, cycle_dim, r):
@@ -252,16 +260,68 @@ def check_sgen_stdout(words, doc, code, out):
         assert pair(*cls) < 0, (printed, doc)
 
 
+@st.composite
+def span_member_doc(draw, k, n, r, cycle_dim):
+    """A class file for a random nonnegative integer combination of span_generators,
+    usually of several of them."""
+    ctx = GrassCtx(k, n)
+    gens = span_generators(ctx, cycle_dim, r)
+    coeffs = draw(st.dictionaries(st.sampled_from(sorted(gens)), st.integers(1, 3),
+                                  min_size=1, max_size=5))
+    amb, exc = {}, [0] * r
+    for label, c in coeffs.items():
+        a, b = gens[label]
+        for parts, x in a.items():
+            amb[parts] = amb.get(parts, 0) + c * x
+        exc = [e + c * x for e, x in zip(exc, b)]
+    grading = draw(st.sampled_from(["dim", "codim"]))
+    return {"k": k, "n": n, "grading": grading,
+            "m": ctx.dim - cycle_dim if grading == "codim" else cycle_dim,
+            "terms": [{"lambda": list(parts), "c": c} for parts, c in amb.items()], "exc": exc}
+
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def check_cone_stdout(files, code, out):
+    """Re-check a printed `cone check` verdict against the two files, read with Fraction."""
+    doc = files["--generators"]
+    gens = [("g%d" % i, vec) for i, vec in enumerate(doc)] if isinstance(doc, list) \
+        else [(g["label"], g["vector"]) for g in doc["generators"]]
+    gens = [(label, [Fraction(x) for x in vec]) for label, vec in gens]
+    doc = files["--class"]
+    target = [Fraction(x) for x in (doc["vector"] if isinstance(doc, dict) else doc)]
+    printed = json.loads(out)
+    if code == 0:
+        assert printed["verdict"] == "in-span", printed
+        witness = {label: Fraction(c) for label, c in printed["witness"].items()}
+        labels = [label for label, _ in gens]
+        assert set(witness) <= set(labels) and all(c >= 0 for c in witness.values()), printed
+        if len(set(labels)) == len(labels):  # a repeated label names no one generator
+            vectors = dict(gens)
+            assert [sum(c * vectors[label][i] for label, c in witness.items())
+                    for i in range(len(target))] == target, (printed, files)
+    else:
+        assert printed["verdict"] == "not-in-span", printed
+        phi = [Fraction(x) for x in printed["certificate"]]
+        assert len(phi) == len(target), printed
+        assert all(dot(phi, vec) >= 0 for _, vec in gens), (printed, files)
+        assert dot(phi, target) < 0, (printed, files)
+
+
 @settings(max_examples=100, **FUZZ)
 @given(command=file_command())
 def test_random_input_files_keep_the_contract(command, tmp_path_factory):
-    words, files = command
+    words, files, member = command
     args = list(words)
     for flag, doc in files.items():
         path = tmp_path_factory.getbasetemp() / ("fuzz%s.json" % flag)
         path.write_text(json.dumps(doc))
         args += [flag, str(path)]
     code, out, _ = run_checked(args)
+    assert code == 0 or not member, (args, files)
     if words[:2] == ["cone", "sgen"] and code in (0, 3):
         check_sgen_stdout(words, files["--class"], code, out)
-
+    elif code in (0, 3):
+        check_cone_stdout(files, code, out)

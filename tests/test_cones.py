@@ -1,11 +1,12 @@
-import hashlib
 import itertools
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,9 @@ from grasseff.chow import GrassCtx
 from grasseff.cones import ConeSpec, DecompositionError, cone_membership
 from grasseff.errors import InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS
+from grasseff.simplex import solve_nonneg_combination
 
-from support import g25_resum, quadric_in_cone, quadric_resum
+from support import facet_slack, g25_resum, quadric_facets, quadric_in_cone, quadric_resum
 
 G24 = GrassCtx(2, 4)
 G25 = GrassCtx(2, 5)
@@ -239,22 +241,22 @@ def test_a_wrong_rule_witness_is_caught():
             cone_membership(replace(cone, rule=lambda v, w=wrong: ("witness", w)), target)
 
 
-def generator_digest(*parts):
-    """sha256 of the JSON of parts, each coordinate written as str(x)."""
-    digest = hashlib.sha256()
-    for labels, gens in parts:
-        digest.update(json.dumps([labels, [[str(x) for x in g] for g in gens]]).encode())
-    return digest.hexdigest()
+# one line per cone, json.dumps([labels, coordinates as str]): the vectors of
+# thm44_generators(2..6), whose labels are printed nowhere (null), then the labels and
+# vectors of quadric_cone(3..7)
+GENERATORS = Path(__file__).with_name("cone_generators.jsonl")
 
 
 def test_generator_tuples_are_pinned():
-    # thm44 labels are not pinned: they are not printed anywhere
-    assert generator_digest(*((None, cones.thm44_generators(k).generators)
-                              for k in range(2, 7))) \
-        == "ced66faf1e122b4828ee16baeabda629911df86730d2b46faabf03f95b45eaee"
-    assert generator_digest(*((list(c.labels), c.generators)
-                              for c in map(cones.quadric_cone, range(3, 8)))) \
-        == "22b3164333c1ef409315934ae5f9f1ed08690e81ae6596a975cd6344b5e065dc"
+    expected = GENERATORS.read_text().splitlines()
+    cases = [("thm44_generators", k, False) for k in range(2, 7)] \
+        + [("quadric_cone", r, True) for r in range(3, 8)]
+    assert len(expected) == len(cases)
+    for (family, size, pin_labels), line in zip(cases, expected):
+        cone = getattr(cones, family)(size)
+        got = json.dumps([list(cone.labels) if pin_labels else None,
+                          [[str(x) for x in g] for g in cone.generators]])
+        assert got == line, "%s(%d) changed its generators" % (family, size)
 
 
 def test_lemma41_examples():
@@ -331,16 +333,6 @@ def test_sgen_bound_prints_up_to_the_digit_limit():
 # ---------------------------------------------------------------------------
 # quadric curve decompositions
 
-def quadric_ok(a, bs):
-    r = len(bs)
-    pos = [max(b, 0) for b in bs]
-    if r <= 6:
-        return all(2 * a >= 2 * pos[i] + 2 * pos[j] + sum(pos) - pos[i] - pos[j]
-                   for i, j in itertools.combinations(range(r), 2)) if r >= 2 \
-            else a >= sum(pos)
-    return all(a >= sum(pos[t] for t in sub) for sub in itertools.combinations(range(r), 5))
-
-
 def test_quadric_worked_example():
     terms = cones.quadric_curve_decompose(5, [2, 2, 1, 1])
     assert terms == {("conic", 0, 1, 2): 1, ("conic", 0, 1, 3): 1, ("ell",): 1}
@@ -354,10 +346,23 @@ def test_quadric_negative_coefficients_absorbed():
 
 
 def test_quadric_violation_names_inequality():
-    with pytest.raises(DecompositionError, match="violated inequality"):
+    # the printed 5-point example (a = 3, b = 1^5) violates 3a >= 2 sum_5 b_j
+    with pytest.raises(DecompositionError, match=re.escape(
+            "violated facet: 3a >= 2b_1 + 2b_2 + 2b_3 + 2b_4 + 2b_5 (9 < 10)")):
         cones.quadric_curve_decompose(3, [1, 1, 1, 1, 1])
-    with pytest.raises(DecompositionError, match="violated inequality"):
+    with pytest.raises(DecompositionError, match=re.escape("(12 < 14)")):
         cones.quadric_curve_decompose(4, [1, 1, 1, 1, 1, 1, 1])
+    with pytest.raises(DecompositionError, match=re.escape("violated facet: a >= 0 (-1 < 0)")):
+        cones.quadric_curve_decompose(-1, [])
+    with pytest.raises(DecompositionError, match=re.escape(
+            "violated facet: 2a >= b_1 + 2b_2 + b_4 + b_5 (6 < 7)")):
+        cones.quadric_curve_decompose(3, [1, 2, 0, 1, 1])
+
+
+def test_quadric_stall_inside_the_cone_is_internal(monkeypatch):
+    monkeypatch.setattr(cones, "_violated_facet", lambda a, bs: None)
+    with pytest.raises(InternalError, match="inside the cone"):
+        cones.quadric_curve_decompose(3, [1, 1, 1, 1, 1])
 
 
 def test_quadric_matches_brute_force_oracle():
@@ -376,17 +381,19 @@ def test_quadric_matches_brute_force_oracle():
 
 
 def test_quadric_r7_inequality_grid():
-    # the 5-subset inequalities are sufficient but not necessary (a conic
-    # through 3 of the 7 points violates them); failures must match the oracle
+    # decompose succeeds exactly where every facet holds, and so does the search oracle
+    facets = quadric_facets(7)
     for a in range(0, 7):
         for bs in itertools.combinations_with_replacement(range(min(a, 3) + 1), 7):
             bs = tuple(sorted(bs, reverse=True))
+            satisfied = all(facet_slack(n, a, bs) >= 0 for n in facets)
+            assert quadric_in_cone(a, bs) == satisfied, (a, bs)
             try:
                 terms = cones.quadric_curve_decompose(a, bs)
             except DecompositionError:
-                assert not quadric_ok(a, bs), (a, bs)
-                assert not quadric_in_cone(a, bs), (a, bs)
+                assert not satisfied, (a, bs)
                 continue
+            assert satisfied, (a, bs)
             assert quadric_resum(terms, 7) == (a, *bs)
 
 
@@ -401,23 +408,112 @@ def test_quadric_cone_matches_brute_force_oracle():
                 assert member == quadric_in_cone(a, bs), (a, bs)
 
 
-def test_quadric_families_are_not_cone_inequalities():
-    # the conic 2l - l_1 - l_2 - l_3 is a generator, yet it violates the r <= 6
-    # family (2*2 < 5) and the r = 7 family (2 < 3): the cone gets no rule
-    assert "(2*2 < 5)" in cones._violated_inequality(2, [1, 1, 1], 3)
-    assert "(2 < 3)" in cones._violated_inequality(2, [1, 1, 1, 0, 0, 0, 0], 7)
-    assert cones.quadric_curve_decompose(2, [1, 1, 1]) == {("conic", 0, 1, 2): 1}
-    cone = cones.quadric_cone(3)
-    assert cone.rule is None
-    assert cone_membership(cone, (2, -1, -1, -1)).is_member
+def double_description(gens):
+    """The primitive facet normals of the cone spanned by gens, by exact double description.
+
+    The first d generators must be the unit vectors, so the dual cone {n : n.g >= 0}
+    starts as the orthant, whose rays are the unit vectors. Each further generator g
+    cuts it: rays with n.g >= 0 stay, and each pair of adjacent rays on either side of
+    g gives the ray of their span with n.g = 0. A ray carries the bit mask of the
+    generators it vanishes on; two rays are adjacent when they share at least d - 2 of
+    them and no third ray vanishes on all they share.
+    """
+    d = len(gens[0])
+    assert [tuple(g) for g in gens[:d]] == [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays = [(gens[i], ((1 << d) - 1) ^ (1 << i)) for i in range(d)]
+    for bit, g in enumerate(gens[d:], start=d):
+        side = [(sum(x * y for x, y in zip(n, g)), n, tight) for n, tight in rays]
+        rays = [(n, tight | (x == 0) << bit) for x, n, tight in side if x >= 0]
+        for (x, n, tn), (y, m, tm) in itertools.product(side, side):
+            common = tn & tm
+            if x <= 0 or y >= 0 or common.bit_count() < d - 2 \
+                    or any(t & common == common for _, o, t in side if o is not n and o is not m):
+                continue
+            ray = [x * q - y * p for p, q in zip(n, m)]
+            div = math.gcd(*ray)
+            rays.append((tuple(c // div for c in ray), common | 1 << bit))
+    return {n for n, _ in rays}
 
 
-def test_quadric_success_iff_in_cone_even_beyond_inequality():
-    # the stated inequality family is sufficient but decompose also covers
-    # anything the search oracle certifies; mismatches are bugs either way
-    sample = [(6, (3, 3, 3, 3)), (6, (3, 3, 3, 3, 3)), (4, (2, 2, 2, 2, 2, 2))]
-    for a, bs in sample:
-        assert quadric_in_cone(a, bs) == quadric_ok(a, bs)
+def test_double_description_yields_exactly_the_stated_facets():
+    counts = []
+    for r in range(8):
+        facets = double_description(cones.quadric_cone(r).generators)
+        assert facets == quadric_facets(r), r
+        counts.append(len(facets))
+    assert counts == [1, 2, 4, 7, 16, 47, 140, 387]
+
+
+def facet_form(normal):
+    """Index of a facet's form in the order a >= 0, a >= b_i, a >= b_i + b_j, 2a >= ...,
+    3a >= ...: the coefficient of a, and for a coefficient 1 the number of b's."""
+    c, *weights = normal
+    return c + 1 if c > 1 else sum(weights)
+
+
+def test_violated_facet_is_the_most_violated_of_the_first_violated_form():
+    rng = random.Random(21)
+    for r in range(8):
+        facets = quadric_facets(r)
+        for _ in range(300):
+            a, bs = rng.randint(-1, 11), [rng.randint(-2, 7) for _ in range(r)]
+            slack = {n: facet_slack(n, a, bs) for n in facets}
+            violated = [n for n in facets if slack[n] < 0]
+            normal = cones._violated_facet(a, bs)
+            if not violated:
+                assert normal is None, (a, bs)
+                continue
+            form = min(map(facet_form, violated))
+            assert normal in facets and facet_form(normal) == form, (a, bs, normal)
+            assert slack[normal] == min(slack[n] for n in violated if facet_form(n) == form)
+
+
+def quadric_queries(r, rng):
+    """(a, bs): a sorted grid, exhaustive for a in -1..5 and b_i in -1..2, then 100
+    seeded random queries in no order, a in -1..11 and b_i in -2..7."""
+    for a in range(-1, 6):
+        yield from ((a, bs) for bs in itertools.combinations_with_replacement((2, 1, 0, -1), r))
+    for _ in range(100):
+        yield rng.randint(-1, 11), [rng.randint(-2, 7) for _ in range(r)]
+
+
+def test_quadric_rule_agrees_with_the_simplex_and_never_calls_it(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the simplex was called")
+    monkeypatch.setattr(cones, "solve_nonneg_combination", refuse)
+    rng = random.Random(5)
+    forms = set()
+    for r in range(8):
+        cone = cones.quadric_cone(r)
+        for a, bs in quadric_queries(r, rng):
+            v = (a, *(-b for b in bs))
+            res = cone_membership(cone, v)
+            assert res.is_member == (solve_nonneg_combination(cone.generators, v)[0] == "witness")
+            if not res.is_member:
+                forms.add(facet_form(res.certificate))
+    assert forms == {0, 1, 2, 3, 4}
+    # a member with a non-integral coefficient is passed over to the simplex
+    with pytest.raises(AssertionError, match="simplex"):
+        cone_membership(cones.quadric_cone(3), (Fraction(3, 2), -1, 0, 0))
+
+
+def test_broken_quadric_rule_raises_internal_error(monkeypatch):
+    cone = cones.quadric_cone(5)
+    # 2a >= 2 sum b is a wrong facet: the conic 2l - l_1 - l_2 - l_3 violates it
+    monkeypatch.setattr(cones, "_violated_facet", lambda a, bs: (2, 2, 2, 2, 2, 2))
+    with pytest.raises(InternalError, match="certificate"):
+        cone_membership(cone, (3, -1, -1, -1, -1, -1))
+    monkeypatch.undo()
+    decompose = cones.quadric_curve_decompose
+    monkeypatch.setattr(cones, "quadric_curve_decompose",
+                        lambda a, bs: {**decompose(a, bs), ("line", 0): 1})
+    with pytest.raises(InternalError, match="witness"):
+        cone_membership(cone, (5, -1, -1, -1, 0, 0))
+
+
+def test_quadric_cone_refuses_more_than_seven_points():
+    with pytest.raises(InputError, match="at most 7 points"):
+        cones.quadric_cone(8)
 
 
 # ---------------------------------------------------------------------------
