@@ -112,6 +112,11 @@ def _cone_from_json(data) -> tuple:
             for g in _array(data["generators"])]
     if not all(isinstance(label, str) for label, _ in gens):
         raise InputError("generator labels must be strings")
+    seen = set()
+    for label, _ in gens:  # a witness names each coefficient by its generator's label
+        if label in seen:
+            raise InputError("generator label %r is repeated" % label)
+        seen.add(label)
     dim = _parse_int(data["dim"]) if "dim" in data else len(gens[0][1])
     if any(len(vec) != dim for _, vec in gens):
         raise InputError("every generator needs %d coordinates" % dim)

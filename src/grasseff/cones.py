@@ -12,11 +12,12 @@ for the span cone and quadric_term_vector for the quadric cone. Each carries a
 rule that answers every integer query: a violated inequality of the cone
 (Theorem 4.4, Lemma 4.2, the quadric facets) is the certificate, else the
 cone's own decomposition (Lemma 4.1, Lemma 4.2, the quadric greedy) is the
-witness. Membership has one path: a rule's answer is re-checked by
-substitution (a certificate < 0 on the query and >= 0 on every generator, a
-witness >= 0 with sum c_j g_j equal to the query), and other queries (`cone
-check` cones, non-integral members) go to the simplex, the only place
-coordinates are converted.
+witness. Membership has one path: the rule answers in integers, or else the
+simplex (`cone check` cones, non-integral members) in integers over its
+denominator D; either answer is re-checked once by substitution (a
+certificate < 0 on the query and >= 0 on every generator, a witness >= 0 with
+sum c_j g_j equal to D times the query, D = 1 for a rule) and only then
+converted to Fractions.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from grasseff.simplex import solve_nonneg_combination
 class ConeSpec:
     """A cone given by generators over a labeled rational basis.
 
-    Coordinates are kept as given (ints, or Fractions from an input file);
-    the simplex converts them once per query. rule, if set, answers a query
-    in the simplex's own shape, ("witness", coefficients per generator) or
-    ("certificate", a normal), in integers, or passes it over with None.
+    Coordinates are kept as given (ints, or Fractions from an input file).
+    rule, if set, answers a query in integers, ("witness", coefficients per
+    generator) or ("certificate", a normal), or passes it over with None; the
+    simplex gives the same two kinds as integer numerators over its own
+    denominator, and cone_membership re-checks either one.
     """
 
     dim: int
@@ -78,9 +80,9 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def _rule_answer_holds(cone: ConeSpec, v, kind: str, data) -> bool:
-    """A certificate is < 0 on v and >= 0 on every generator; a witness is >= 0 and
-    sum c_j g_j is v."""
+def _answer_holds(cone: ConeSpec, v, kind: str, data, D: int) -> bool:
+    """An answer over the denominator D > 0: a certificate is < 0 on v and >= 0 on every
+    generator; a witness is >= 0 and sum c_j g_j is D v."""
     if kind == "certificate":
         return len(data) == cone.dim and _dot(data, v) < 0 \
             and all(_dot(data, g) >= 0 for g in cone.generators)
@@ -90,29 +92,27 @@ def _rule_answer_holds(cone: ConeSpec, v, kind: str, data) -> bool:
     for c, g in zip(data, cone.generators):
         if c:
             total = [t + c * x for t, x in zip(total, g)]
-    return tuple(total) == tuple(v)
+    return total == (list(v) if D == 1 else [D * x for x in v])
 
 
 def cone_membership(cone: ConeSpec, v) -> MembershipResult:
     """Exact membership: a witness, or a Farkas certificate.
 
-    v is a sequence. The cone's rule answers first; its answer stands once
-    substitution re-checks it, and one that fails is an internal error.
-    When there is no rule or it returns None, the simplex decides.
+    v is a sequence. The cone's rule answers first, over D = 1; when there is
+    no rule or it returns None, the simplex answers over its own D. Either
+    answer stands once substitution re-checks it, and one that fails is an
+    internal error.
     """
     if len(v) != cone.dim:
         raise InputError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
     answer = cone.rule(v) if cone.rule else None
-    if answer is None:
-        kind, data = solve_nonneg_combination(cone.generators, v)
-    else:
-        kind, data = answer
-        if not _rule_answer_holds(cone, v, kind, data):
-            raise InternalError("internal: rule %s %s fails its re-check on %s" % (kind, data, v))
-        data = map(Fraction, data)
+    kind, data, D = answer + (1,) if answer else solve_nonneg_combination(cone.generators, v)
+    if not _answer_holds(cone, v, kind, data, D):
+        raise InternalError("internal: %s %s fails its re-check on %s" % (kind, data, v))
+    data = tuple(map(Fraction, data)) if D == 1 else tuple(Fraction(x, D) for x in data)
     if kind == "witness":
-        return MembershipResult("in-span", tuple(data), None)
-    return MembershipResult("not-in-span", None, tuple(data))
+        return MembershipResult("in-span", data, None)
+    return MembershipResult("not-in-span", None, data)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +309,15 @@ def _violated_facet(a, bs):
     r = len(bs)
     order = sorted(range(r), key=bs.__getitem__, reverse=True)  # stable: ties keep i order
     prefix = list(itertools.accumulate((bs[i] for i in order), initial=0))
-    # (form, slack, coefficient of a, weights on the b's in order) of each form's facets
-    facets = [(m, a - prefix[m], 1, (1,) * m) for m in range(min(r, 2) + 1)]
-    facets += [(3, 2 * a - prefix[1] - prefix[m + 1], 2, (2,) + (1,) * m) for m in range(3, r)]
-    facets += [(4, 3 * a - 2 * prefix[m], 3, (2,) * m) for m in range(4, r + 1)]
-    _, slack, c, weights = min(facets, key=lambda f: (f[1] >= 0, f))  # violated ones first
-    if slack >= 0:
-        return None
-    place = dict(zip(order, weights))
-    return (c, *(place.get(i, 0) for i in range(r)))
+    facets = [(a - prefix[m], 1, (1,) * m) for m in range(min(r, 2) + 1)]  # forms 0 to 2
+    ms = [max(range(4, r + 1), key=prefix.__getitem__)] if r > 3 else []  # forms 3, 4: top prefix
+    facets += [(2 * a - prefix[1] - prefix[m], 2, (2,) + (1,) * (m - 1)) for m in ms]
+    facets += [(3 * a - 2 * prefix[m], 3, (2,) * m) for m in ms]
+    slack, c, weights = next((f for f in facets if f[0] < 0), (0, 0, ()))  # weights by order
+    normal = [0] * r
+    for i, w in zip(order, weights):
+        normal[i] = w
+    return (c, *normal) if slack < 0 else None
 
 
 def quadric_curve_decompose(a: int, bs) -> dict[tuple, int]:

@@ -2,23 +2,23 @@
 
 Decides whether a target vector is a nonnegative combination of given
 generators, by a phase-1 simplex with Bland's anti-cycling rule. The tableau
-is fraction-free: generators and target are scaled once by the lcm L of
-their denominators, and the tableau is an integer matrix M over one positive
-common denominator D, with the cost row as the last row of M. Each pivot is
-`linalg.pivot`, the Bareiss/Edmonds update that divides exactly by the
-previous D and makes the pivot entry the new D. A uniform positive scaling
-keeps every reduced-cost sign and every ratio order, so the pivots are the
-ones of the same simplex over Fraction. Failure comes with a Farkas
+is fraction-free: generators and target, ints or Fractions, are scaled once by
+the lcm L of their denominators, and the tableau is an integer matrix M over
+one positive common denominator D, with the cost row as the last row of M.
+Each pivot is `linalg.pivot`, the Bareiss/Edmonds update that divides exactly
+by the previous D and makes the pivot entry the new D. A uniform positive
+scaling keeps every reduced-cost sign and every ratio order, so the pivots are
+the ones of the same simplex over Fraction. Failure comes with a Farkas
 certificate: a functional nonnegative on every generator and strictly
-negative on the target. Exactly one of witness or certificate is produced,
-and both are re-verified by substitution in integers before being returned
-as Fractions over D.
+negative on the target. Exactly one of witness or certificate is returned, as
+integer numerators over the final D. The simplex does not check its answer:
+`cones.cone_membership` re-checks it by substitution, as it does a rule's,
+and converts it to Fractions.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from grasseff.errors import InternalError
 from grasseff.linalg import pivot
@@ -27,18 +27,18 @@ from grasseff.linalg import pivot
 def solve_nonneg_combination(generators, target):
     """Find x >= 0 with sum x_i g_i = target, or a separating functional.
 
-    Returns ("witness", [x_i]) or ("certificate", [phi_j]).
+    Coordinates are ints or Fractions. Returns ("witness", xnum, D) with
+    x_i = xnum_i / D, or ("certificate", pnum, D) with phi_j = pnum_j / D;
+    xnum and pnum are ints and D > 0.
     """
-    gens = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in g]
-            for g in generators]
-    tgt = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in target]
-    dim = len(tgt)
-    if any(len(g) != dim for g in gens):
+    dim = len(target)
+    if any(len(g) != dim for g in generators):
         raise InternalError("dimension mismatch")
-    n = len(gens)
-    L = math.lcm(1, *(x.denominator for x in tgt), *(x.denominator for g in gens for x in g))
-    G = [[x.numerator * (L // x.denominator) for x in g] for g in gens]
-    b = [x.numerator * (L // x.denominator) for x in tgt]
+    n = len(generators)
+    L = math.lcm(1, *(x.denominator for x in target),
+                 *(x.denominator for g in generators for x in g))
+    G = [[x.numerator * (L // x.denominator) for x in g] for g in generators]
+    b = [x.numerator * (L // x.denominator) for x in target]
 
     # rows 0..dim-1: [generators | artificials | rhs] with negative-rhs rows
     # flipped; row dim: reduced costs for c = (0,...,0,1,...,1). Tableau = M / D.
@@ -74,28 +74,14 @@ def solve_nonneg_combination(generators, target):
         basis[leaving] = entering
 
     if M[dim][ncols] == 0:
-        # drive any degenerate artificials out of the basis
-        for i in range(dim):
-            if basis[i] >= n:
-                c = next((j for j in range(n) if M[i][j] != 0), None)
-                if c is not None:
-                    D = pivot(M, D, i, c)
-                    basis[i] = c
+        # an artificial still basic sits at 0; pivoting it out, on a row whose rhs is 0,
+        # would move no basic value, so the basic generators are the witness as they are
         xnum = [0] * n
         for i in range(dim):
             if basis[i] < n:
                 xnum[basis[i]] = M[i][ncols]
-        if any(v < 0 for v in xnum):
-            raise InternalError("internal: witness has a negative coefficient")
-        if any(sum(v * g[i] for v, g in zip(xnum, G) if v) != D * b[i] for i in range(dim)):
-            raise InternalError("internal: witness fails substitution")
-        return "witness", [Fraction(v, D) for v in xnum]
+        return "witness", xnum, D
 
     # Farkas certificate from the dual values y_r = 1 - (reduced cost of artificial r)
     cost = M[dim]
-    pnum = [(D - cost[n + i]) * (1 if b[i] < 0 else -1) for i in range(dim)]
-    if any(sum(p * gi for p, gi in zip(pnum, g)) < 0 for g in G):
-        raise InternalError("internal: certificate negative on a generator")
-    if sum(p * t for p, t in zip(pnum, b)) >= 0:
-        raise InternalError("internal: certificate not separating")
-    return "certificate", [Fraction(p, D) for p in pnum]
+    return "certificate", [(D - cost[n + i]) * (1 if b[i] < 0 else -1) for i in range(dim)], D

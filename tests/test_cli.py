@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from grasseff import chow, cones, orbits, ring_io
 from grasseff.cli import run_subcommand
 from grasseff.errors import DecompositionError, InputError, InternalError
-from grasseff.jsonio import MAX_DIGITS
+from grasseff.jsonio import MAX_DIGITS, canonical_dumps
 
 # stdout of `grasseff verify`, byte for byte
 VERIFY_STDOUT = Path(__file__).with_name("verify_stdout.json")
@@ -154,18 +155,21 @@ def test_orbits_list_and_check(capsys):
     assert code == 2 and out is None and "--k" in json.loads(err)["error"]
 
 
-# sha256 of the stdout of `orbits list --k 4`, pinning every dimension and incidence byte
-ORBITS_LIST_SHA256 = {
-    ("--dim", "2"): "23a7ea9f9df49ff1fa50d3a509a7f394503f7f1e23144ea75a1bf3ed7581f1c4",
-    ("--dim", "4"): "0cca78c1f252364aed411a61b948ea81fbd3bd727ff2a4859eb388c529cbc910",
-}
+# stdout of `orbits list --k 4 --dim d`: one printed orbit record per line, in order
+ORBITS_LIST = {("--dim", str(dim)): Path(__file__).with_name("orbits_list_k4_dim%d.jsonl" % dim)
+               for dim in (2, 4)}
 
 
-@pytest.mark.parametrize("argv", sorted(ORBITS_LIST_SHA256))
+@pytest.mark.parametrize("argv", sorted(ORBITS_LIST))
 def test_orbits_list_stdout_is_pinned(capsys, argv):
     assert run_subcommand(["orbits", "list", "--k", "4", *argv]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == ORBITS_LIST_SHA256[argv]
+    pinned = ORBITS_LIST[argv].read_text().splitlines()
+    printed = [canonical_dumps(record) for record in json.loads(out)["orbits"]]
+    for i, (line, want) in enumerate(itertools.zip_longest(printed, pinned)):
+        pairs = json.loads(want or line)["pairs"]
+        assert line == want, "orbit %d, pairs %s: printed %s, pinned %s" % (i, pairs, line, want)
+    assert out == '{"dim":%s,"k":4,"orbits":[%s]}\n' % (argv[1], ",".join(pinned))
 
 
 def test_orbits_list_refuses_k8_dim3_before_enumerating(capsys):
@@ -342,6 +346,9 @@ RING_DIGESTS = {
     (4, 8): "950fffbe17e057a94196dbf494b004e1b409b0413eab64291e5b59183829e659",
     (4, 9): "96e5e288cb9076d7a2f7ac6a977e51532b40e9ecdff2e31d9c6129eed0b02ab0",
 }
+# "k n block sha256" per block of those files: "basis", or "m1,m2" for the products of
+# grades m1 and m2, each printed product as in the file, joined by commas
+RING_BLOCKS = Path(__file__).with_name("ring_blocks.sha256")
 
 
 @pytest.mark.parametrize("k,n", sorted(RING_DIGESTS))
@@ -350,6 +357,19 @@ def test_export_ring_matches_pinned_digest(capsys, tmp_path, k, n):
     code, _, _ = run(capsys, "export-ring", "--k", str(k), "--n", str(n), "--cap", "20",
                      "--out", str(path))
     assert code == 0
+    table = json.loads(path.read_text())
+    blocks = {"basis": [canonical_dumps(table["basis"])]}
+    for prod in table["products"]:
+        blocks.setdefault("%d,%d" % (sum(prod["a"]), sum(prod["b"])), []).append(
+            canonical_dumps(prod))
+    pinned = {}
+    for line in RING_BLOCKS.read_text().splitlines():
+        k0, n0, block, digest = line.split()
+        if (int(k0), int(n0)) == (k, n):
+            pinned[block] = digest
+    for block in sorted(set(pinned) | set(blocks)):
+        got = hashlib.sha256(",".join(blocks.get(block, [])).encode()).hexdigest()
+        assert got == pinned.get(block), "G(%d,%d): block %s changed" % (k, n, block)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RING_DIGESTS[(k, n)]
 
 
@@ -362,6 +382,19 @@ def test_boolean_coordinate_in_class_file(capsys, tmp_path):
     assert code == 2 and out is None
     msg = json.loads(err)
     assert str(cls) in msg["error"] and "boolean" in msg["error"]
+
+
+def test_repeated_generator_label_is_refused(capsys, tmp_path):
+    # read with one label for both, the witness {"a": "1"} would not sum to the class
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"generators": [{"label": "a", "vector": [1, 0]},
+                                               {"label": "a", "vector": [0, 1]}]}))
+    cls = tmp_path / "v.json"
+    cls.write_text(json.dumps([1, 1]))
+    code, out, err = run(capsys, "cone", "check", "--generators", str(gens), "--class", str(cls))
+    assert code == 2 and out is None
+    [msg] = json_lines(err)
+    assert str(gens) in msg["error"] and "'a' is repeated" in msg["error"]
 
 
 def test_cone_with_no_generators(capsys, tmp_path):

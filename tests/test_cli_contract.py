@@ -163,8 +163,11 @@ def cone_docs(draw):
     names them or, for a pointed cone, a certificate separates the class."""
     d = draw(st.integers(0, 3))
     vecs = draw(st.lists(st.lists(COORD, min_size=d, max_size=d), min_size=1, max_size=4))
+    labels = ["v%d" % i for i in range(len(vecs))]
+    if len(vecs) > 1 and draw(st.integers(0, 3)) == 0:
+        labels[-1] = labels[0]  # a repeated label, which `cone check` refuses
     gens = vecs if draw(st.booleans()) else {
-        "generators": [{"label": "v%d" % i, "vector": v} for i, v in enumerate(vecs)],
+        "generators": [{"label": label, "vector": v} for label, v in zip(labels, vecs)],
         "dim": d, "basis": ["x%d" % i for i in range(d)]}
     if draw(st.booleans()):
         vector = draw(st.lists(COORD, min_size=d, max_size=d))
@@ -284,6 +287,14 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
+def repeated_label(doc) -> bool:
+    """True when a generator file gives one string label to two generators."""
+    gens = doc.get("generators") if isinstance(doc, dict) else None
+    labels = [g["label"] for g in gens if isinstance(g, dict) and isinstance(g.get("label"), str)] \
+        if isinstance(gens, list) else []
+    return len(set(labels)) < len(labels)
+
+
 def check_cone_stdout(files, code, out):
     """Re-check a printed `cone check` verdict against the two files, read with Fraction."""
     doc = files["--generators"]
@@ -296,12 +307,10 @@ def check_cone_stdout(files, code, out):
     if code == 0:
         assert printed["verdict"] == "in-span", printed
         witness = {label: Fraction(c) for label, c in printed["witness"].items()}
-        labels = [label for label, _ in gens]
-        assert set(witness) <= set(labels) and all(c >= 0 for c in witness.values()), printed
-        if len(set(labels)) == len(labels):  # a repeated label names no one generator
-            vectors = dict(gens)
-            assert [sum(c * vectors[label][i] for label, c in witness.items())
-                    for i in range(len(target))] == target, (printed, files)
+        vectors = dict(gens)  # labels are unique: a repeated one exits 2
+        assert set(witness) <= set(vectors) and all(c >= 0 for c in witness.values()), printed
+        assert [sum(c * vectors[label][i] for label, c in witness.items())
+                for i in range(len(target))] == target, (printed, files)
     else:
         assert printed["verdict"] == "not-in-span", printed
         phi = [Fraction(x) for x in printed["certificate"]]
@@ -321,6 +330,8 @@ def test_random_input_files_keep_the_contract(command, tmp_path_factory):
         args += [flag, str(path)]
     code, out, _ = run_checked(args)
     assert code == 0 or not member, (args, files)
+    if words[:2] == ["cone", "check"] and repeated_label(files["--generators"]):
+        assert code == 2, (args, files)
     if words[:2] == ["cone", "sgen"] and code in (0, 3):
         check_sgen_stdout(words, files["--class"], code, out)
     elif code in (0, 3):

@@ -241,6 +241,30 @@ def test_a_wrong_rule_witness_is_caught():
             cone_membership(replace(cone, rule=lambda v, w=wrong: ("witness", w)), target)
 
 
+@pytest.mark.parametrize("corrupt", ["bumped witness", "negative witness",
+                                     "certificate negative on a generator",
+                                     "non-separating certificate"])
+def test_a_wrong_simplex_answer_is_caught(monkeypatch, corrupt):
+    # generators e1, e2, beta_0 = (1, 0, -2), beta_1 = (1, -1, -1), beta_2 = (1, -2, 0)
+    cone = replace(cones.thm44_generators(2), rule=None)
+    target = (1, -1, -1)
+    kind, xnum, D = solve_nonneg_combination(cone.generators, target)
+    assert kind == "witness" and resums(cone, [Fraction(x, D) for x in xnum], target)
+    answers = {
+        "bumped witness": ("witness", [x + (j == 3) for j, x in enumerate(xnum)], D),
+        # e1 - e2 + beta_2 sums back to the target, over D = 2
+        "negative witness": ("witness", [2, -2, 0, 0, 2], 2),
+        # < 0 on the query (0, 1, 0), but also on e1
+        "certificate negative on a generator": ("certificate", [0, -2, 0], 2),
+        # >= 0 on every generator, but not < 0 on the query
+        "non-separating certificate": ("certificate", [2, 0, 0], 2),
+    }
+    query = {"certificate negative on a generator": (0, 1, 0)}.get(corrupt, target)
+    monkeypatch.setattr(cones, "solve_nonneg_combination", lambda gens, v: answers[corrupt])
+    with pytest.raises(InternalError, match="fails its re-check"):
+        cone_membership(cone, query)
+
+
 # one line per cone, json.dumps([labels, coordinates as str]): the vectors of
 # thm44_generators(2..6), whose labels are printed nowhere (null), then the labels and
 # vectors of quadric_cone(3..7)

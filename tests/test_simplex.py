@@ -10,6 +10,13 @@ from grasseff.errors import InternalError
 from grasseff.simplex import solve_nonneg_combination
 
 
+def solve(generators, target):
+    """solve_nonneg_combination's integer numerators divided by its denominator D > 0."""
+    kind, data, D = solve_nonneg_combination(generators, target)
+    assert type(D) is int and D > 0 and all(type(x) is int for x in data)
+    return kind, [Fraction(x, D) for x in data]
+
+
 def fraction_simplex(generators, target):
     """Reference: the same phase-1 simplex with Bland's rule over a Fraction tableau."""
     gens = [[Fraction(x) for x in g] for g in generators]
@@ -64,30 +71,29 @@ def fraction_simplex(generators, target):
 
 
 def assert_same_as_reference(gens, target):
-    got = solve_nonneg_combination(gens, target)
+    got = solve(gens, target)
     assert got == fraction_simplex(gens, target)
-    assert all(isinstance(v, Fraction) for v in got[1])
     return got
 
 
 def test_witness_simple():
-    kind, x = solve_nonneg_combination([(1, 0), (0, 1)], (3, 5))
+    kind, x = solve([(1, 0), (0, 1)], (3, 5))
     assert kind == "witness" and x == [3, 5]
 
 
 def test_certificate_simple():
-    kind, phi = solve_nonneg_combination([(1, 0), (0, 1)], (-1, 0))
+    kind, phi = solve([(1, 0), (0, 1)], (-1, 0))
     assert kind == "certificate"
     assert sum(p * t for p, t in zip(phi, (-1, 0))) < 0
 
 
 def test_zero_target_is_member():
-    kind, x = solve_nonneg_combination([(1, 2), (3, -1)], (0, 0))
+    kind, x = solve([(1, 2), (3, -1)], (0, 0))
     assert kind == "witness" and all(v == 0 for v in x)
 
 
 def test_rational_witness():
-    kind, x = solve_nonneg_combination([(2, 0), (0, 3)], (1, 1))
+    kind, x = solve([(2, 0), (0, 3)], (1, 1))
     assert kind == "witness" and x == [Fraction(1, 2), Fraction(1, 3)]
 
 
@@ -105,7 +111,7 @@ gen_lists = st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=6)
 def test_random_nonneg_combinations_are_witnessed(gens, weights):
     weights = (weights + [0] * len(gens))[:len(gens)]
     target = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(3))
-    kind, x = solve_nonneg_combination(gens, target)
+    kind, x = solve(gens, target)
     assert kind == "witness"
     for i in range(3):
         assert sum(xj * g[i] for xj, g in zip(x, gens)) == target[i]
@@ -114,7 +120,7 @@ def test_random_nonneg_combinations_are_witnessed(gens, weights):
 @settings(deadline=None, max_examples=150)
 @given(gen_lists, st.tuples(coords, coords, coords))
 def test_random_targets_always_resolve(gens, target):
-    kind, data = solve_nonneg_combination(gens, target)
+    kind, data = solve(gens, target)
     if kind == "witness":
         assert all(v >= 0 for v in data)
         for i in range(3):
@@ -133,8 +139,10 @@ def test_empty_generator_list():
 
 
 def test_drive_out_pivot_on_negative_entry():
-    # phase 1 ends with an artificial basic at level 0 whose row has -1 (then -3)
-    # in a generator column; driving it out pivots on a negative entry.
+    # phase 1 ends with an artificial basic at level 0 whose row has -1 (then -3) in a
+    # generator column. The reference drives it out, pivoting on a negative entry; the
+    # simplex has no drive-out loop, since a pivot on a row whose rhs is 0 moves no basic
+    # value, and its witness is the same.
     assert assert_same_as_reference([(1, 0), (0, -1)], (1, 0)) == ("witness", [1, 0])
     kind, x = assert_same_as_reference([(2, 0), (0, -3)], (1, 0))
     assert x == [Fraction(1, 2), 0]
