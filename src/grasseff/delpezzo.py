@@ -8,9 +8,14 @@ identically in q once q' = (9-N)(1/9 - q). D is not itself a lattice class:
 it is kept as the linear form C -> D.C, which on an integer class C is
 (C_h + sum C_e / 3) + (sum_{j>=2} C_f_j) sqrt(q) + C_f_1 sqrt(q'), and each
 check decides the exact sign of that number (`radicals.RadicalNumber.sign`,
-which clears denominators once and decides in ints). The classes a row
-pairs with D are fixed: they are built once per row (per N for the sample
-classes) and held as tuples.
+which clears denominators once and decides in ints). So D.C is fixed by C's
+pairing key, the integer triple (3 C_h + sum C_e, sum_{j>=2} C_f_j, C_f_1),
+and a row's 65-104 classes have only 9-11 distinct keys. The classes a
+row pairs with D are fixed: they and their keys are built once per process,
+on first use (per N for the sample classes), and held as tuples. One report
+(one D, one q) signs and prints each distinct key once, in a table that
+lives only as long as the report; the lattice check and the zero-pairing
+rule for effective samples are still judged class by class.
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from grasseff.errors import InputError
-from grasseff.radicals import RadicalNumber
+from grasseff.radicals import RadicalNumber, is_rational
+
+
+def _check_N(N) -> None:
+    """Refuse a lattice rank outside 1..8 (a bool is an int, but never an N)."""
+    if type(N) is not int or not (1 <= N <= 8):
+        raise InputError("N must be between 1 and 8")
 
 
 def lattice_class(N: int, h=0, e=(), f=()) -> tuple:
@@ -29,8 +40,7 @@ def lattice_class(N: int, h=0, e=(), f=()) -> tuple:
 
     An empty e or f stands for zeros; the class is returned as (h, e, f).
     """
-    if not (1 <= N <= 8):
-        raise InputError("N must be between 1 and 8")
+    _check_N(N)
     e, f = tuple(e) or (0,) * N, tuple(f) or (0,) * (10 - N)
     if len(e) != N or len(f) != 10 - N:
         raise InputError("expected %d e's and %d f's" % (N, 10 - N))
@@ -53,6 +63,7 @@ def qprime_of(N: int, q: Fraction) -> Fraction:
 
 def admissible_q_interval(N: int) -> tuple[Fraction, Fraction]:
     """Open interval of admissible q = delta^2 values."""
+    _check_N(N)
     return (Fraction(8 - N, 9 * (9 - N)), Fraction(1, 9))
 
 
@@ -66,20 +77,53 @@ class NullDivisor:
 
     def pair(self, c: tuple) -> RadicalNumber:
         """D.C = (C_h + sum C_e / 3) + (sum_{j>=2} C_f_j) sqrt(q) + C_f_1 sqrt(qp)."""
-        h, e, f = c
-        if len(e) != self.N:
+        self._check_lattice(c)
+        return self._pair_key(_pairing_key(c))
+
+    def _check_lattice(self, c: tuple) -> None:
+        if len(c[1]) != self.N:
             raise InputError("classes live in different lattices")
-        return RadicalNumber(Fraction(3 * h + sum(e), 3), sum(f[1:]), f[0], self.q, self.qp)
+
+    def _pair_key(self, key: tuple) -> RadicalNumber:
+        """D.C for a class with pairing key (t, b, c): t/3 + b sqrt(q) + c sqrt(qp)."""
+        t, b, c = key
+        return RadicalNumber(Fraction(t, 3), b, c, self.q, self.qp)
 
     def square(self) -> Fraction:
         """D.D = 1 - N/9 - qp - (9-N) q; the sqrt(q) sqrt(qp) cross terms never arise."""
         return 1 - Fraction(self.N, 9) - self.qp - (9 - self.N) * self.q
 
 
+def _pairing_key(c: tuple) -> tuple:
+    """The integer triple (3 C_h + sum C_e, sum_{j>=2} C_f_j, C_f_1); it fixes D.C for every D."""
+    h, e, f = c
+    return 3 * h + sum(e), sum(f[1:]), f[0]
+
+
+def _keyed(classes) -> tuple:
+    """Each class with its pairing key, as (class, key) pairs."""
+    return tuple((c, _pairing_key(c)) for c in classes)
+
+
+class _PairingTable(dict):
+    """One report's pairings: a pairing key -> (sign, repr) of D.C, each decided once."""
+
+    def __init__(self, D: NullDivisor):
+        super().__init__()
+        self.D = D
+
+    def __missing__(self, key):
+        val = self.D._pair_key(key)
+        entry = self[key] = (val.sign(), repr(val))
+        return entry
+
+
 def build_D_delta(N: int, q) -> NullDivisor:
     """h - (1/3) sum e_i - sqrt(q') f_1 - sqrt(q) f_j (j >= 2), with q' tied to q."""
-    q = Fraction(q)
+    if not is_rational(q):
+        raise InputError("q must be an int or a Fraction, got %r" % (q,))
     lo, hi = admissible_q_interval(N)
+    q = Fraction(q)
     if not (lo < q < hi):
         raise InputError(
             "q outside the open interval: need sqrt((8-N)/(9(9-N))) < delta < 1/3, "
@@ -95,10 +139,10 @@ def d_squared_symbolic(N: int) -> tuple[Fraction, Fraction]:
     return (const, linear)
 
 
-def _check(name, ok, value=None):
+def _check(name, ok, text=None):
     entry = {"name": name, "status": "pass" if ok else "fail"}
-    if value is not None:
-        entry["value"] = repr(value)
+    if text is not None:
+        entry["value"] = text
     return entry
 
 
@@ -108,21 +152,22 @@ def verify_nef_conditions(N: int, q) -> dict:
     The K-nonnegative half of nefness needs the blown-up-plane interpolation
     conjecture; it is recorded as an assumption, never computed.
     """
-    return _nef_report(build_D_delta(N, q))
+    D = build_D_delta(N, q)
+    return _nef_report(D, _PairingTable(D))
 
 
-def _nef_report(D: NullDivisor) -> dict:
+def _nef_report(D: NullDivisor, table: _PairingTable) -> dict:
     N, q = D.N, D.q
     basis = _samples(N)
     checks = [
         _check("D.D == 0", D.square() == 0),
-        _check("D.h > 0", D.pair(basis[0]).sign() > 0),
+        _check("D.h > 0", table[basis[0][1]][0] > 0),
     ]
     for a in range(10):
         label = "e%d" % (a + 1) if a < N else "f%d" % (a - N + 1)
-        checks.append(_check("D.%s > 0" % label, D.pair(basis[a + 1]).sign() > 0))
-    checks.append(_check("9q < 1", 9 * q < 1, 9 * q))
-    checks.append(_check("9q' < 1", 9 * D.qp < 1, 9 * D.qp))
+        checks.append(_check("D.%s > 0" % label, table[basis[a + 1][1]][0] > 0))
+    checks.append(_check("9q < 1", 9 * q < 1, repr(9 * q)))
+    checks.append(_check("9q' < 1", 9 * D.qp < 1, repr(9 * D.qp)))
     const, linear = d_squared_symbolic(N)
     checks.append(_check("D.D == 0 identically in q", const == 0 and linear == 0))
     return {
@@ -143,21 +188,28 @@ def check_lemma65(D: NullDivisor, kernel_gens, gamma_gens, sample_eff_gens) -> d
     classes, equality allowed only for rational multiples of D's rational
     projection. Full nefness over the whole effective cone is assumed (SHGH).
     """
+    return _lemma65(D, _PairingTable(D), _keyed(kernel_gens), _keyed(gamma_gens),
+                    _keyed(sample_eff_gens))
+
+
+def _lemma65(D: NullDivisor, table: _PairingTable, kernel, gamma, samples) -> dict:
+    """check_lemma65 on (class, pairing key) pairs, every sign read from the report's table."""
+    for c, _ in itertools.chain(kernel, gamma, samples):
+        D._check_lattice(c)
     checks = [
         _check("D.D == 0", D.square() == 0),
-        _check("D.h > 0", D.pair(_samples(D.N)[0]).sign() > 0),
+        _check("D.h > 0", table[_samples(D.N)[0][1]][0] > 0),
     ]
-    for idx, c in enumerate(kernel_gens):
-        val = D.pair(c)
-        checks.append(_check("kernel[%d]: D.C == 0" % idx, val.sign() == 0, val))
-    for idx, c in enumerate(gamma_gens):
-        val = D.pair(c)
-        checks.append(_check("gamma[%d]: D.C > 0" % idx, val.sign() > 0, val))
-    for idx, c in enumerate(sample_eff_gens):
-        val = D.pair(c)
-        s = val.sign()
+    for idx, (_, key) in enumerate(kernel):
+        s, text = table[key]
+        checks.append(_check("kernel[%d]: D.C == 0" % idx, s == 0, text))
+    for idx, (_, key) in enumerate(gamma):
+        s, text = table[key]
+        checks.append(_check("gamma[%d]: D.C > 0" % idx, s > 0, text))
+    for idx, (c, key) in enumerate(samples):
+        s, text = table[key]
         ok = s > 0 or (s == 0 and _is_rational_multiple_of_projection(c))
-        checks.append(_check("effective sample[%d]: D.C >= 0" % idx, ok, val))
+        checks.append(_check("effective sample[%d]: D.C >= 0" % idx, ok, text))
     return {
         "N": D.N,
         "checks": checks,
@@ -240,22 +292,24 @@ def gamma_classes(case: FanoCase) -> tuple[list[tuple], list[int]]:
 
 def sample_effective_classes(N: int) -> list[tuple]:
     """A spot-check list of effective classes: the basis and the (-1)-lines."""
-    return list(_samples(N))
+    return [c for c, _ in _samples(N)]
 
 
 @lru_cache(maxsize=8)  # one entry per N; a bad N raises and is not kept
 def _samples(N: int) -> tuple:
-    """h, e_1..e_N, f_1..f_{10-N}, then the (-1)-lines h - x_a - x_b, built once per N."""
-    return ((_unit_sum(N, 1),) + tuple(_unit_sum(N, 0, (1, a)) for a in range(10))
-            + tuple(_unit_sum(N, 1, (-1, a), (-1, b))
-                    for a, b in itertools.combinations(range(10), 2)))
+    """h, e_1..e_N, f_1..f_{10-N}, then the (-1)-lines h - x_a - x_b, each with its
+    pairing key, built once per N."""
+    return _keyed((_unit_sum(N, 1),) + tuple(_unit_sum(N, 0, (1, a)) for a in range(10))
+                  + tuple(_unit_sum(N, 1, (-1, a), (-1, b))
+                          for a, b in itertools.combinations(range(10), 2)))
 
 
 @lru_cache(maxsize=len(FANO_TABLE))  # one entry per row
 def _row_classes(case: FanoCase) -> tuple:
-    """A row's kernel classes, Gamma classes and dropped Gamma indices, built once."""
+    """A row's kernel and Gamma classes, each with its pairing key, and its dropped
+    Gamma indices, built once."""
     gamma, dropped = gamma_classes(case)
-    return tuple(kernel_classes(case)), tuple(gamma), tuple(dropped)
+    return _keyed(kernel_classes(case)), _keyed(gamma), tuple(dropped)
 
 
 def verify_case(name: str, q) -> dict:
@@ -263,9 +317,10 @@ def verify_case(name: str, q) -> dict:
     case = fano_case(name)
     N = case.N
     D = build_D_delta(N, q)
-    nef = _nef_report(D)
+    table = _PairingTable(D)
+    nef = _nef_report(D, table)
     kern, gamma, dropped = _row_classes(case)
-    lemma = check_lemma65(D, kern, gamma, _samples(N))
+    lemma = _lemma65(D, table, kern, gamma, _samples(N))
     report = {
         "case": name,
         "degree": case.degree,

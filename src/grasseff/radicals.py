@@ -1,12 +1,12 @@
 """Exact sign of a + b*sqrt(q) + c*sqrt(q') for rational a, b, c and positive rational q, q'.
 
-A RadicalNumber is a value, not a ring element: the Fano checks build one per
-pairing from integer sums (see `delpezzo.NullDivisor.pair`) and ask for its
-sign. The sign is decided in integers: with q = n1/d1, q' = n2/d2 and L the
-product of the denominators of a, b and c, multiplying by L*d1*d2 > 0 turns
-the value into A + B*sqrt(n1*d1) + C*sqrt(n2*d2) with A, B, C ints, and the
-case analysis compares squares of ints. No floating point, no Fraction
-arithmetic.
+A RadicalNumber is a value, not a ring element: one Fano report builds one
+per distinct pairing key (see `delpezzo.NullDivisor.pair`), then signs it
+once and prints it once. The sign is decided in integers: with q = n1/d1,
+q' = n2/d2 and L the product of the denominators of a, b and c, multiplying
+by L*d1*d2 > 0 turns the value into A + B*sqrt(n1*d1) + C*sqrt(n2*d2) with
+A, B, C ints, and the case analysis compares squares of ints. No floating
+point, no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ from fractions import Fraction
 from grasseff.errors import InputError
 
 _FIELDS = ("a", "b", "c", "q", "qp")
+
+
+def is_rational(x) -> bool:
+    """An int or a Fraction: the exact values admitted. A bool is an int, but never one."""
+    return type(x) is int or isinstance(x, Fraction)
 
 
 @dataclass(frozen=True)
@@ -31,8 +36,7 @@ class RadicalNumber:
 
     def __post_init__(self):
         for name, x in zip(_FIELDS, (self.a, self.b, self.c, self.q, self.qp)):
-            # a bool is an int, but never a coefficient
-            if type(x) is not int and not isinstance(x, Fraction):
+            if not is_rational(x):
                 raise InputError("RadicalNumber.%s must be an int or a Fraction, got %r"
                                  % (name, x))
         if self.q.numerator <= 0 or self.qp.numerator <= 0:

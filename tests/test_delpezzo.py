@@ -1,6 +1,7 @@
 import hashlib
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,109 @@ def test_reports_are_pinned_byte_for_byte():
             changed.append("%s t=%d %s" % key)
     assert not changed, "reports differ from their pinned bytes: " + "; ".join(changed)
     assert keys == list(pinned)
+
+
+# The sign-decided checks of a report, recomputed class by class with D.pair;
+# the report reads each distinct pairing key once from a per-report table.
+RATIONAL_CHECKS = {"D.D == 0", "9q < 1", "9q' < 1", "D.D == 0 identically in q"}
+
+
+def _pairing_oracle(case, D):
+    """check name -> (status, value) from D.pair(c).sign() and repr(D.pair(c)), per class."""
+    samples = sample_effective_classes(case.N)
+    gamma, _ = gamma_classes(case)
+
+    def entry(ok, val=None):
+        return ("pass" if ok else "fail"), (None if val is None else repr(val))
+    out = {"D.h > 0": entry(D.pair(samples[0]).sign() > 0)}
+    for a in range(10):
+        label = "e%d" % (a + 1) if a < case.N else "f%d" % (a - case.N + 1)
+        out["D.%s > 0" % label] = entry(D.pair(samples[a + 1]).sign() > 0)
+    for idx, c in enumerate(kernel_classes(case)):
+        val = D.pair(c)
+        out["kernel[%d]: D.C == 0" % idx] = entry(val.sign() == 0, val)
+    for idx, c in enumerate(gamma):
+        val = D.pair(c)
+        out["gamma[%d]: D.C > 0" % idx] = entry(val.sign() > 0, val)
+    for idx, c in enumerate(samples):
+        val = D.pair(c)
+        s = val.sign()
+        ok = s > 0 or (s == 0 and delpezzo._is_rational_multiple_of_projection(c))
+        out["effective sample[%d]: D.C >= 0" % idx] = entry(ok, val)
+    return out
+
+
+def test_every_check_matches_the_per_class_pairing():
+    bad = []
+    for case in FANO_TABLE:
+        lo, hi = admissible_q_interval(case.N)
+        for t in range(1, 17):
+            q = lo + (hi - lo) * Fraction(t, 17)
+            oracle = _pairing_oracle(case, build_D_delta(case.N, q))
+            seen = set()
+            for report in (verify_case(case.name, q), verify_nef_conditions(case.N, q)):
+                for check in report["checks"]:
+                    name = check["name"]
+                    if name in RATIONAL_CHECKS:
+                        continue
+                    seen.add(name)
+                    got = (check["status"], check.get("value"))
+                    if got != oracle.get(name):
+                        bad.append("%s t=%d %s: %r, per class %r"
+                                   % (case.name, t, name, got, oracle.get(name)))
+            missing = set(oracle) - seen
+            if missing:
+                bad.append("%s t=%d: no check named %s" % (case.name, t, sorted(missing)))
+    assert not bad, "; ".join(bad[:10])
+
+
+def test_samples_with_one_pairing_key_keep_their_own_verdicts():
+    D = build_D_delta(4, Fraction(1, 10))
+    projection = lattice_class(4)                  # 0, a multiple of the projection
+    kernel_like = lattice_class(4, h=1, e=[-3, 0, 0, 0])
+    assert delpezzo._pairing_key(projection) == delpezzo._pairing_key(kernel_like) == (0, 0, 0)
+    for samples, statuses in (([projection, kernel_like], ["pass", "fail"]),
+                              ([kernel_like, projection], ["fail", "pass"])):
+        report = delpezzo.check_lemma65(D, [], [], samples)
+        got = [c["status"] for c in report["checks"] if c["name"].startswith("effective")]
+        assert got == statuses
+        assert not report["ok"]
+
+
+def test_a_wrong_lattice_class_is_refused_after_one_with_its_pairing_key():
+    D = build_D_delta(4, Fraction(1, 10))
+    for other in (lattice_class(5, h=1), lattice_class(3, h=1)):
+        assert delpezzo._pairing_key(other) == delpezzo._pairing_key(lattice_class(4, h=1))
+        for gens in (([lattice_class(4, h=1), other], [], []),
+                     ([], [lattice_class(4, h=1)], [other]),
+                     ([], [], [lattice_class(4, h=1), other])):
+            with pytest.raises(InputError, match="different lattices"):
+                delpezzo.check_lemma65(D, *gens)
+
+
+@pytest.mark.parametrize("N", [0, 9, 10, -1, True, 4.0, "4"])
+def test_lattice_rank_outside_one_to_eight_is_refused(N):
+    for call in (lambda: admissible_q_interval(N), lambda: build_D_delta(N, Fraction(1, 10)),
+                 lambda: verify_nef_conditions(N, Fraction(1, 10)),
+                 lambda: sample_admissible_q(N), lambda: lattice_class(N)):
+        with pytest.raises(InputError, match="N must be between 1 and 8"):
+            call()
+
+
+@pytest.mark.parametrize("q", [0.1, True, False, "1/10", None, Decimal("0.1")])
+def test_q_must_be_an_int_or_a_fraction(q):
+    with pytest.raises(InputError, match="q must be an int or a Fraction"):
+        build_D_delta(3, q)
+    with pytest.raises(InputError, match="q must be an int or a Fraction"):
+        verify_case("cubic", q)
+    with pytest.raises(InputError, match="q must be an int or a Fraction"):
+        verify_nef_conditions(3, q)
+
+
+def test_int_and_fraction_q_are_admitted():
+    with pytest.raises(InputError, match="q outside the open interval"):
+        build_D_delta(3, 0)
+    assert build_D_delta(3, Fraction(1, 10)).q == Fraction(1, 10)
 
 
 def test_sextic_report_notes_dropped_indices():
