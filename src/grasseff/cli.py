@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import warnings
+from fractions import Fraction
 from functools import partial
 
 from grasseff import blowup, chow, cones, delpezzo, jsonio, multiplicity, orbits, ring_io, verify
@@ -134,13 +135,15 @@ def _vector_from_json(data) -> tuple:
 
 
 def _membership_report(cone, result) -> dict:
-    out = {"verdict": result.verdict}
-    if result.witness is not None:
-        out["witness"] = {label: jsonio.frac_str(x)
-                          for label, x in zip(cone.labels, result.witness) if x != 0}
-    if result.certificate is not None:
-        out["certificate"] = [jsonio.frac_str(x) for x in result.certificate]
-    return out
+    """The verdict, and the witness's nonzero coefficients or the certificate, read off
+    the result's numerators over D."""
+    D = result.D
+    if result.is_member:
+        return {"verdict": result.verdict,
+                "witness": {label: jsonio.frac_str(Fraction(x, D))
+                            for label, x in zip(cone.labels, result.num) if x}}
+    return {"verdict": result.verdict,
+            "certificate": [jsonio.frac_str(Fraction(x, D)) for x in result.num]}
 
 
 def cmd_cone_check(args) -> int:

@@ -14,10 +14,12 @@ rule that answers every integer query: a violated inequality of the cone
 cone's own decomposition (Lemma 4.1, Lemma 4.2, the quadric greedy) is the
 witness. Membership has one path: the rule answers in integers, or else the
 simplex (`cone check` cones, non-integral members) in integers over its
-denominator D; either answer is re-checked once by substitution (a
+denominator D, on the cone's tableau block, scaled once on the cone's first
+simplex query; either answer is re-checked once by substitution (a
 certificate < 0 on the query and >= 0 on every generator, a witness >= 0 with
-sum c_j g_j equal to D times the query, D = 1 for a rule) and only then
-converted to Fractions.
+sum c_j g_j equal to D times the query, D = 1 for a rule) and kept as those
+numerators over D. Fractions are built only when a witness or certificate is
+read.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from grasseff import chow
@@ -34,7 +37,7 @@ from grasseff.blowup import BlowupClass, BlowupCtx, blow_class
 from grasseff.chow import GrassCtx
 from grasseff.errors import DecompositionError, InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS
-from grasseff.simplex import solve_nonneg_combination
+from grasseff.simplex import solve_nonneg_combination, tableau_block
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,9 @@ class ConeSpec:
     rule, if set, answers a query in integers, ("witness", coefficients per
     generator) or ("certificate", a normal), or passes it over with None; the
     simplex gives the same two kinds as integer numerators over its own
-    denominator, and cone_membership re-checks either one.
+    denominator, and cone_membership re-checks either one. block, the simplex's
+    scaled generators, is built on the first query that reaches the simplex and
+    lives as long as the cone; a cone whose rule answers never builds it.
     """
 
     dim: int
@@ -64,16 +69,36 @@ class ConeSpec:
             seen.setdefault(vec, label)
         return ConeSpec(dim, tuple(basis_labels), tuple(seen.values()), tuple(seen))
 
+    @cached_property
+    def block(self):
+        return tableau_block(self.dim, self.generators)
+
 
 @dataclass(frozen=True)
 class MembershipResult:
-    verdict: str  # "in-span" or "not-in-span"
-    witness: tuple | None          # coefficients per generator, summing to the query
-    certificate: tuple | None      # functional >= 0 on generators, < 0 on the query
+    """A re-checked answer as integer numerators num over D > 0: per generator for a
+    witness ("in-span"), per coordinate for a certificate ("not-in-span")."""
+
+    verdict: str
+    num: tuple
+    D: int
 
     @property
     def is_member(self) -> bool:
         return self.verdict == "in-span"
+
+    @property
+    def witness(self) -> tuple | None:
+        """Coefficients per generator as Fractions, summing to the query."""
+        return self._fractions() if self.is_member else None
+
+    @property
+    def certificate(self) -> tuple | None:
+        """A functional as Fractions, >= 0 on the generators and < 0 on the query."""
+        return None if self.is_member else self._fractions()
+
+    def _fractions(self) -> tuple:
+        return tuple(Fraction(x, self.D) for x in self.num)
 
 
 def _dot(u, v):
@@ -106,13 +131,10 @@ def cone_membership(cone: ConeSpec, v) -> MembershipResult:
     if len(v) != cone.dim:
         raise InputError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
     answer = cone.rule(v) if cone.rule else None
-    kind, data, D = answer + (1,) if answer else solve_nonneg_combination(cone.generators, v)
+    kind, data, D = answer + (1,) if answer else solve_nonneg_combination(cone.block, v)
     if not _answer_holds(cone, v, kind, data, D):
         raise InternalError("internal: %s %s fails its re-check on %s" % (kind, data, v))
-    data = tuple(map(Fraction, data)) if D == 1 else tuple(Fraction(x, D) for x in data)
-    if kind == "witness":
-        return MembershipResult("in-span", data, None)
-    return MembershipResult("not-in-span", None, data)
+    return MembershipResult("in-span" if kind == "witness" else "not-in-span", tuple(data), D)
 
 
 # ---------------------------------------------------------------------------

@@ -106,11 +106,13 @@ def _keyed(classes) -> tuple:
 
 
 class _PairingTable(dict):
-    """One report's pairings: a pairing key -> (sign, repr) of D.C, each decided once."""
+    """One report's pairings: a pairing key -> (sign, repr) of D.C, each decided once;
+    square is D.D, also computed once per report."""
 
     def __init__(self, D: NullDivisor):
         super().__init__()
         self.D = D
+        self.square = D.square()
 
     def __missing__(self, key):
         val = self.D._pair_key(key)
@@ -160,7 +162,7 @@ def _nef_report(D: NullDivisor, table: _PairingTable) -> dict:
     N, q = D.N, D.q
     basis = _samples(N)
     checks = [
-        _check("D.D == 0", D.square() == 0),
+        _check("D.D == 0", table.square == 0),
         _check("D.h > 0", table[basis[0][1]][0] > 0),
     ]
     for a in range(10):
@@ -197,7 +199,7 @@ def _lemma65(D: NullDivisor, table: _PairingTable, kernel, gamma, samples) -> di
     for c, _ in itertools.chain(kernel, gamma, samples):
         D._check_lattice(c)
     checks = [
-        _check("D.D == 0", D.square() == 0),
+        _check("D.D == 0", table.square == 0),
         _check("D.h > 0", table[_samples(D.N)[0][1]][0] > 0),
     ]
     for idx, (_, key) in enumerate(kernel):

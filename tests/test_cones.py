@@ -248,7 +248,7 @@ def test_a_wrong_simplex_answer_is_caught(monkeypatch, corrupt):
     # generators e1, e2, beta_0 = (1, 0, -2), beta_1 = (1, -1, -1), beta_2 = (1, -2, 0)
     cone = replace(cones.thm44_generators(2), rule=None)
     target = (1, -1, -1)
-    kind, xnum, D = solve_nonneg_combination(cone.generators, target)
+    kind, xnum, D = solve_nonneg_combination(cone.block, target)
     assert kind == "witness" and resums(cone, [Fraction(x, D) for x in xnum], target)
     answers = {
         "bumped witness": ("witness", [x + (j == 3) for j, x in enumerate(xnum)], D),
@@ -260,9 +260,53 @@ def test_a_wrong_simplex_answer_is_caught(monkeypatch, corrupt):
         "non-separating certificate": ("certificate", [2, 0, 0], 2),
     }
     query = {"certificate negative on a generator": (0, 1, 0)}.get(corrupt, target)
-    monkeypatch.setattr(cones, "solve_nonneg_combination", lambda gens, v: answers[corrupt])
+    monkeypatch.setattr(cones, "solve_nonneg_combination", lambda block, v: answers[corrupt])
     with pytest.raises(InternalError, match="fails its re-check"):
         cone_membership(cone, query)
+
+
+def sparse(length, entries):
+    """A tuple of Fractions, zero except at the given positions."""
+    return tuple(Fraction(entries.get(j, 0)) for j in range(length))
+
+
+# (cone, query, verdict, witness or certificate as the answers read before they were kept
+# as numerators over D): rule answers of the three paper cones, and simplex answers over
+# D = 1 and D > 1, with and without denominators the generators lack
+MEMBERSHIP_PINS = [
+    (lambda: cones.thm44_generators(3), (2, -3, -1), "in-span",
+     sparse(6, {1: 2, 2: 1, 5: 1})),
+    (lambda: cones.thm44_generators(3), (1, -3, -2), "not-in-span", sparse(3, {0: 3, 1: 1, 2: 1})),
+    (lambda: cones.thm44_generators(2), (Fraction(1, 2), 0, 0), "in-span",
+     sparse(5, {1: 1, 2: Fraction(1, 2)})),
+    (lambda: replace(cones.thm44_generators(2), rule=None), (Fraction(1, 2), -1, 0), "in-span",
+     sparse(5, {4: Fraction(1, 2)})),
+    (lambda: cones.sgen_cycle_cone(G24, 2, 3), (1, 1, -1, -1, -1), "not-in-span",
+     sparse(5, dict.fromkeys(range(5), 1))),
+    (lambda: cones.sgen_cycle_cone(G24, 2, 2), (3, 2, -1, 2), "in-span",
+     sparse(8, {0: 2, 1: 1, 3: 2, 7: 2})),
+    (lambda: cones.quadric_cone(5), (3, -1, -1, -1, -1, -1), "not-in-span",
+     sparse(6, {0: 3, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2})),
+    (lambda: cones.quadric_cone(5), (5, -2, -1, -1, -1, 0), "in-span",
+     sparse(21, {0: 1, 6: 1, 9: 1, 11: 1})),
+    (lambda: replace(cones.quadric_cone(7), rule=None),
+     (Fraction(9, 2), Fraction(-1, 2), -1, -1, -1, -1, -1, Fraction(-1, 3)), "in-span",
+     sparse(50, {12: Fraction(1, 2), 13: 1, 14: Fraction(1, 3), 17: Fraction(1, 6),
+                 21: Fraction(1, 6), 24: Fraction(1, 6), 30: Fraction(5, 6)})),
+    (lambda: replace(cones.quadric_cone(4), rule=None), (3, -2, -1, -1, -1), "not-in-span",
+     sparse(5, {0: Fraction(3, 2), 1: 1, 2: 1, 3: 1, 4: 1})),
+]
+
+
+@pytest.mark.parametrize("make_cone, query, verdict, expected", MEMBERSHIP_PINS)
+def test_membership_reads_back_the_same_fractions(make_cone, query, verdict, expected):
+    res = cone_membership(make_cone(), query)
+    assert res.verdict == verdict
+    answer, other = (res.witness, res.certificate) if res.is_member else \
+        (res.certificate, res.witness)
+    assert answer == expected and other is None
+    assert all(type(x) is Fraction for x in answer)
+    assert answer == tuple(Fraction(x, res.D) for x in res.num)
 
 
 # one line per cone, json.dumps([labels, coordinates as str]): the vectors of
@@ -512,7 +556,7 @@ def test_quadric_rule_agrees_with_the_simplex_and_never_calls_it(monkeypatch):
         for a, bs in quadric_queries(r, rng):
             v = (a, *(-b for b in bs))
             res = cone_membership(cone, v)
-            assert res.is_member == (solve_nonneg_combination(cone.generators, v)[0] == "witness")
+            assert res.is_member == (solve_nonneg_combination(cone.block, v)[0] == "witness")
             if not res.is_member:
                 forms.add(facet_form(res.certificate))
     assert forms == {0, 1, 2, 3, 4}

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasseff.cli import run_subcommand
+from grasseff.cones import ConeSpec, cone_membership
 from grasseff.errors import InternalError
-from grasseff.simplex import solve_nonneg_combination
+from grasseff.linalg import pivot
+from grasseff.simplex import solve_nonneg_combination, tableau_block
 
 
 def solve(generators, target):
     """solve_nonneg_combination's integer numerators divided by its denominator D > 0."""
-    kind, data, D = solve_nonneg_combination(generators, target)
+    kind, data, D = solve_nonneg_combination(tableau_block(len(target), generators), target)
     assert type(D) is int and D > 0 and all(type(x) is int for x in data)
     return kind, [Fraction(x, D) for x in data]
 
@@ -99,7 +103,9 @@ def test_rational_witness():
 
 def test_dimension_mismatch():
     with pytest.raises(InternalError):
-        solve_nonneg_combination([(1, 0, 0)], (1, 0))
+        tableau_block(2, [(1, 0, 0)])
+    with pytest.raises(InternalError):
+        solve_nonneg_combination(tableau_block(3, [(1, 0, 0)]), (1, 0))
 
 
 coords = st.integers(min_value=-4, max_value=4)
@@ -202,3 +208,79 @@ def test_matches_fraction_tableau(instance):
         assert len(data) == len(gens)
     else:
         assert len(data) == len(target)
+
+
+def per_query_simplex(generators, target):
+    """Reference: the same simplex with its whole tableau built on every query (the lcm of
+    every denominator, the scaled generators, their transpose and the cost row), as
+    solve_nonneg_combination did before the generator part was kept in a block."""
+    dim = len(target)
+    n = len(generators)
+    L = math.lcm(1, *(x.denominator for x in target),
+                 *(x.denominator for g in generators for x in g))
+    G = [[x.numerator * (L // x.denominator) for x in g] for g in generators]
+    b = [x.numerator * (L // x.denominator) for x in target]
+    ncols = n + dim
+    M = []
+    for i in range(dim):
+        s = -1 if b[i] < 0 else 1
+        M.append([s * g[i] for g in G] + [int(j == i) for j in range(dim)] + [s * b[i]])
+    cost = [-sum(col) for col in zip(*M)] if M else [0] * (ncols + 1)
+    for j in range(n, ncols):
+        cost[j] += 1
+    M.append(cost)
+    basis = [n + i for i in range(dim)]
+    D = 1
+    while True:
+        entering = next((j for j in range(ncols) if M[dim][j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        for i in range(dim):
+            a = M[i][entering]
+            if a > 0:
+                rhs = M[i][ncols]
+                if leaving is None or rhs * best_a < best_rhs * a or (
+                        rhs * best_a == best_rhs * a and basis[i] < basis[leaving]):
+                    leaving, best_rhs, best_a = i, rhs, a
+        D = pivot(M, D, leaving, entering)
+        basis[leaving] = entering
+    if M[dim][ncols] == 0:
+        xnum = [0] * n
+        for i in range(dim):
+            if basis[i] < n:
+                xnum[basis[i]] = M[i][ncols]
+        return "witness", xnum, D
+    return "certificate", [(D - M[dim][n + i]) * (1 if b[i] < 0 else -1) for i in range(dim)], D
+
+
+def test_a_reused_block_answers_as_a_per_query_build():
+    # one rule-less cone answers a seeded run of queries from the block its first query
+    # built: members and non-members of mixed sign, some with denominators the generators
+    # lack (the block is rescaled for those), on int and Fraction generators and on none
+    rng = random.Random(24)
+    int_gens = [(1, 0, 2), (0, 3, -1), (2, -1, 0), (1, 1, 1), (-1, 0, 4)]
+    frac_gens = [(Fraction(1, 2), 0, Fraction(2, 3)), (0, Fraction(3, 2), -1),
+                 (Fraction(-1, 3), 1, Fraction(1, 2)), (1, Fraction(1, 6), 0)]
+    for gens in (int_gens, frac_gens, []):
+        cone = ConeSpec.build(3, ("x", "y", "z"), [("g%d" % j, g) for j, g in enumerate(gens)])
+        kinds, lacking = set(), 0
+        for _ in range(80):
+            den = rng.choice((1, 1, 2, 5, 7))  # 5 and 7 divide no generator's denominator
+            if rng.random() < 0.1:
+                target = (0, 0, 0)
+            elif gens and rng.random() < 0.5:
+                weights = [Fraction(rng.randint(0, 4), rng.choice((1, den))) for _ in gens]
+                target = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(3))
+            else:
+                target = tuple(Fraction(rng.randint(-6, 6), den) for _ in range(3))
+            if den == 1 and rng.random() < 0.5:
+                target = tuple(int(x) for x in target)
+            res = cone_membership(cone, target)
+            kind, num, D = per_query_simplex(gens, target)
+            assert (res.verdict, res.num, res.D) == \
+                ("in-span" if kind == "witness" else "not-in-span", tuple(num), D), target
+            kinds.add(kind)
+            lacking += any(Fraction(x).denominator in (5, 7) for x in target)
+        assert cone.block == tableau_block(3, cone.generators)
+        assert kinds == {"witness", "certificate"} and lacking >= 10
