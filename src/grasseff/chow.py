@@ -8,12 +8,14 @@ products reuses its own smaller entries, and since each call removes a
 row, the recursion is at most l(lam) + l(mu) deep. Correctness is testable
 by Poincare duality. All coefficients are Python ints (arbitrary precision).
 
-Validation happens at the API boundary: `GrassCtx.partition` and every
-`ChowClass` check their partitions. Inside, products and the Pieri fold
-`_fold` (which serves the degree) run on plain part tuples, which
-interlacing keeps inside the box. `_boxed` turns a result's tuples into
-BoxedPartitions, each validated once and then reused. Every memo here holds
-at most `MEMO_CAP` entries, the one cap, defined in `partitions`.
+Validation happens at the API boundary: `GrassCtx.partition` and the
+public `ChowClass(...)` constructor check their partitions. Inside,
+products and the Pieri fold `_fold` (which serves the degree) run on plain
+part tuples, which interlacing keeps inside the box. `multiply` and `pieri`
+build their result once, through `_chow_class`, which trusts those tuples:
+`_boxed` turns each into a BoxedPartition, validated the first time it is
+seen and then reused. Every memo here holds at most `MEMO_CAP` entries,
+the one cap, defined in `partitions`.
 """
 
 from __future__ import annotations
@@ -67,9 +69,7 @@ class ChowClass:
     __slots__ = ("ctx", "codim", "coeffs")
 
     def __init__(self, ctx: GrassCtx, codim: int, coeffs: dict):
-        if not (0 <= codim <= ctx.dim):
-            # classes beyond the box are identically zero; normalize to that
-            coeffs = {}
+        # an empty class keeps any codim: products beyond the box are zero
         for lam in coeffs:
             if lam.size != codim or lam.box_k != ctx.k or lam.box_w != ctx.w:
                 raise InputError("partition %s does not live in codim %d of G(%d,%d)"
@@ -140,8 +140,18 @@ def _boxed(parts: tuple[int, ...], k: int, w: int) -> BoxedPartition:
 
 
 def _chow_class(ctx: GrassCtx, codim: int, terms: dict) -> ChowClass:
-    """A ChowClass from a dict of part tuples to coefficients."""
-    return ChowClass(ctx, codim, {_boxed(nu, ctx.k, ctx.w): c for nu, c in terms.items()})
+    """The ChowClass of a dict from part tuples to coefficients, trusted.
+
+    The tuples come from `_pieri_parts` or `_product_parts`, whose
+    interlacing keeps each inside the box with size codim, so the per-term
+    checks of `ChowClass.__init__` are skipped: `_boxed` validates each tuple
+    the first time it is seen. Zero coefficients are dropped here, once.
+    """
+    k, w = ctx.k, ctx.w
+    cls = object.__new__(ChowClass)
+    cls.ctx, cls.codim = ctx, codim
+    cls.coeffs = {_boxed(nu, k, w): c for nu, c in terms.items() if c}
+    return cls
 
 
 def pieri(ctx: GrassCtx, special: int, mu: BoxedPartition) -> ChowClass:
@@ -269,7 +279,8 @@ def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> tuple:
     sigma_lam * sigma_mu = sum_{i=1..l} (-1)^(l-i) sigma_{lam_i + l - i} * (sigma_nu(i) * sigma_mu),
     where the minor nu(i) drops row i and takes 1 from each part below it.
     A term with lam_i + l - i > w vanishes. Each minor product comes from
-    this memo, in `_order`. The product is zero at once when some
+    this memo as (minor, mu), already in `_order`: lam has no more nonzero
+    parts than mu, and the minor has fewer. The product is zero at once when some
     lam_i + mu_{k+1-i} > w: then lam does not fit in the complement of mu,
     and the two Schubert varieties in opposite position do not meet.
     """
@@ -286,7 +297,7 @@ def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> tuple:
             continue
         sign = -1 if (rows - 1 - i) % 2 else 1
         minor = lam[:i] + tuple(p - 1 for p in lam[i + 1:rows]) + pad
-        for nu, c in _product_parts(*_order(minor, mu), w):
+        for nu, c in _product_parts(minor, mu, w):
             for rho in _pieri_parts(nu, w, special):
                 acc[rho] = acc.get(rho, 0) + sign * c
     return tuple((nu, c) for nu, c in acc.items() if c)
@@ -298,17 +309,20 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     Products commute, so each pair of terms goes in `_order`: both orders
     share one memo entry.
     """
-    if a.ctx != b.ctx:
+    ctx = a.ctx
+    if ctx is not b.ctx and ctx != b.ctx:
         raise InputError("classes live on different Grassmannians")
     codim = a.codim + b.codim
-    if codim > a.ctx.dim:
-        return zero(a.ctx, codim)
+    if codim > ctx.dim:
+        return zero(ctx, codim)
+    w = ctx.w
     acc: dict = {}
     for lam, c in a.coeffs.items():
         for mu, d in b.coeffs.items():
-            for nu, e in _product_parts(*_order(lam.parts, mu.parts), a.ctx.w):
-                acc[nu] = acc.get(nu, 0) + c * d * e
-    return _chow_class(a.ctx, codim, acc)
+            cd = c * d
+            for nu, e in _product_parts(*_order(lam.parts, mu.parts), w):
+                acc[nu] = acc.get(nu, 0) + cd * e
+    return _chow_class(ctx, codim, acc)
 
 
 def pair(a: ChowClass, b: ChowClass) -> int:

@@ -140,6 +140,19 @@ def test_product_out_of_box_is_zero():
     assert chow.multiply(top, chow.sigma(G24, (1,))).is_zero()
 
 
+def test_a_term_of_the_wrong_size_is_refused_at_every_codim():
+    s2, s22 = G24.partition((2,)), G24.partition((2, 2))
+    # codim -1 and 5 lie outside 0..dim: the term is refused there too, not dropped
+    for codim, lam in ((-1, s2), (5, s22), (3, s2)):
+        with pytest.raises(InputError, match="does not live in codim %d" % codim):
+            chow.ChowClass(G24, codim, {lam: 7})
+    # an empty class keeps any codim, as a product beyond the box does
+    for codim in (-1, 5, 8):
+        assert chow.ChowClass(G24, codim, {}).codim == codim
+    beyond = chow.multiply(chow.sigma(G24, (2, 2)), chow.sigma(G24, (2, 2)))
+    assert beyond.is_zero() and beyond.codim == 8
+
+
 def test_non_integer_parts_are_refused_on_a_memo_hit():
     assert repr(chow.sigma(G24, (1,))) == "1*s(1)"  # (1,) is now in the memo
     for parts in ((1.5,), (1.0,), (True,)):

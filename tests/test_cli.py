@@ -594,6 +594,16 @@ def test_cone_sgen_class_must_have_the_cycle_dimension(capsys, tmp_path):
     assert code == 3 and out["verdict"] == "not-in-span"
 
 
+def test_cone_sgen_refuses_a_term_outside_the_class_codimension(capsys, tmp_path):
+    path = tmp_path / "cls.json"
+    argv = ("cone", "sgen", "--k", "2", "--n", "4", "--r", "1", "--dim", "1", "--class", str(path))
+    # codim 5 and -1 lie outside 0..4; codim 3 is in range, but sigma_2 has size 2
+    for m, parts in ((5, [2, 2]), (-1, [2]), (3, [2])):
+        path.write_text(json.dumps({"k": 2, "n": 4, "m": m, "grading": "codim", "exc": [1],
+                                    "terms": [{"lambda": parts, "c": 7}]}))
+        check_refused(capsys, path, "does not live in codim %d of G(2,4)" % m, *argv)
+
+
 def test_main_exit_codes_in_a_fresh_interpreter():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -236,6 +236,7 @@ def test_product_recurses_only_on_the_operand_with_fewer_rows(monkeypatch):
         assert as_parts(chow.multiply(a, b)) == {(5,) + (4,) * 7: 1}
     # sigma_1's one row, then its empty minor; the second order is a memo hit
     assert computed == [((1,) + (0,) * 7, (4,) * 8), ((0,) * 8, (4,) * 8)]
+    assert all(chow._order(lam, mu) == (lam, mu) for lam, mu in computed)
 
 
 def test_a_product_that_does_not_fit_the_complement_stops_at_once(monkeypatch):
@@ -262,3 +263,42 @@ def test_a_many_term_product_matches_littlewood_richardson():
     assert len(got.coeffs) > 1 and max(got.coeffs.values()) > 1
     assert as_parts(got) == lr_product(lam.parts, lam.parts, k, w)
     assert got == reference_product(ctx, lam, lam)
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
+def test_the_product_memo_computes_only_ordered_pairs(monkeypatch, k, n):
+    # the recursion passes (minor, mu) without `_order`: the minor has fewer
+    # nonzero parts than lam, and lam no more than mu, so the pair is in order
+    computed = record_products(monkeypatch)
+    ctx = make_ctx(k, n)
+    for lam, mu in all_pairs(ctx):
+        chow.multiply(chow.sigma(ctx, lam.parts), chow.sigma(ctx, mu.parts))
+    assert computed and all(chow._order(lam, mu) == (lam, mu) for lam, mu in computed)
+
+
+def assert_built_as_validated(ctx, got):
+    """A result of multiply or pieri is what the checking constructor builds
+    from it, with no zero coefficient and every key the one `_boxed` holds."""
+    assert got == ChowClass(ctx, got.codim, got.coeffs)
+    assert all(c != 0 for c in got.coeffs.values())
+    assert all(lam is chow._boxed(lam.parts, ctx.k, ctx.w) for lam in got.coeffs)
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
+def test_products_and_pieri_build_what_the_checking_constructor_builds(k, n):
+    ctx = make_ctx(k, n)
+    for lam, mu in all_pairs(ctx):
+        assert_built_as_validated(
+            ctx, chow.multiply(chow.sigma(ctx, lam.parts), chow.sigma(ctx, mu.parts)))
+    for mu in (lam for m in range(ctx.dim + 1) for lam in chow.basis(ctx, m)):
+        for special in range(ctx.w + 1):
+            assert_built_as_validated(ctx, chow.pieri(ctx, special, mu))
+
+
+def test_a_cancelling_product_drops_its_zero_term():
+    ctx = make_ctx(3, 6)
+    # sigma_1 * sigma_2 = s3 + s21 and sigma_1 * sigma_11 = s21 + s111
+    diff = chow.sigma(ctx, (2,)) + chow.sigma(ctx, (1, 1)).scale(-1)
+    got = chow.multiply(chow.sigma(ctx, (1,)), diff)
+    assert as_parts(got) == {(3, 0, 0): 1, (1, 1, 1): -1}  # no (2, 1, 0) key
+    assert_built_as_validated(ctx, got)
