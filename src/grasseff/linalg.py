@@ -5,18 +5,24 @@ An integer matrix M over one positive common denominator D stands for M / D.
 M'[i] = (piv * M[i] - M[i][c] * M[r]) // D, and the pivot entry becomes the
 new D; every division is exact (Bareiss 1968, Edmonds 1967). With a prime p
 the pivot row is first scaled to a leading 1, so piv = D = 1 and the same
-update runs mod p. `echelon` walks the columns with it, and rank, RREF,
-determinants and reduction modulo a row span are read off its result. The
-simplex tableau pivots with the same `pivot`.
+update runs mod p. `echelon` walks the columns with it, and rank, RREF
+and reduction modulo a row span are read off its result. Its forward mode
+passes `pivot` a first row one below the pivot, so the rows above are never
+touched: that is Bareiss's forward elimination, all a determinant needs, and
+`det_bareiss` (and through it `multiplicity`) uses it. Rank, RREF,
+`reduce_mod`, the F_q incidence of `orbits` and the simplex tableau keep
+the full pass through the same `pivot`.
 """
 
 from __future__ import annotations
 
 
-def pivot(M: list[list[int]], D: int, r: int, c: int, p: int | None = None) -> int:
+def pivot(M: list[list[int]], D: int, r: int, c: int, p: int | None = None,
+          first: int = 0) -> int:
     """Pivot M / D on entry (r, c) in place and return the new denominator.
 
-    A negative pivot entry first negates row r, so the new D is positive.
+    Only the rows from `first` on are updated. A negative pivot entry first
+    negates row r, so the new D is positive.
     """
     row = M[r]
     piv = row[c]
@@ -27,7 +33,7 @@ def pivot(M: list[list[int]], D: int, r: int, c: int, p: int | None = None) -> i
     elif piv < 0:
         piv = -piv
         row = M[r] = [-a for a in row]
-    for i, other in enumerate(M):
+    for i, other in enumerate(M[first:] if first else M, first):
         f = other[c]
         if i == r or not f and piv == D:
             continue
@@ -40,19 +46,22 @@ def pivot(M: list[list[int]], D: int, r: int, c: int, p: int | None = None) -> i
     return piv
 
 
-def echelon(matrix: list[list[int]], p: int | None = None):
+def echelon(matrix: list[list[int]], p: int | None = None, forward: bool = False):
     """Reduced row echelon form of an integer matrix, over Q or over F_p.
 
     Returns (M, D, pivot_cols, sign): M / D is the RREF, its first
     len(pivot_cols) rows are the nonzero ones, each with the entry D in its
     pivot column, and sign is the sign change of det from row swaps and
-    negated pivot rows.
+    negated pivot rows. With forward=True each pivot clears only the rows
+    below it (Bareiss's forward elimination): the rows from each pivot row
+    down, and so D, pivot_cols and sign, are those of the full pass, but the
+    rows above are left as they were, so M / D is not the RREF.
     """
     M = [[a % p for a in row] for row in matrix] if p else [list(row) for row in matrix]
-    D, sign, cols = 1, 1, []
+    D, sign, cols, n = 1, 1, [], len(M)
     for c in range(len(M[0]) if M else 0):
         r = len(cols)
-        for s in range(r, len(M)):
+        for s in range(r, n):
             if M[s][c]:
                 break
         else:
@@ -62,19 +71,20 @@ def echelon(matrix: list[list[int]], p: int | None = None):
             sign = -sign
         if M[r][c] < 0:
             sign = -sign
-        D = pivot(M, D, r, c, p)
+        D = pivot(M, D, r, c, p, r + 1 if forward else 0)
         cols.append(c)
-        if r + 1 == len(M):
+        if r + 1 == n:
             break
     return M, D, cols, sign
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:
-    """Determinant of an integer matrix; all intermediate values stay integral."""
+    """Determinant of an integer matrix by the forward pass: sign times the
+    last pivot, a minor of the matrix, so every value stays integral."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    _, D, cols, sign = echelon(matrix)
+    _, D, cols, sign = echelon(matrix, forward=True)
     return sign * D if len(cols) == n else 0
 
 

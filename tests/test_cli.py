@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from grasseff import chow, cones, orbits, ring_io
+from grasseff import chow, cones, multiplicity, orbits, ring_io
 from grasseff.cli import run_subcommand
 from grasseff.errors import DecompositionError, InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS, canonical_dumps
@@ -41,6 +41,18 @@ def test_mult(capsys):
     code, out, _ = run(capsys, "mult", "--k", "2", "--n", "5",
                        "--lambda", "2,1", "--mu", "3,3")
     assert code == 0 and out == {"multiplicity": 2}
+
+
+@pytest.mark.parametrize("k, n", [(640, 1280), (320, 640), (60, 10 ** 1000 + 60)],
+                         ids=["G(640,1280)", "G(320,640)", "G(60,10^1000+60)"])
+def test_mult_refuses_work_over_the_price_cap(capsys, k, n):
+    # the densest cell of each: lambda empty, mu the full box
+    full = ",".join([str(n - k)] * k)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "mult", "--k", str(k), "--n", str(n), "--lambda", "0", "--mu", full)
+    assert code == 2 and out is None and time.perf_counter() - started < 1
+    [msg] = json_lines(err)
+    assert msg["error"].endswith("more than %d" % multiplicity.RZ_WORK_CAP)
 
 
 def test_product(capsys):

@@ -2,7 +2,8 @@
 
 The references are independent of `linalg.pivot`: Gauss-Jordan over
 Fraction for rank, RREF and reduction modulo a span, the same loop mod p
-for F_p rank, and forward Bareiss for determinants.
+for F_p rank, and forward Bareiss for determinants. `det_bareiss` runs the
+kernel's forward mode, which must also find the full pass's pivot columns.
 """
 
 from fractions import Fraction
@@ -191,8 +192,49 @@ def test_rref_and_reduce_mod(m, vec):
 @example([])
 @example([[0, 1], [1, 0]])
 @example([[-1]])
+@example([[0, 3, 1], [2, 1, 0], [1, 1, 1]])  # zero leading entry: the first pivot needs a swap
+@example([[0, 2, 1], [0, 0, 3], [1, 1, 1]])  # a swap at each of the first two pivots
+@example([[1, 2, 3], [2, 4, 5], [1, 1, 1]])  # a zero pivot met after the first step
+@example([[0, -4, 1], [-3, 2, 2], [5, 1, -1]])  # a swap onto a negative pivot
+@example([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
 def test_det_bareiss(m):
     assert linalg.det_bareiss(m) == ref_det(m)
+
+
+@st.composite
+def singular_square(draw):
+    """A 2x2 to 7x7 matrix with one row a combination of the others."""
+    n = draw(st.integers(2, 7))
+    m = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    d = draw(st.integers(0, n - 1))
+    i, j = (draw(st.sampled_from([x for x in range(n) if x != d])) for _ in range(2))
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    m[d] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(singular_square())
+@example([[0, 0, 1], [0, 2, 3], [0, 4, 5]])
+@example([[2, 4], [-1, -2]])
+def test_det_bareiss_singular(m):
+    assert linalg.det_bareiss(m) == ref_det(m) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+@example(SWAP)
+@example(NEG)
+@example(ZERO_ROW)
+@example([])
+@example([[0]])
+def test_forward_echelon_finds_the_full_pass_pivots(m):
+    for p in (None,) + PRIMES:
+        M, D, cols, sign = linalg.echelon(m, p, forward=True)
+        full = linalg.echelon(m, p)
+        assert (D, cols, sign) == full[1:]
+        last = max(len(cols) - 1, 0)  # the last pivot row, and every row below it
+        assert M[last:] == full[0][last:]
 
 
 def test_det_signs_from_swaps_and_negative_pivots():

@@ -1,11 +1,15 @@
+import hashlib
+import math
 import warnings
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from grasseff import chow
+from grasseff import chow, jsonio
 from grasseff.chow import GrassCtx
 from grasseff.errors import InputError
-from grasseff.multiplicity import max_point_multiplicity, rz_multiplicity
+from grasseff.multiplicity import RZ_WORK_CAP, max_point_multiplicity, rz_multiplicity, rz_work
 
 G25 = GrassCtx(2, 5)
 
@@ -31,6 +35,13 @@ def test_max_point_hyperplane_class():
 def test_cell_not_contained_rejected():
     with pytest.raises(InputError):
         rz_multiplicity(G25, G25.partition((2, 1)), G25.partition((1, 1)))
+
+
+def test_price_accepts_the_dense_cells_that_answer_in_under_a_second():
+    # lambda empty and mu the full box: every s_i is 0 and t_k = n
+    assert rz_work(160, 320, 0) <= RZ_WORK_CAP
+    assert rz_work(120, 100000, 0) <= RZ_WORK_CAP
+    assert rz_work(320, 640, 0) > RZ_WORK_CAP
 
 
 def test_all_values_positive_small_boxes():
@@ -78,3 +89,69 @@ def test_rz_one_exhaustive_boxes_up_to_12():
             for m in range(ctx.dim + 1):
                 for lam in chow.basis(ctx, m):
                     assert rz_multiplicity(ctx, lam, lam) == 1
+
+
+def _fraction_det(matrix):
+    """Determinant by Gaussian elimination over Fraction, independent of linalg."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n, det = len(m), Fraction(1)
+    for c in range(n):
+        r = next((i for i in range(c, n) if m[i][c]), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        piv = m[c][c]
+        det *= piv
+        for i in range(c + 1, n):
+            f = m[i][c] / piv
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+@lru_cache(maxsize=None)
+def _ref_det(t, s):
+    k = len(t)
+    return _fraction_det([[math.comb(t[i], rho - s[i]) if rho >= s[i] else 0
+                           for i in range(k)] for rho in range(k)])
+
+
+def ref_multiplicity(ctx, lam, mu):
+    """Rosenthal-Zelevinsky with s_i counted over all k^2 pairs (i, j)."""
+    k, lp, mp = ctx.k, lam.parts, mu.parts
+    t = tuple(ctx.w + i - lp[i - 1] for i in range(1, k + 1))
+    s = tuple(sum(1 for j in range(1, k + 1) if mp[j - 1] - j < lp[i - 1] - i)
+              for i in range(1, k + 1))
+    return (-1) ** sum(s) * _ref_det(t, s)
+
+
+def _comparable_pairs(ctx):
+    box = [lam for m in range(ctx.dim + 1) for lam in chow.basis(ctx, m)]
+    return [(lam, mu) for lam in box for mu in box
+            if all(a <= b for a, b in zip(lam.parts, mu.parts))]
+
+
+def test_matches_fraction_oracle_on_every_comparable_pair():
+    count = 0
+    for k, n in [(2, 5), (3, 6), (3, 7), (4, 8), (3, 9), (5, 10)]:
+        ctx = GrassCtx(k, n)
+        for lam, mu in _comparable_pairs(ctx):
+            value = rz_multiplicity(ctx, lam, mu)
+            assert value >= 1 and value == ref_multiplicity(ctx, lam, mu), (k, n, lam, mu)
+            count += 1
+    assert count == 24403
+
+
+# The sha256 of the canonical JSON list of [lambda, mu, multiplicity] over every
+# comparable pair of G(4,8), lambda and then mu in `chow.basis` order, codim by codim.
+G48_TABLE_SHA256 = "137b6d37c754c6ab009d20185148f57cd4e4dbdd5764f8fdc6954377e06c92e8"
+
+
+def test_g48_table_is_pinned():
+    ctx = GrassCtx(4, 8)
+    table = [[list(lam.parts), list(mu.parts), rz_multiplicity(ctx, lam, mu)]
+             for lam, mu in _comparable_pairs(ctx)]
+    assert len(table) == 1764
+    assert hashlib.sha256(jsonio.canonical_dumps(table).encode()).hexdigest() == G48_TABLE_SHA256
