@@ -10,12 +10,12 @@ by Poincare duality. All coefficients are Python ints (arbitrary precision).
 
 Validation happens at the API boundary: `GrassCtx.partition` and the
 public `ChowClass(...)` constructor check their partitions. Inside,
-products and the Pieri fold `_fold` (which serves the degree) run on plain
-part tuples, which interlacing keeps inside the box. `multiply` and `pieri`
-build their result once, through `_chow_class`, which trusts those tuples:
-`_boxed` turns each into a BoxedPartition, validated the first time it is
-seen and then reused. Every memo here holds at most `MEMO_CAP` entries,
-the one cap, defined in `partitions`.
+products run on plain part tuples, which interlacing keeps inside the box.
+`multiply` and `pieri` build their result once, through `_chow_class`,
+which trusts those tuples: `_boxed` turns each into a BoxedPartition,
+validated the first time it is seen and then reused. Every memo here holds
+at most `MEMO_CAP` entries, the one cap, defined in `partitions`. The
+Plucker degree is the hook length formula alone, priced by its digits.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from grasseff.errors import InputError, InternalError
+from grasseff.jsonio import MAX_DIGITS
 from grasseff.partitions import MEMO_CAP, BoxedPartition, enumerate_box, int_parts, make_partition
 
 
@@ -212,14 +213,14 @@ def _pieri_parts(mu: tuple[int, ...], w: int, special: int) -> tuple[tuple[int, 
     return tuple(rec(0, special))
 
 
-@lru_cache(maxsize=MEMO_CAP)
-def _giambelli_monomials(parts: tuple[int, ...], w: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Signed monomials of the Giambelli determinant for sigma_parts.
+def giambelli(lam: BoxedPartition) -> list[tuple[int, tuple[int, ...]]]:
+    """Determinant expansion of sigma_lam as signed products of special sizes.
 
-    Entry (i, j) of the k x k matrix is sigma_{parts[i] + j - i}; entries with
+    Entry (i, j) of the k x k matrix is sigma_{lam_i + j - i}; entries with
     index < 0 or > w are the zero class and prune the expansion. Each monomial
     is a tuple of special sizes with sigma_0 factors dropped.
     """
+    parts, w = lam.parts, lam.box_w
     k = len(parts)
     out: list[tuple[int, tuple[int, ...]]] = []
 
@@ -238,29 +239,7 @@ def _giambelli_monomials(parts: tuple[int, ...], w: int) -> tuple[tuple[int, tup
             expand(row + 1, used_cols | (1 << j), sign * (-1) ** inversions, mono + (entry,))
 
     expand(0, 0, 1, ())
-    return tuple(out)
-
-
-def giambelli(lam: BoxedPartition) -> list[tuple[int, tuple[int, ...]]]:
-    """Determinant expansion of sigma_lam as signed products of special sizes."""
-    return list(_giambelli_monomials(lam.parts, lam.box_w))
-
-
-def _fold(cur: dict, sizes, w: int) -> dict:
-    """cur (part tuples to coefficients) times sigma_s for each s in sizes.
-
-    One `_pieri_parts` step per size, stopping early once the strips have
-    left the box and nothing is left; `degree_pieri` folds sigma_1 this way.
-    """
-    for size in sizes:
-        nxt: dict = {}
-        for nu, c in cur.items():
-            for rho in _pieri_parts(nu, w, size):
-                nxt[rho] = nxt.get(rho, 0) + c
-        cur = nxt
-        if not cur:
-            break
-    return cur
+    return out
 
 
 def _order(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
@@ -334,39 +313,24 @@ def pair(a: ChowClass, b: ChowClass) -> int:
     return multiply(a, b).coefficient(a.ctx.point_class_partition())
 
 
-def degree_closed(ctx: GrassCtx) -> int:
-    """Plucker degree by the closed factorial formula."""
-    num = math.factorial(ctx.dim) * math.prod(math.factorial(i) for i in range(ctx.k))
-    den = math.prod(math.factorial(ctx.w + i) for i in range(ctx.k))
+def degree(ctx: GrassCtx) -> int:
+    """Plucker degree: the standard tableaux of the k x (n-k) rectangle, by the hook formula.
+
+    Taken with k <= n-k by duality, and 1 for k = 1 before any factorial. The
+    degree is at most (k(n-k))! / ((n-k)!)^k <= k^(k(n-k)), so a box whose
+    bound has more than MAX_DIGITS digits is refused before any work.
+    """
+    k, w = min(ctx.k, ctx.w), max(ctx.k, ctx.w)
+    if k <= 1:
+        return 1
+    if ctx.dim * math.log10(k) > MAX_DIGITS:
+        raise InputError("G(%d,%d): the degree is at most %d^%d, more than %d digits"
+                         % (ctx.k, ctx.n, k, ctx.dim, MAX_DIGITS))
+    num = math.factorial(ctx.dim) * math.prod(math.factorial(i) for i in range(k))
+    den = math.prod(math.factorial(w + i) for i in range(k))
     if num % den != 0:
         raise InternalError("internal: degree formula did not divide evenly")
     return num // den
-
-
-def degree_pieri(ctx: GrassCtx) -> int:
-    """Plucker degree as sigma_1^{k(n-k)}, folded one Pieri step at a time."""
-    return _fold({(0,) * ctx.k: 1}, (1,) * ctx.dim, ctx.w).get((ctx.w,) * ctx.k, 0)
-
-
-def degree(ctx: GrassCtx) -> int:
-    """Plucker degree, computed two independent ways; they must agree.
-
-    The Pieri fold visits all C(n, k) Schubert classes, and past MEMO_CAP its
-    memo evicts mid-fold: C(n, k) is built up factor by factor, and refused
-    as soon as it passes the cap, before any work.
-    """
-    classes = 1
-    for i in range(1, min(ctx.k, ctx.w) + 1):
-        classes = classes * (max(ctx.k, ctx.w) + i) // i
-        if classes > MEMO_CAP:
-            raise InputError("G(%d,%d) has more than %d Schubert classes, too many for the "
-                             "degree's Pieri fold" % (ctx.k, ctx.n, MEMO_CAP))
-    d1 = degree_closed(ctx)
-    d2 = degree_pieri(ctx)
-    if d1 != d2:
-        raise InternalError("internal: closed-formula degree %d != iterated-Pieri degree %d"
-                            % (d1, d2))
-    return d1
 
 
 def basis(ctx: GrassCtx, codim: int) -> list[BoxedPartition]:

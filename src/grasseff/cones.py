@@ -297,7 +297,9 @@ def sgen_bound(ctx: GrassCtx, cycle_dim: int) -> int:
     Plucker degree is at least base + 1. A base of more than MAX_DIGITS
     digits cannot be written as JSON and is refused: binom(n, j) >= (n/j)^j
     for j = min(k, n-k), so a bound past the limit by that estimate is
-    refused before the binomial is computed.
+    refused before the binomial is computed. For curves, `chow.degree` then
+    refuses a box whose degree bound k^(k(n-k)) has more than MAX_DIGITS
+    digits, as G(2, 10^4) has.
     """
     if cycle_dim not in (1, 2):
         raise InputError("cycle_dim must be 1 or 2")

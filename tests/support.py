@@ -75,3 +75,23 @@ def lie_positions(k: int, s: int) -> list:
     representative, which lies in F^{2k}."""
     n = 2 * k + s
     return [(i, j) for i in range(n) for j in range(i, n) if j >= 2 * k or (i < k) == (j < k)]
+
+
+def fold_degree(k: int, n: int) -> int:
+    """Plucker degree of G(k, n) as sigma_1^(k(n-k)), folded one Pieri step at a time.
+
+    Each step is the plain interlacing sum of sigma_1: one box added to any row
+    i with nu_i < nu_{i-1} (nu_0 := n - k), so the fold counts the standard
+    tableaux of the k x (n-k) rectangle without calling `chow`.
+    """
+    w = n - k
+    cur = {(0,) * k: 1}
+    for _ in range(k * w):
+        nxt: dict = {}
+        for nu, c in cur.items():
+            for i in range(k):
+                if nu[i] < (w if i == 0 else nu[i - 1]):
+                    rho = nu[:i] + (nu[i] + 1,) + nu[i + 1:]
+                    nxt[rho] = nxt.get(rho, 0) + c
+        cur = nxt
+    return cur.get((w,) * k, 0)

@@ -1,3 +1,5 @@
+import math
+import random
 import time
 import warnings
 
@@ -8,7 +10,10 @@ from hypothesis import strategies as st
 from grasseff import chow
 from grasseff.chow import GrassCtx
 from grasseff.errors import InputError
+from grasseff.jsonio import MAX_DIGITS
 from grasseff.partitions import dual, enumerate_box
+
+from support import fold_degree
 
 G24 = GrassCtx(2, 4)
 G25 = GrassCtx(2, 5)
@@ -108,19 +113,30 @@ def test_degree_table():
     assert chow.degree(G24) == 2
     assert chow.degree(G25) == 5
     assert chow.degree(G36) == 42
-    assert chow.degree_closed(G24) == chow.degree_pieri(G24) == 2
+    # the sigma_1 fold on every G(k, n) with n <= 12 and on a seeded sample of
+    # the boxes with at most 32,768 Schubert classes, G(8,16) among them
+    boxes = [(k, n) for n in range(2, 13) for k in range(1, n)]
+    rng = random.Random(27)
+    wide = [(k, n) for n in range(13, 260) for k in range(1, n) if math.comb(n, k) <= 32768]
+    boxes += rng.sample(wide, 40) + [(8, 16)]
+    for k, n in boxes:
+        assert chow.degree(make_ctx(k, n - k)) == fold_degree(k, n), (k, n)
 
 
-def test_degree_refuses_more_classes_than_the_memo_cap():
-    # C(16, 8) = 12,870 classes still run
+def test_degree_is_priced_by_its_digits():
     assert chow.degree(GrassCtx(8, 16)) == 22081374992701950398847674830857600
-    for k, n in ((2, 10 ** 6), (10, 20), (10 ** 6 - 1, 10 ** 6)):
+    assert chow.degree(GrassCtx(10, 20)) == \
+        599868742615440724911356453304513631101279740967209774643120000
+    # the largest box the bound admits: 2 * 7142 * log10(2) < MAX_DIGITS
+    assert len(str(chow.degree(GrassCtx(2, 7144)))) == 4294
+    for k, n in ((2, 10 ** 6), (2, 7145), (10 ** 9 - 5, 10 ** 9), (5 * 10 ** 8, 10 ** 9)):
         started = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ctx = GrassCtx(k, n)
-        with pytest.raises(InputError, match="more than %d Schubert classes" % chow.MEMO_CAP):
-            chow.degree(ctx)
+        with pytest.raises(InputError, match="more than %d digits" % MAX_DIGITS):
+            chow.degree(make_ctx(k, n - k))
+        assert time.perf_counter() - started < 0.5
+    for k, n in ((10 ** 6 - 1, 10 ** 6), (1, 10 ** 9)):
+        started = time.perf_counter()
+        assert chow.degree(make_ctx(k, n - k)) == 1
         assert time.perf_counter() - started < 0.5
 
 

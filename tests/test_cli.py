@@ -234,13 +234,24 @@ def test_cone_sgen_refuses_a_cone_over_the_cap_before_building_it(capsys, tmp_pa
                                                       % cones.SGEN_CAP)
 
 
-def test_degree_and_cone_sgen_refuse_too_many_classes(capsys):
-    for argv in (("degree", "--k", "2", "--n", "1000000"), ("degree", "--k", "10", "--n", "20"),
-                 ("cone", "sgen", "--k", "10", "--n", "20", "--r", "1", "--dim", "1")):
+def test_degree_and_cone_sgen_are_priced_by_the_degree_digits(capsys):
+    for argv, dim in ((("degree", "--k", "2", "--n", "1000000"), 1999996),
+                      (("cone", "sgen", "--k", "2", "--n", "10000", "--r", "1", "--dim", "1"), 19996)):
         started = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert code == 2 and out is None and time.perf_counter() - started < 1
-        assert "more than 32768 Schubert classes" in json_lines(err)[-1]["error"]
+        assert json_lines(err)[-1]["error"].endswith(
+            "the degree is at most 2^%d, more than %d digits" % (dim, MAX_DIGITS))
+    for argv, expected in (
+            (("degree", "--k", "1", "--n", "1000000000"), {"degree": 1}),
+            (("degree", "--k", "999999", "--n", "1000000"), {"degree": 1}),
+            (("degree", "--k", "10", "--n", "20"),
+             {"degree": 599868742615440724911356453304513631101279740967209774643120000})):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == expected and time.perf_counter() - started < 1
+    code, out, _ = run(capsys, "cone", "sgen", "--k", "10", "--n", "20", "--r", "1", "--dim", "1")
+    assert code == 0 and out["bound"] == 184657
 
 
 def test_cone_sgen_refuses_a_bound_too_long_to_print(capsys):

@@ -11,6 +11,8 @@ stay small enough that each call costs milliseconds.
 import contextlib
 import io
 import json
+import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from grasseff import chow
 from grasseff.chow import GrassCtx
 from grasseff.cli import run_subcommand
 from grasseff.delpezzo import FANO_TABLE
+from grasseff.jsonio import MAX_DIGITS
 
 # about 3 s together; the JSON strategies cost more to draw than the calls they feed
 FUZZ = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow,
@@ -106,6 +109,40 @@ def test_random_arguments_keep_the_contract(args, tmp_path_factory):
     if len(args) == 4 and args[:3] == ["orbits", "check", "--k"] \
             and args[3] in ("-3", "-2", "-1", "4", "5", "6"):
         assert code == 2, args
+
+
+# large boxes for `degree` and `cone sgen --dim 1`, whose answers rest on the
+# Plucker degree: k and n up to 10^9, k = 1, k = n - 1, and boxes on either
+# side of the degree's digit bound k(n-k) log10 k <= MAX_DIGITS (k <= n - k)
+
+BIG = 10 ** 9
+
+
+def edge_box(k, step):
+    w = math.floor(MAX_DIGITS / (k * math.log10(k))) + step
+    return (k, k + w) if w >= k else None
+
+
+EDGES = [box for k in range(2, 37) for step in (-1, 0, 1, 2) if (box := edge_box(k, step))]
+LARGE_BOX = st.one_of(
+    st.tuples(st.integers(1, BIG), st.integers(1, BIG)),
+    st.integers(2, BIG).map(lambda n: (1, n)),
+    st.integers(2, BIG).map(lambda n: (n - 1, n)),
+    st.sampled_from(EDGES),
+    st.sampled_from(EDGES).map(lambda box: (box[1] - box[0], box[1])),
+)
+
+
+@settings(max_examples=60, **FUZZ)
+@given(box=LARGE_BOX, sgen=st.booleans(), r=st.integers(0, 4))
+def test_large_boxes_keep_the_contract(box, sgen, r):
+    k, n = map(str, box)
+    args = ["cone", "sgen", "--k", k, "--n", n, "--r", str(r), "--dim", "1"] if sgen \
+        else ["degree", "--k", k, "--n", n]
+    started = time.perf_counter()
+    code, out, err = run_checked(args)
+    assert code in (0, 2) and time.perf_counter() - started < 1, (args, code, err)
+    assert (out != "") == (code == 0), (args, err)
 
 
 # ---------------------------------------------------------------------------
