@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import warnings
-from fractions import Fraction
 from functools import partial
 
 from grasseff import blowup, chow, cones, delpezzo, jsonio, multiplicity, orbits, ring_io, verify
@@ -135,15 +134,13 @@ def _vector_from_json(data) -> tuple:
 
 
 def _membership_report(cone, result) -> dict:
-    """The verdict, and the witness's nonzero coefficients or the certificate, read off
-    the result's numerators over D."""
-    D = result.D
+    """The verdict, and the witness's nonzero coefficients or the certificate."""
     if result.is_member:
         return {"verdict": result.verdict,
-                "witness": {label: jsonio.frac_str(Fraction(x, D))
-                            for label, x in zip(cone.labels, result.num) if x}}
+                "witness": {label: jsonio.frac_str(c)
+                            for label, c in zip(cone.labels, result.witness) if c}}
     return {"verdict": result.verdict,
-            "certificate": [jsonio.frac_str(Fraction(x, D)) for x in result.num]}
+            "certificate": [jsonio.frac_str(c) for c in result.certificate]}
 
 
 def cmd_cone_check(args) -> int:

@@ -11,9 +11,11 @@ term-vector function: lemma41_vector for the divisor cone, lemma42_term_vector
 for the span cone and quadric_term_vector for the quadric cone. Each carries a
 rule that answers every integer query: a violated inequality of the cone
 (Theorem 4.4, Lemma 4.2, the quadric facets) is the certificate, else the
-cone's own decomposition (Lemma 4.1, Lemma 4.2, the quadric greedy) is the
-witness. Membership has one path: the rule answers in integers, or else the
-simplex (`cone check` cones, non-integral members) in integers over its
+cone's own decomposition (Lemma 4.1, Lemma 4.2, the quadric conics) is the
+witness. The Lemma 4.1, quadric and three-cycle decompositions are closed
+forms whose cost depends on the number of points, not on the size of the
+coefficients. Membership has one path: the rule answers in integers, or else
+the simplex (`cone check` cones, non-integral members) in integers over its
 denominator D, on the cone's tableau block, scaled once on the cone's first
 simplex query; either answer is re-checked once by substitution (a
 certificate < 0 on the query and >= 0 on every generator, a witness >= 0 with
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -144,7 +147,10 @@ def lemma41_decompose(k: int, a: int, b1: int, b2: int) -> list[tuple[str, int]]
     """Write (a, -b1, -b2) as a nonnegative combination of e_i and beta_m.
 
     beta_m = e_0 - m e_1 - (k - m) e_2. Requires a, b1, b2 >= 0 and
-    k*a >= b1 + b2; induction on a, each peel preserving the inequality.
+    k*a >= b1 + b2. Lemma 4.1's induction on a peels beta_m with m = min(b1 left, k)
+    a times; in closed form, with q, rem = divmod(b1, k), that is q copies of beta_k,
+    one beta_rem when rem > 0, a - q - [rem > 0] copies of beta_0, and the
+    k*a - b1 - b2 left over in E_2 as e2. Sorted by label, zero counts dropped.
     """
     if k < 1:
         raise InputError("need k >= 1")
@@ -152,20 +158,11 @@ def lemma41_decompose(k: int, a: int, b1: int, b2: int) -> list[tuple[str, int]]
         raise DecompositionError("outside dual-cone region: negative coefficient")
     if k * a < b1 + b2:
         raise DecompositionError("outside dual-cone region: %d*%d < %d + %d" % (k, a, b1, b2))
-    terms: dict[str, int] = {}
-    r1, r2 = b1, b2
-    for _ in range(a):
-        m = min(r1, k)
-        label = "beta_%d" % m
-        terms[label] = terms.get(label, 0) + 1
-        r1 -= m
-        r2 -= k - m
-    # the peels remove k from (b1 + b2) each round, so both residuals end <= 0
-    if r1 > 0 or r2 > 0:
-        raise InternalError("internal: greedy peel left positive residual")
-    if r2 < 0:
-        terms["e2"] = -r2
-    return sorted(terms.items())
+    q, rem = divmod(b1, k)
+    terms = {"beta_%d" % k: q, "beta_0": a - q - (rem > 0), "e2": k * a - b1 - b2}
+    if rem:
+        terms["beta_%d" % rem] = 1
+    return sorted((label, c) for label, c in terms.items() if c)
 
 
 def lemma41_vector(k: int, label: str) -> tuple[int, int, int]:
@@ -297,9 +294,13 @@ def sgen_bound(ctx: GrassCtx, cycle_dim: int) -> int:
     Plucker degree is at least base + 1. A base of more than MAX_DIGITS
     digits cannot be written as JSON and is refused: binom(n, j) >= (n/j)^j
     for j = min(k, n-k), so a bound past the limit by that estimate is
-    refused before the binomial is computed. For curves, `chow.degree` then
-    refuses a box whose degree bound k^(k(n-k)) has more than MAX_DIGITS
-    digits, as G(2, 10^4) has.
+    refused before the binomial is computed. For curves, when `chow.degree`
+    refuses the box (its bound k^(k(n-k)) has more than MAX_DIGITS digits, as
+    G(2, 10^4) has), the degree of a sub-box bounds it from below: the standard
+    tableaux of a shape are the sum of those of the shapes it covers, so they
+    only grow with the shape. The sub-box keeps the short side k and the
+    longest long side `chow.degree` accepts; when even its degree is below
+    base + 1, the refusal stands.
     """
     if cycle_dim not in (1, 2):
         raise InputError("cycle_dim must be 1 or 2")
@@ -311,9 +312,18 @@ def sgen_bound(ctx: GrassCtx, cycle_dim: int) -> int:
     base = math.comb(ctx.n, ctx.k) - ctx.dim
     if base >= 10 ** MAX_DIGITS:
         raise too_long
-    if cycle_dim == 1 and chow.degree(ctx) >= base + 1:
+    if cycle_dim == 2:
+        return base
+    try:
+        return base + (chow.degree(ctx) >= base + 1)
+    except InputError:
+        k = min(ctx.k, ctx.w)
+        w = int(MAX_DIGITS / (k * math.log10(k)))
+        while k * w * math.log10(k) > MAX_DIGITS:  # the test chow.degree makes
+            w -= 1
+        if w < 2 or chow.degree(GrassCtx(k, k + w)) < base + 1:
+            raise
         return base + 1
-    return base
 
 
 def very_general_curve_bound(ctx: GrassCtx) -> int:
@@ -347,49 +357,52 @@ def _violated_facet(a, bs):
 def quadric_curve_decompose(a: int, bs) -> dict[tuple, int]:
     """Decompose a*l - sum b_i l_i into lines, conics and exceptional lines.
 
-    Conics 2l - l_i - l_j - l_k are subtracted greedily on the three largest
-    current coefficients, while a' >= 2, until the residual has a' >= sum of
-    its positive coefficients; the residual is then lines. Negative
-    coefficients (given or produced) are absorbed by l_i terms. A stall names
-    the facet of the cone that (a, bs) violates.
+    With s = sum b_i+, T conics 2l - l_i - l_j - l_k leave s - 3T for lines
+    l - l_i and a + T - s for l, so the most conics that fit are best: T is
+    the largest with 2T <= a and sum min(b_i+, T) >= 3T, which for b_(1) >=
+    b_(2) the two largest b_i+ reads T = min(a // 2, s // 3, (s - b_(1)) // 2,
+    s - b_(1) - b_(2)). The class decomposes exactly when s - a <= T; otherwise
+    the refusal names the facet of the cone that (a, bs) violates. Point i
+    takes u_i <= min(b_i+, T) conics, filled in index order to 3T: listing
+    point i u_i times, conic t takes the entries at t, t + T and t + 2T (three
+    distinct points, as no point is listed more than T times). The three
+    change only at the starts of points' entries taken mod T, so the conics
+    come in at most r + 1 runs. Point i then takes b_i+ - u_i lines and b_i-
+    exceptional lines l_i.
 
     Term keys: ("ell",), ("ell_i", i), ("line", i) for l - l_i,
     ("conic", i, j, k).
     """
-    r = len(bs)
-    if r > 7:
+    if len(bs) > 7:
         raise InputError("at most 7 points supported")
-    out: dict[tuple, int] = {}
-    cur = list(bs)
-    cur_a = a
-
-    # keep peeling conics while three positive coefficients remain
-    while sum(1 for b in cur if b > 0) >= 3 and cur_a >= 2:
-        order = sorted(range(r), key=lambda i: (-cur[i], i))
-        i, j, k = sorted(order[:3])
-        key = ("conic", i, j, k)
-        out[key] = out.get(key, 0) + 1
-        for t in (i, j, k):
-            cur[t] -= 1
-        cur_a -= 2
-
-    if sum(max(b, 0) for b in cur) > cur_a:
+    pos = [b if b > 0 else 0 for b in bs]
+    s = sum(pos)
+    top = sorted(pos, reverse=True)[:2] + [0, 0]
+    T = min(a // 2, s // 3, (s - top[0]) // 2, s - top[0] - top[1])
+    if s - a > T:
         normal = _violated_facet(a, bs)
         if normal is None:
-            raise InternalError("internal: greedy stalled on (%s, %s) inside the cone" % (a, bs))
+            raise InternalError("internal: no decomposition of (%s, %s) inside the cone" % (a, bs))
         c, *ws = normal
         rhs = " + ".join("%sb_%d" % (w if w > 1 else "", i + 1) for i, w in enumerate(ws) if w)
         raise DecompositionError("violated facet: %sa >= %s (%s < %s)"
                                  % (c if c > 1 else "", rhs or "0", c * a, _dot(ws, bs)))
-
-    for i, b in enumerate(cur):
-        if b > 0:
-            out[("line", i)] = out.get(("line", i), 0) + b
-            cur_a -= b
-        elif b < 0:
-            out[("ell_i", i)] = out.get(("ell_i", i), 0) - b
-    if cur_a > 0:
-        out[("ell",)] = cur_a
+    out: dict[tuple, int] = {}
+    starts = [0]  # point i's entries in the list of 3T are starts[i]..starts[i + 1] - 1
+    for i, (b, p) in enumerate(zip(bs, pos)):
+        u = min(p, T, 3 * T - starts[-1])
+        starts.append(starts[-1] + u)
+        if p > u:
+            out[("line", i)] = p - u
+        if b < 0:
+            out[("ell_i", i)] = -b
+    if T:  # the points at t, t + T and t + 2T change only where a point's entries begin
+        cuts = sorted({x % T for x in starts} | {T})
+        for t0, t1 in zip(cuts, cuts[1:]):
+            out[("conic", bisect_right(starts, t0) - 1, bisect_right(starts, t0 + T) - 1,
+                 bisect_right(starts, t0 + 2 * T) - 1)] = t1 - t0
+    if a + T > s:
+        out[("ell",)] = a + T - s
     return out
 
 
@@ -459,15 +472,18 @@ def g25_threecycle_decompose(a21: int, a3: int, bs) -> dict[tuple, int]:
     """Decompose a21*s21 + a3*s3 - sum b_i E_i (3-cycles on blown-up G(2,5)).
 
     Requires everything nonnegative, at most 4 points, and the inequality
-    2*a21 + a3 >= sum b_i. Peels s21 - 2E_i off the largest coefficient,
-    handles odd remainders with s21 - E_i - E_j, then falls back to s3 - E_i.
+    2*a21 + a3 >= sum b_i. The units of b, point i listed b_i times in index
+    order, are paired from the front, min(a21, sum b_i // 2) pairs in all: a
+    pair inside point i is s21 - 2E_i, a pair across points i < j is
+    s21 - E_i - E_j. Each unit left is s3 - E_i; when a3 = 0 the inequality
+    leaves at most one, which is s21 - 2E_i + E_i. The rest of a21 and a3 are
+    bare s21 and s3.
 
     Term keys: ("s21-2E", i), ("s21-E-E", i, j), ("s3-E", i),
     ("s21",), ("s3",), ("E", i).
     """
     bs = list(bs)
-    r = len(bs)
-    if r > 4:
+    if len(bs) > 4:
         raise InputError("at most 4 points supported")
     if a21 < 0 or a3 < 0 or any(b < 0 for b in bs):
         raise DecompositionError("coefficients must be nonnegative")
@@ -477,47 +493,30 @@ def g25_threecycle_decompose(a21: int, a3: int, bs) -> dict[tuple, int]:
     out: dict[tuple, int] = {}
 
     def bump(key, c=1):
-        out[key] = out.get(key, 0) + c
+        if c > 0:
+            out[key] = out.get(key, 0) + c
 
-    while any(b > 0 for b in bs):
-        i1 = max(range(r), key=lambda i: (bs[i], -i))
-        b1 = bs[i1]
-        if b1 >= 2 and 2 * a21 >= b1:
-            q = b1 // 2
-            bump(("s21-2E", i1), q)
-            a21 -= q
-            bs[i1] -= 2 * q
-        elif b1 >= 2:  # 2*a21 < b1: exhaust s21 against this point, then use s3
-            if a21 > 0:
-                bump(("s21-2E", i1), a21)
-                bs[i1] -= 2 * a21
-                a21 = 0
-            bump(("s3-E", i1), bs[i1])
-            a3 -= bs[i1]
-            bs[i1] = 0
-        else:  # b1 == 1
-            others = [i for i in range(r) if i != i1 and bs[i] > 0]
-            if a21 > 0 and others:
-                i2 = min(others)
-                bump(("s21-E-E", min(i1, i2), max(i1, i2)))
-                a21 -= 1
-                bs[i1] -= 1
-                bs[i2] -= 1
-            elif a3 > 0:
-                bump(("s3-E", i1))
-                a3 -= 1
-                bs[i1] -= 1
-            else:  # a3 == 0: overshoot with s21 - 2E and return the spare E
-                bump(("s21-2E", i1))
-                bump(("E", i1))
-                a21 -= 1
-                bs[i1] -= 1
-        if a21 < 0 or a3 < 0:
-            raise InternalError("internal: greedy drove a coefficient negative")
-    if a21 > 0:
-        bump(("s21",), a21)
-    if a3 > 0:
-        bump(("s3",), a3)
+    pairs = min(a21, sum(bs) // 2)
+    left, carry = 2 * pairs, None  # carry: a point whose last paired unit awaits a partner
+    for i, b in enumerate(bs):
+        paired = min(b, left)
+        left -= paired
+        spare = b - paired
+        if carry is not None and paired:
+            bump(("s21-E-E", carry, i))
+            carry, paired = None, paired - 1
+        bump(("s21-2E", i), paired // 2)
+        if paired % 2:
+            carry = i
+        if spare > a3:  # a3 = 0 and this is the one unit left
+            bump(("s21-2E", i))
+            bump(("E", i))
+            a21 -= 1
+        else:
+            bump(("s3-E", i), spare)
+            a3 -= spare
+    bump(("s21",), a21 - pairs)
+    bump(("s3",), a3)
     return out
 
 

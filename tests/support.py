@@ -29,6 +29,23 @@ def _search(a: int, pos: tuple) -> bool:
     return any(_search(a - 2, key) for key in nxt)
 
 
+def lemma41_peel(k: int, a: int, b1: int, b2: int) -> list:
+    """Lemma 4.1's induction as written, one peel per unit of a: beta_m with
+    m = min(b1 left, k), then what is left of b2 below 0 as e2. Needs a, b1, b2 >= 0
+    and k*a >= b1 + b2; (label, count) pairs sorted by label."""
+    terms: dict[str, int] = {}
+    r1, r2 = b1, b2
+    for _ in range(a):
+        m = min(r1, k)
+        terms["beta_%d" % m] = terms.get("beta_%d" % m, 0) + 1
+        r1 -= m
+        r2 -= k - m
+    assert r1 <= 0 and r2 <= 0
+    if r2 < 0:
+        terms["e2"] = -r2
+    return sorted(terms.items())
+
+
 def quadric_in_cone(a: int, bs) -> bool:
     """Brute-force membership of a*l - sum b_i l_i in the quadric curve cone."""
     if a < 0:

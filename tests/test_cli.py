@@ -1,10 +1,13 @@
 import hashlib
 import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -152,6 +155,48 @@ def test_cone_sgen_stdout_is_pinned(capsys, tmp_path):
                          doc["exc"])
 
 
+# the stdout of `cone sgen` on the first four seeded non-members of
+# test_cone_sgen_prints_the_rule_certificate, whose Lemma 4.2 certificate differs from
+# the simplex's on the same cone
+SGEN_RULE_CERTIFICATES = [
+    '{"bound":2,"bound_satisfied":true,"certificate":["1","0","0"],"cycle_dim":1,"k":2,'
+    '"n":4,"r":2,"verdict":"not-in-span"}\n',
+    '{"bound":4,"bound_satisfied":true,"certificate":["1","0","0","0","0","0"],"cycle_dim":2,'
+    '"k":2,"n":5,"r":4,"verdict":"not-in-span"}\n',
+    '{"bound":2,"bound_satisfied":true,"certificate":["1","0"],"cycle_dim":1,"k":2,"n":4,'
+    '"r":1,"verdict":"not-in-span"}\n',
+    '{"bound":12,"bound_satisfied":true,"certificate":["1","0","0"],"cycle_dim":1,"k":3,'
+    '"n":6,"r":2,"verdict":"not-in-span"}\n',
+]
+
+
+def test_cone_sgen_prints_the_rule_certificate(capsys, tmp_path):
+    rng = random.Random(28)
+    path = tmp_path / "cls.json"
+    for line in SGEN_RULE_CERTIFICATES:
+        while True:
+            k, n = rng.choice(((2, 4), (2, 5), (3, 6)))
+            ctx = chow.GrassCtx(k, n)
+            cycle_dim, r = rng.choice((1, 2)), rng.randint(1, 4)
+            sigmas = chow.basis(ctx, ctx.dim - cycle_dim)
+            a = [rng.randint(-1, 3) for _ in sigmas]
+            b = [rng.randint(-1, 4) for _ in range(r)]
+            cone = cones.sgen_cycle_cone(ctx, cycle_dim, r)
+            v = (*a, *(-x for x in b))
+            rule = cones.cone_membership(cone, v)
+            if not rule.is_member and \
+                    cones.cone_membership(replace(cone, rule=None), v).certificate \
+                    != rule.certificate:
+                break
+        path.write_text(json.dumps({
+            "k": k, "n": n, "grading": "dim", "m": cycle_dim, "exc": b,
+            "terms": [{"lambda": list(lam.parts), "c": c} for lam, c in zip(sigmas, a)]}))
+        argv = ["cone", "sgen", "--k", str(k), "--n", str(n), "--r", str(r),
+                "--dim", str(cycle_dim), "--class", str(path)]
+        assert (run_subcommand(argv), capsys.readouterr().out) == (3, line), (k, n, a, b)
+        assert json.loads(line)["certificate"] == [str(x) for x in rule.certificate]
+
+
 def test_orbits_list_and_check(capsys):
     code, out, _ = run(capsys, "orbits", "list", "--k", "2", "--dim", "2")
     assert code == 0
@@ -235,13 +280,18 @@ def test_cone_sgen_refuses_a_cone_over_the_cap_before_building_it(capsys, tmp_pa
 
 
 def test_degree_and_cone_sgen_are_priced_by_the_degree_digits(capsys):
-    for argv, dim in ((("degree", "--k", "2", "--n", "1000000"), 1999996),
-                      (("cone", "sgen", "--k", "2", "--n", "10000", "--r", "1", "--dim", "1"), 19996)):
-        started = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out is None and time.perf_counter() - started < 1
-        assert json_lines(err)[-1]["error"].endswith(
-            "the degree is at most 2^%d, more than %d digits" % (dim, MAX_DIGITS))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "degree", "--k", "2", "--n", "1000000")
+    assert code == 2 and out is None and time.perf_counter() - started < 1
+    assert json_lines(err)[-1]["error"].endswith(
+        "the degree is at most 2^1999996, more than %d digits" % MAX_DIGITS)
+    # the degree of G(2,10000) is refused, but that of its sub-box G(2,7144) already
+    # exceeds the base binom(10000, 2) - 19996, so the curve bound is base + 1
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "cone", "sgen", "--k", "2", "--n", "10000", "--r", "1",
+                       "--dim", "1")
+    assert code == 0 and time.perf_counter() - started < 1
+    assert out["bound"] == math.comb(10000, 2) - 19996 + 1 == 49975005
     for argv, expected in (
             (("degree", "--k", "1", "--n", "1000000000"), {"degree": 1}),
             (("degree", "--k", "999999", "--n", "1000000"), {"degree": 1}),

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -18,7 +19,8 @@ from grasseff.errors import InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS
 from grasseff.simplex import solve_nonneg_combination
 
-from support import facet_slack, g25_resum, quadric_facets, quadric_in_cone, quadric_resum
+from support import (facet_slack, g25_resum, lemma41_peel, quadric_facets, quadric_in_cone,
+                     quadric_resum)
 
 G24 = GrassCtx(2, 4)
 G25 = GrassCtx(2, 5)
@@ -359,6 +361,26 @@ def test_lemma41_grid_resums_and_matches_membership():
                         assert sum(p * t for p, t in zip(res.certificate, target)) < 0
 
 
+def test_lemma41_closed_form_is_the_peel():
+    # the grid of the acceptance test for criterion 4
+    for k in range(2, 7):
+        for a in range(7):
+            for b1 in range(6 * k + 1):
+                for b2 in range(min(6 * k, k * a - b1) + 1):
+                    assert cones.lemma41_decompose(k, a, b1, b2) == lemma41_peel(k, a, b1, b2)
+
+
+def test_lemma41_work_does_not_grow_with_the_coefficients():
+    k, a = 3, 10 ** 12
+    started = time.perf_counter()
+    terms = cones.lemma41_decompose(k, a, 2 * a + 2, a - 7)
+    assert terms == [("beta_0", 333333333332), ("beta_1", 1), ("beta_3", 666666666667),
+                     ("e2", 5)]
+    assert cones.resum(terms, partial(cones.lemma41_vector, k), 3) == (a, -2 * a - 2, 7 - a)
+    res = cone_membership(cones.thm44_generators(2), (a, -a, -a))
+    assert res.is_member and time.perf_counter() - started < 1
+
+
 # ---------------------------------------------------------------------------
 # span decompositions for blow-up classes
 
@@ -463,6 +485,38 @@ def test_quadric_r7_inequality_grid():
                 continue
             assert satisfied, (a, bs)
             assert quadric_resum(terms, 7) == (a, *bs)
+
+
+def test_quadric_decomposes_exactly_where_no_facet_is_violated():
+    rng = random.Random(28)
+    decomposed = 0
+    for _ in range(3000):
+        r = rng.randint(0, 7)
+        a, bs = rng.randint(0, 60), [rng.randint(-5, 30) for _ in range(r)]
+        try:
+            terms = cones.quadric_curve_decompose(a, bs)
+        except DecompositionError:
+            assert cones._violated_facet(a, bs) is not None, (a, bs)
+            continue
+        assert cones._violated_facet(a, bs) is None, (a, bs)
+        assert quadric_resum(terms, r) == (a, *bs) and all(c > 0 for c in terms.values())
+        decomposed += 1
+    assert 500 < decomposed < 2500
+
+
+def test_quadric_work_does_not_grow_with_the_coefficients():
+    a, b = 5 * 10 ** 12, 10 ** 12
+    started = time.perf_counter()
+    terms = cones.quadric_curve_decompose(a, [b] * 7)
+    # floor(7b/3) conics in at most 8 runs, and the one unit of b they leave is a line
+    conics = {key: c for key, c in terms.items() if key[0] == "conic"}
+    assert len(conics) <= 8 and sum(conics.values()) == 7 * b // 3
+    assert sum(c for key, c in terms.items() if key[0] == "line") == 1
+    assert quadric_resum(terms, 7) == (a, *[b] * 7)
+    with pytest.raises(DecompositionError, match=re.escape("violated facet: 3a >= 2b_1 + ")):
+        cones.quadric_curve_decompose(a, [b * 11 // 10] * 7)
+    assert cone_membership(cones.quadric_cone(7), (a, *[-b] * 7)).is_member
+    assert time.perf_counter() - started < 1
 
 
 def test_quadric_cone_matches_brute_force_oracle():
@@ -598,6 +652,18 @@ def test_g25_threecycle_grid_resums():
                 else:
                     with pytest.raises(DecompositionError):
                         cones.g25_threecycle_decompose(a21, a3, bs)
+
+
+def test_g25_work_does_not_grow_with_the_coefficients():
+    big = 10 ** 12
+    started = time.perf_counter()
+    # pairs across points; one unit left with a3 = 0; spare units for s3
+    cases = [(big, 0, [big - 1, big, 1]), (big, 0, [big, big - 1]),
+             (big, big, [big + 1, big + 1, big - 3, 1])]
+    for a21, a3, bs in cases:
+        terms = cones.g25_threecycle_decompose(a21, a3, bs)
+        assert g25_resum(terms, len(bs)) == (a21, a3, *bs) and len(terms) <= 12
+    assert time.perf_counter() - started < 1
 
 
 def test_g25_threecycle_rejects_bad_input():
