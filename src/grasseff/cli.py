@@ -149,8 +149,7 @@ def cmd_cone_check(args) -> int:
     if len(v) != dim:
         raise InputError("class file %r has %d coordinates, but the cone has dimension %d"
                          % (args.cls, len(v), dim))
-    # the default basis is built only now, so a huge "dim" costs nothing
-    cone = cones.ConeSpec.build(dim, basis or ["x%d" % i for i in range(dim)], gens)
+    cone = cones.ConeSpec.build(dim, basis or (), gens)
     result = cones.cone_membership(cone, v)
     _emit(_membership_report(cone, result))
     return 0 if result.is_member else 3

@@ -30,7 +30,7 @@ import itertools
 import math
 from bisect import bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -189,9 +189,8 @@ def thm44_generators(k: int) -> ConeSpec:
     """
     if k < 2:
         raise InputError("need k >= 2")
-    labels = ["e1", "e2"] + ["beta_%d" % m for m in range(k + 1)]
-    cone = ConeSpec.build(3, ("H", "E1", "E2"), [(lbl, lemma41_vector(k, lbl)) for lbl in labels])
-    index = {label: j for j, label in enumerate(cone.labels)}
+    labels = ("e1", "e2") + tuple("beta_%d" % m for m in range(k + 1))
+    index = {label: j for j, label in enumerate(labels)}
 
     def rule(v):  # v = (a, -b_1, -b_2)
         a, y, z = v
@@ -211,7 +210,8 @@ def thm44_generators(k: int) -> ConeSpec:
         witness[index["e1"]] += max(y, 0)
         witness[index["e2"]] += max(z, 0)
         return "witness", tuple(witness)
-    return replace(cone, rule=rule)
+    return ConeSpec(3, ("H", "E1", "E2"), labels,
+                    tuple(lemma41_vector(k, label) for label in labels), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +291,18 @@ def sgen_bound(ctx: GrassCtx, cycle_dim: int) -> int:
     """Largest r for which the dimension-1 or -2 cone is known span-generated.
 
     Base bound binom(n, k) - k(n-k); curves gain one more point when the
-    Plucker degree is at least base + 1. A base of more than MAX_DIGITS
-    digits cannot be written as JSON and is refused: binom(n, j) >= (n/j)^j
-    for j = min(k, n-k), so a bound past the limit by that estimate is
-    refused before the binomial is computed. For curves, when `chow.degree`
-    refuses the box (its bound k^(k(n-k)) has more than MAX_DIGITS digits, as
-    G(2, 10^4) has), the degree of a sub-box bounds it from below: the standard
-    tableaux of a shape are the sum of those of the shapes it covers, so they
-    only grow with the shape. The sub-box keeps the short side k and the
-    longest long side `chow.degree` accepts; when even its degree is below
-    base + 1, the refusal stands.
+    Plucker degree f is at least base + 1, which holds exactly when both
+    sides k, w = n-k are >= 2 and kw > 4. Proof: the hook formula gives
+    f(k, w+1) / f(k, w) = prod_{i=1..k} (kw+i)/(w+i), at least its first
+    factor (kw+1)/(w+1) >= (k+w+1)/(w+1) = C(k+w+1, k) / C(k+w, k) once
+    k, w >= 2, so f / C(k+w, k) never falls as either side grows from 2 (f is
+    symmetric in k and w). f >= C already at G(2,7) (42 >= 21) and G(3,6)
+    (42 >= 20), and every other box with both sides >= 2 contains one of them
+    except G(2,4), G(2,5) and G(2,6), where f = 2, 5, 14 against base + 1 =
+    3, 5, 8. With a side of 1, f = 1 < 2 = base + 1. A base of more than
+    MAX_DIGITS digits cannot be written as JSON and is refused: binom(n, j)
+    >= (n/j)^j for j = min(k, n-k), so a bound past the limit by that
+    estimate is refused before the binomial is computed.
     """
     if cycle_dim not in (1, 2):
         raise InputError("cycle_dim must be 1 or 2")
@@ -312,18 +314,7 @@ def sgen_bound(ctx: GrassCtx, cycle_dim: int) -> int:
     base = math.comb(ctx.n, ctx.k) - ctx.dim
     if base >= 10 ** MAX_DIGITS:
         raise too_long
-    if cycle_dim == 2:
-        return base
-    try:
-        return base + (chow.degree(ctx) >= base + 1)
-    except InputError:
-        k = min(ctx.k, ctx.w)
-        w = int(MAX_DIGITS / (k * math.log10(k)))
-        while k * w * math.log10(k) > MAX_DIGITS:  # the test chow.degree makes
-            w -= 1
-        if w < 2 or chow.degree(GrassCtx(k, k + w)) < base + 1:
-            raise
-        return base + 1
+    return base + (cycle_dim == 1 and j >= 2 and ctx.dim > 4)
 
 
 def very_general_curve_bound(ctx: GrassCtx) -> int:
@@ -435,13 +426,7 @@ def quadric_cone(r: int) -> ConeSpec:
         raise InputError("at most 7 points supported")
     keys = [("ell",)] + [("ell_i", i) for i in range(r)] + [("line", i) for i in range(r)] \
         + [("conic", *ijk) for ijk in itertools.combinations(range(r), 3)]
-    gens = []
-    for key in keys:
-        a, *bs = quadric_term_vector(key, r)
-        label = key[0] + "".join("_%d" % (i + 1) for i in key[1:])
-        gens.append((label, (a, *(-b for b in bs))))
-    # build keeps every key (their vectors are distinct), so keys index the generators
-    cone = ConeSpec.build(r + 1, ("ell",) + tuple("ell_%d" % (i + 1) for i in range(r)), gens)
+    position = {key: j for j, key in enumerate(keys)}
 
     def rule(v):  # v = (a, -b_1, ..., -b_r)
         a, bs = v[0], [-x for x in v[1:]]
@@ -452,9 +437,15 @@ def quadric_cone(r: int) -> ConeSpec:
             return None
         witness = [0] * len(keys)
         for key, c in quadric_curve_decompose(a, bs).items():
-            witness[keys.index(key)] = c
+            witness[position[key]] = c
         return "witness", tuple(witness)
-    return replace(cone, rule=rule)
+    gens = []
+    for key in keys:
+        a, *bs = quadric_term_vector(key, r)
+        gens.append((a, *(-b for b in bs)))
+    return ConeSpec(r + 1, ("ell",) + tuple("ell_%d" % (i + 1) for i in range(r)),
+                    tuple(key[0] + "".join("_%d" % (i + 1) for i in key[1:]) for key in keys),
+                    tuple(gens), rule)
 
 
 def resum(terms, vector_of, length: int) -> tuple:
@@ -572,10 +563,6 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
         keys += [("sigma", lam)] + [("sigma-E", lam, i) for i in range(r)]
     keys += [("E", i) for i in range(r)]
     basis = [("sigma", lam) for lam in sigmas] + [("E", i) for i in range(r)]
-    cone = ConeSpec.build(b + r, tuple(map(_lemma42_label, basis)),
-                          [(_lemma42_label(key), lemma42_term_vector(sigmas, r, key))
-                           for key in keys])
-    # build keeps every key (their vectors are distinct), so keys index the generators
     position = {key: j for j, key in enumerate(keys)}
 
     def rule(v):  # v = (a_lam..., -b_1, ..., -b_r)
@@ -594,7 +581,8 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
             if c > 0:
                 witness[position[("E", i)]] = c
         return "witness", tuple(witness)
-    return replace(cone, rule=rule)
+    return ConeSpec(b + r, tuple(map(_lemma42_label, basis)), tuple(map(_lemma42_label, keys)),
+                    tuple(lemma42_term_vector(sigmas, r, key) for key in keys), rule)
 
 
 def blowup_cycle_vector(cls: BlowupClass) -> tuple:

@@ -190,14 +190,15 @@ def check_lemma65(D: NullDivisor, kernel_gens, gamma_gens, sample_eff_gens) -> d
     classes, equality allowed only for rational multiples of D's rational
     projection. Full nefness over the whole effective cone is assumed (SHGH).
     """
-    return _lemma65(D, _PairingTable(D), _keyed(kernel_gens), _keyed(gamma_gens),
-                    _keyed(sample_eff_gens))
+    keyed = _keyed(kernel_gens), _keyed(gamma_gens), _keyed(sample_eff_gens)
+    for c, _ in itertools.chain(*keyed):
+        D._check_lattice(c)
+    return _lemma65(D, _PairingTable(D), *keyed)
 
 
 def _lemma65(D: NullDivisor, table: _PairingTable, kernel, gamma, samples) -> dict:
-    """check_lemma65 on (class, pairing key) pairs, every sign read from the report's table."""
-    for c, _ in itertools.chain(kernel, gamma, samples):
-        D._check_lattice(c)
+    """check_lemma65 on (class, pairing key) pairs of D's lattice, every sign read from the
+    report's table."""
     checks = [
         _check("D.D == 0", table.square == 0),
         _check("D.h > 0", table[_samples(D.N)[0][1]][0] > 0),

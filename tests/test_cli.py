@@ -279,14 +279,12 @@ def test_cone_sgen_refuses_a_cone_over_the_cap_before_building_it(capsys, tmp_pa
                                                       % cones.SGEN_CAP)
 
 
-def test_degree_and_cone_sgen_are_priced_by_the_degree_digits(capsys):
+def test_degree_is_priced_by_its_digits_and_cone_sgen_is_not(capsys):
     started = time.perf_counter()
     code, out, err = run(capsys, "degree", "--k", "2", "--n", "1000000")
     assert code == 2 and out is None and time.perf_counter() - started < 1
     assert json_lines(err)[-1]["error"].endswith(
         "the degree is at most 2^1999996, more than %d digits" % MAX_DIGITS)
-    # the degree of G(2,10000) is refused, but that of its sub-box G(2,7144) already
-    # exceeds the base binom(10000, 2) - 19996, so the curve bound is base + 1
     started = time.perf_counter()
     code, out, _ = run(capsys, "cone", "sgen", "--k", "2", "--n", "10000", "--r", "1",
                        "--dim", "1")
@@ -302,6 +300,16 @@ def test_degree_and_cone_sgen_are_priced_by_the_degree_digits(capsys):
         assert code == 0 and out == expected and time.perf_counter() - started < 1
     code, out, _ = run(capsys, "cone", "sgen", "--k", "10", "--n", "20", "--r", "1", "--dim", "1")
     assert code == 0 and out["bound"] == 184657
+
+
+@pytest.mark.parametrize("k", [527, 1500])
+def test_cone_sgen_answers_curve_bounds_whose_degree_is_refused(capsys, k):
+    assert run(capsys, "degree", "--k", str(k), "--n", str(2 * k))[0] == 2
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "cone", "sgen", "--k", str(k), "--n", str(2 * k), "--r", "1",
+                       "--dim", "1")
+    assert code == 0 and time.perf_counter() - started < 1
+    assert out["bound"] == math.comb(2 * k, k) - k * k + 1
 
 
 def test_cone_sgen_refuses_a_bound_too_long_to_print(capsys):

@@ -111,9 +111,10 @@ def test_random_arguments_keep_the_contract(args, tmp_path_factory):
         assert code == 2, args
 
 
-# large boxes for `degree` and `cone sgen --dim 1`, whose answers rest on the
-# Plucker degree: k and n up to 10^9, k = 1, k = n - 1, and boxes on either
-# side of the degree's digit bound k(n-k) log10 k <= MAX_DIGITS (k <= n - k)
+# large boxes for `degree`, refused past its digit bound k(n-k) log10 k <= MAX_DIGITS
+# (k <= n - k), and `cone sgen --dim 1`, which answers whenever its base
+# binom(n, k) - k(n-k) prints: k and n up to 10^9, k = 1, k = n - 1, and boxes on
+# either side of the degree's digit bound
 
 BIG = 10 ** 9
 
@@ -143,6 +144,18 @@ def test_large_boxes_keep_the_contract(box, sgen, r):
     code, out, err = run_checked(args)
     assert code in (0, 2) and time.perf_counter() - started < 1, (args, code, err)
     assert (out != "") == (code == 0), (args, err)
+    k, n = box
+    if sgen and n > k and (base := printable_base(k, n)) is not None:
+        assert code == 0 and json.loads(out)["bound"] - base in (0, 1), (args, err)
+
+
+def printable_base(k, n):
+    """binom(n, k) - k(n-k) when it has at most MAX_DIGITS digits, else None."""
+    log10_binom = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(10)
+    if log10_binom > MAX_DIGITS + 1:
+        return None
+    base = math.comb(n, k) - k * (n - k)
+    return base if base < 10 ** MAX_DIGITS else None
 
 
 # ---------------------------------------------------------------------------

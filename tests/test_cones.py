@@ -19,8 +19,8 @@ from grasseff.errors import InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS
 from grasseff.simplex import solve_nonneg_combination
 
-from support import (facet_slack, g25_resum, lemma41_peel, quadric_facets, quadric_in_cone,
-                     quadric_resum)
+from support import (facet_slack, fold_degree, g25_resum, lemma41_peel, quadric_facets,
+                     quadric_in_cone, quadric_resum)
 
 G24 = GrassCtx(2, 4)
 G25 = GrassCtx(2, 5)
@@ -407,6 +407,54 @@ def test_sgen_bounds():
     assert cones.sgen_bound(G25, 2) == 4
     assert cones.sgen_bound(G25, 1) == 5
     assert cones.very_general_curve_bound(G25) == 5
+
+
+def degree_bound(k, n, degree):
+    """The curve bound by its definition: base + 1 exactly when the degree reaches base + 1."""
+    base = math.comb(n, k) - k * (n - k)
+    return base + (degree >= base + 1)
+
+
+@pytest.mark.filterwarnings("ignore:G.* falls outside the standing assumption")
+def test_sgen_curve_bound_is_the_degree_comparison_on_small_boxes():
+    for n in range(2, 13):
+        for k in range(1, n):
+            assert cones.sgen_bound(GrassCtx(k, n), 1) == degree_bound(k, n, fold_degree(k, n))
+
+
+def test_sgen_curve_bound_is_the_degree_comparison_up_to_sides_of_60(monkeypatch):
+    monkeypatch.setattr(chow, "MAX_DIGITS", 10 ** 5)  # the degree is compared, never printed
+    for k in range(2, 61):
+        for n in range(2 * k, k + 61):
+            ctx = GrassCtx(k, n)
+            assert cones.sgen_bound(ctx, 1) == degree_bound(k, n, chow.degree(ctx)), (k, n)
+
+
+def test_degree_over_binomial_never_falls_as_a_side_grows():
+    # f(k, w+1) / f(k, w) >= C(k+w+1, k) / C(k+w, k) = (k+w+1) / (w+1), the step of the proof
+    f = {(k, w): chow.degree(GrassCtx(k, k + w)) for k in range(2, 41) for w in range(2, 42)}
+    for k in range(2, 41):
+        for w in range(2, 41):
+            assert f[k, w + 1] * (w + 1) >= f[k, w] * (k + w + 1), (k, w)
+
+
+def test_sgen_bound_never_computes_the_degree(monkeypatch):
+    def refuse(ctx):
+        raise AssertionError("sgen_bound called chow.degree")
+    monkeypatch.setattr(chow, "degree", refuse)
+    assert cones.sgen_bound(G24, 1) == 2
+    assert cones.sgen_bound(GrassCtx(10, 20), 1) == 184657
+    assert cones.sgen_bound(GrassCtx(1500, 3000), 1) == math.comb(3000, 1500) - 1500 ** 2 + 1
+
+
+def test_paper_cone_generators_are_distinct():
+    paper = [cones.thm44_generators(k) for k in range(2, 7)] \
+        + [cones.quadric_cone(r) for r in range(8)] \
+        + [cones.sgen_cycle_cone(ctx, cycle_dim, r) for ctx in (G24, G25, GrassCtx(3, 6))
+           for cycle_dim in (1, 2) for r in (0, 1, 3)]
+    for cone in paper:
+        assert len(set(cone.generators)) == len(cone.generators) == len(set(cone.labels))
+        assert all(len(g) == cone.dim for g in cone.generators)
 
 
 def test_sgen_bound_prints_up_to_the_digit_limit():
