@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from functools import partial
@@ -33,7 +34,14 @@ def _parse_parts(text: str) -> tuple:
 
 
 def _emit(obj) -> None:
-    print(jsonio.canonical_dumps(obj))
+    try:
+        print(jsonio.canonical_dumps(obj), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the interpreter's
+        # final flush cannot raise, and the command keeps its own exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load_json(path: str, what: str, parse):

@@ -1,19 +1,21 @@
 """Orbits of the two-flag triangular group on G(k, 2k).
 
-Orbits are indexed by incidence matrices (dimensions of intersections with
-the sums F_i + G_j of two transverse partial flags); each realizable matrix
-decodes, by inclusion-exclusion, to a distinguished representative spanned
-by vectors f_i + g_j with no basis vector reused, and each such set of
-pairs is one orbit. The decoder, representative_from_incidence, is the one
-place a matrix is checked; every other one is built from a valid
-representative or read off ranks. Includes exact orbit dimensions via the
-Lie algebra stabilizer condition and a finite-field enumeration used as an
-oracle, which reads each row of a subspace's incidence off one echelon over
-F_q. Two bounds count what they would build, before any work: enumerate_orbits
-refuses more than ORBIT_CAP incidence entries, orbit_count(k, d) x (k+1)^2,
-which every caller (the listing, the oracle, the benchmark) builds one
-matrix per orbit of; the oracle refuses more than ORACLE_CAP subspaces (the
-Gaussian binomial).
+Orbits are indexed by incidence matrices (dimensions of intersections with the sums
+F_i + G_j of two transverse partial flags); each realizable matrix decodes, by
+inclusion-exclusion, to a distinguished representative spanned by vectors f_i + g_j with
+no basis vector reused, and each such set of pairs is one orbit. Both directions of the
+round trip are one pass over rows: the encoder keeps one running row of counters, and the
+decoder inverts each row against the one above. A representative is checked only where it
+comes in, by make_representative (pairs a caller supplies) and by the decoder;
+enumerate_orbits builds its records unchecked, valid by construction. The decoder,
+representative_from_incidence, is also the one place a matrix is checked; every other one
+is built from a valid representative or read off ranks. Includes exact orbit dimensions
+via the Lie algebra stabilizer condition and a finite-field enumeration used as an oracle,
+which reads each row of a subspace's incidence off one echelon over F_q. Two bounds count
+what they would build, before any work: enumerate_orbits refuses more than ORBIT_CAP
+incidence entries, orbit_count(k, d) x (k+1)^2, which every caller (the listing, the
+oracle, the benchmark) builds one matrix per orbit of; the oracle refuses more than
+ORACLE_CAP subspaces (the Gaussian binomial).
 
 A representative's basis vectors have disjoint supports of size 1 or 2, so
 each e_i modulo W is 0 or a signed unit vector of V/W, and each row of the
@@ -57,81 +59,87 @@ class IncidenceMatrix:
 
 @dataclass(frozen=True)
 class OrbitRepresentative:
-    """Pairs (i, j) meaning the span of the vectors f_i + g_j; index 0 drops the summand."""
+    """Pairs (i, j) meaning the span of the vectors f_i + g_j; index 0 drops the summand.
+    A plain record, checked only by make_representative and representative_from_incidence."""
 
     k: int
-    pairs: tuple  # canonically sorted tuple of (i, j)
-
-    def __post_init__(self):
-        k = self.k
-        if tuple(sorted(self.pairs)) != self.pairs:
-            raise InputError("pairs must be sorted")
-        fs, gs = [], []
-        for i, j in self.pairs:
-            if not (0 <= i <= k and 0 <= j <= k):
-                raise InputError("pair (%d,%d) out of range" % (i, j))
-            if (i, j) == (0, 0):
-                raise InputError("pair (0,0) denotes the zero vector")
-            if i > 0:
-                fs.append(i)
-            if j > 0:
-                gs.append(j)
-        if len(set(fs)) != len(fs) or len(set(gs)) != len(gs):
-            raise InputError("a flag basis vector is reused across pairs")
+    pairs: tuple  # sorted tuple of (i, j): indices in 0..k, no (0,0), no flag vector reused
 
     def to_json(self) -> list:
         return [list(p) for p in self.pairs]
 
 
 def make_representative(k: int, pairs) -> OrbitRepresentative:
-    return OrbitRepresentative(k, tuple(sorted(tuple(p) for p in pairs)))
+    """The representative of caller-supplied pairs, sorted, with every index in 0..k, no
+    (0,0) and no flag vector reused."""
+    pairs = tuple(sorted(tuple(p) for p in pairs))
+    for i, j in pairs:
+        if not (0 <= i <= k and 0 <= j <= k):
+            raise InputError("pair (%d,%d) out of range" % (i, j))
+        if (i, j) == (0, 0):
+            raise InputError("pair (0,0) denotes the zero vector")
+    fs, gs = [i for i, _ in pairs if i > 0], [j for _, j in pairs if j > 0]
+    if len(set(fs)) != len(fs) or len(set(gs)) != len(gs):
+        raise InputError("a flag basis vector is reused across pairs")
+    return OrbitRepresentative(k, pairs)
 
 
 def incidence_of_representative(rep: OrbitRepresentative) -> IncidenceMatrix:
     """entry(i,j) = number of pairs with both indices dominated by (i,j).
 
-    The 2-D prefix sums of the 0/1 grid that marks the pairs: each row adds
-    its running sums to the row above.
+    One running row of k+1 counters: the pairs are sorted by i, each pair (i, b) adds 1
+    to columns b..k, and row i is frozen once its own pairs are in.
     """
     k = rep.k
-    grid = [[0] * (k + 1) for _ in range(k + 1)]
+    row, entries = [0] * (k + 1), []
     for a, b in rep.pairs:
-        grid[a][b] = 1
-    entries, above = [], (0,) * (k + 1)
-    for line in grid:
-        above = tuple(map(operator.add, above, itertools.accumulate(line)))
-        entries.append(above)
+        while len(entries) < a:
+            entries.append(tuple(row))
+        for c in range(b, k + 1):
+            row[c] += 1
+    while len(entries) <= k:
+        entries.append(tuple(row))
     return IncidenceMatrix(k, tuple(entries))
 
 
 def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
     """Read the pairs off the matrix by Moebius inversion (inclusion-exclusion).
 
-    entry(i,j) counts the pairs dominated by (i,j), so (i,j) is a pair exactly
-    when e[i][j] - e[i-1][j] - e[i][j-1] + e[i-1][j-1] is 1 (entries with a
-    negative index are 0). A shape other than (k+1) x (k+1), any value other
-    than 0 or 1, the pair (0,0), a reused flag vector, more than k pairs, or
-    pairs that do not re-encode to the matrix mean it is not the incidence
-    profile of any subspace; together these imply (0,0) = 0, (k,k) <= k,
-    nonnegative entries and row and column steps of 0 or 1.
+    entry(i,j) counts the pairs dominated by (i,j), so (i,j) is a pair exactly when
+    e[i][j] - e[i-1][j] - e[i][j-1] + e[i-1][j-1] is 1 (entries with a negative index are
+    0): row by row, the differences along the row of its step from the row above, and a
+    row equal to the one above holds no pair. A shape other than (k+1) x (k+1), any value
+    other than 0 or 1, the pair (0,0), a reused flag vector, more than k pairs, or pairs
+    that do not re-encode to the matrix mean it is not the incidence profile of any
+    subspace; together these imply (0,0) = 0, (k,k) <= k, nonnegative entries and row and
+    column steps of 0 or 1.
     """
-    k = inc.k
-    if len(inc.entries) != k + 1 or any(len(row) != k + 1 for row in inc.entries):
+    k, entries = inc.k, inc.entries
+    if len(entries) != k + 1 or any(len(row) != k + 1 for row in entries):
         raise InputError("expected a %dx%d matrix" % (k + 1, k + 1))
-    e = [[0] * (k + 2)] + [[0, *row] for row in inc.entries]  # one row and column of zeros
-    pairs = []
-    for i in range(k + 1):
-        for j in range(k + 1):
-            m = e[i + 1][j + 1] - e[i][j + 1] - e[i + 1][j] + e[i][j]
-            if m not in (0, 1):
-                raise InputError("invalid incidence profile: inclusion-exclusion gives %d at "
-                                 "(%d,%d)" % (m, i, j))
+    pairs, gs, above = [], set(), (0,) * (k + 1)
+    for i, row in enumerate(entries):
+        if row == above:  # no pair in this row
+            continue
+        step = tuple(map(operator.sub, row, above))
+        at = len(pairs)
+        for j, m in enumerate(map(operator.sub, step, (0, *step))):
             if m:
+                if m != 1:
+                    raise InputError("invalid incidence profile: inclusion-exclusion gives %d "
+                                     "at (%d,%d)" % (m, i, j))
+                if not (i or j):
+                    raise InputError("pair (0,0) denotes the zero vector")
+                if (i and len(pairs) > at) or j in gs:
+                    raise InputError("a flag basis vector is reused across pairs")
+                if j:
+                    gs.add(j)
                 pairs.append((i, j))
-    rep = make_representative(k, pairs)
+        above = row
     if len(pairs) > k:
         raise InputError("invalid incidence profile: %d pairs, more than k=%d" % (len(pairs), k))
-    if incidence_of_representative(rep).entries != inc.entries:
+    rep = OrbitRepresentative(k, tuple(pairs))
+    if incidence_of_representative(rep).entries != entries:
         raise InputError("invalid incidence profile: its pairs do not reproduce the matrix")
     return rep
 

@@ -701,6 +701,20 @@ def test_main_exit_codes_in_a_fresh_interpreter():
     assert [set(msg) for msg in json_lines(done.stderr)] == [{"warning"}]
 
 
+def test_a_reader_that_closes_stdout_early_leaves_the_exit_code_alone():
+    # the k = d = 5 listing is about 1.7 MB, far more than a pipe buffer, so the
+    # write is still going when the reader closes the pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "grasseff.cli", "orbits", "list", "--k", "5", "--dim", "5"]
+    with subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 0 and head == b'{"dim":5,"k":5,"orbi' and err == b""
+
+
 def test_deeply_nested_file_is_named(capsys, tmp_path):
     deep, gens = tmp_path / "deep.json", tmp_path / "gens.json"
     deep.write_text("[" * 100000 + "]" * 100000)

@@ -42,6 +42,14 @@ def test_round_trip_exhaustive_k_up_to_4():
                 assert representative_from_incidence(inc) == rep
 
 
+def test_enumerated_records_pass_the_checks_they_skip():
+    # enumerate_orbits builds its records unchecked; make_representative checks and sorts
+    for k in range(6):
+        for d in range(k + 1):
+            for rep in enumerate_orbits(k, d):
+                assert make_representative(k, rep.pairs) == rep, rep
+
+
 def reference_orbits(k, d):
     """Every d-set of the (k+1)^2 - 1 candidate pairs that reuses no flag vector, in order."""
     candidates = [(i, j) for i in range(k + 1) for j in range(k + 1) if (i, j) != (0, 0)]
@@ -135,6 +143,30 @@ def test_decoder_accepts_exactly_what_the_old_rules_and_decoding_accept():
             accepted += got is not None
     # every orbit of k = 1 and k = 2 has entries in 0..2, and nothing else is accepted
     assert accepted == sum(orbits.orbit_count(k, d) for k in (1, 2) for d in range(k + 1))
+
+
+def test_decoder_agrees_with_the_reference_on_perturbed_orbits_at_k_3_and_4():
+    # every orbit's matrix with 1 added to or taken from one or two distinct entries
+    rng = random.Random(30)
+    verdicts = set()
+    for k in (3, 4):
+        cells = [(i, j) for i in range(k + 1) for j in range(k + 1)]
+        for d in range(k + 1):
+            for rep in enumerate_orbits(k, d):
+                entries = incidence_of_representative(rep).entries
+                for count in (1, 2, 2):
+                    e = [list(row) for row in entries]
+                    for i, j in rng.sample(cells, count):
+                        e[i][j] += rng.choice((-1, 1))
+                    e = tuple(map(tuple, e))
+                    expected = reference_decode(k, e)
+                    try:
+                        got = representative_from_incidence(IncidenceMatrix(k, e)).pairs
+                    except InputError:
+                        got = None
+                    assert got == expected, e
+                    verdicts.add(got is None)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("k, entries", [
