@@ -11,16 +11,23 @@ by Poincare duality. All coefficients are Python ints (arbitrary precision).
 Validation happens at the API boundary: `GrassCtx.partition` and the
 public `ChowClass(...)` constructor check their partitions. Inside,
 products run on plain part tuples, which interlacing keeps inside the box.
-`multiply` and `pieri` build their result once, through `_chow_class`,
-which trusts those tuples: `_boxed` turns each into a BoxedPartition,
-validated the first time it is seen and then reused. Every memo here holds
-at most `MEMO_CAP` entries, the one cap, defined in `partitions`. The
-Plucker degree is the hook length formula alone, priced by its digits.
+Each product memo entry is a dict whose keys are boxed once, when the
+entry is computed: `_boxed` turns each tuple into a BoxedPartition,
+validated the first time it is seen and then reused. `multiply` of two
+one-term classes copies the entry (scaled when a coefficient is not 1),
+and a dict copy reuses the stored hashes, so no key is boxed or hashed
+again; longer classes sum the entries' terms. `pieri` boxes the tuples of
+the Pieri memo, which builds its fillings row by row. Both build their
+result through `_chow_class`, which skips the per-term checks. Every memo
+here holds at most `MEMO_CAP` entries, the one cap, defined in
+`partitions`. The Plucker degree is the hook length formula alone, priced
+by its digits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -140,18 +147,15 @@ def _boxed(parts: tuple[int, ...], k: int, w: int) -> BoxedPartition:
     return make_partition(parts, k, w)
 
 
-def _chow_class(ctx: GrassCtx, codim: int, terms: dict) -> ChowClass:
-    """The ChowClass of a dict from part tuples to coefficients, trusted.
+def _chow_class(ctx: GrassCtx, codim: int, coeffs: dict) -> ChowClass:
+    """The ChowClass of a dict from BoxedPartitions to nonzero coefficients, trusted.
 
-    The tuples come from `_pieri_parts` or `_product_parts`, whose
+    The keys come from `_boxed`, through the product memo or `pieri`, whose
     interlacing keeps each inside the box with size codim, so the per-term
-    checks of `ChowClass.__init__` are skipped: `_boxed` validates each tuple
-    the first time it is seen. Zero coefficients are dropped here, once.
+    checks of `ChowClass.__init__` are skipped.
     """
-    k, w = ctx.k, ctx.w
     cls = object.__new__(ChowClass)
-    cls.ctx, cls.codim = ctx, codim
-    cls.coeffs = {_boxed(nu, k, w): c for nu, c in terms.items() if c}
+    cls.ctx, cls.codim, cls.coeffs = ctx, codim, coeffs
     return cls
 
 
@@ -168,8 +172,9 @@ def pieri(ctx: GrassCtx, special: int, mu: BoxedPartition) -> ChowClass:
     if terms > MEMO_CAP:
         raise InputError("sigma_%d * sigma_%s has %d terms, more than %d"
                          % (special, mu, terms, MEMO_CAP))
+    k, w = ctx.k, ctx.w
     return _chow_class(ctx, special + mu.size,
-                       dict.fromkeys(_pieri_parts(mu.parts, ctx.w, special), 1))
+                       {_boxed(nu, k, w): 1 for nu in _pieri_parts(mu.parts, w, special)})
 
 
 def _pieri_count(mu: tuple[int, ...], w: int, special: int) -> int:
@@ -195,22 +200,22 @@ def _pieri_count(mu: tuple[int, ...], w: int, special: int) -> int:
 def _pieri_parts(mu: tuple[int, ...], w: int, special: int) -> tuple[tuple[int, ...], ...]:
     """The parts of every nu in sigma_special * sigma_mu: the one Pieri memo.
 
-    These are all nu >= mu interlacing mu with |nu| - |mu| = special.
+    These are all nu >= mu interlacing mu with |nu| - |mu| = special, in
+    lexicographic order. The partial fillings are extended one row at a
+    time. Rows i+1.. can take at most sum_{j>i} (mu_{j-1} - mu_j) =
+    mu_i - mu_last more boxes, so row i takes at least rem + mu_last, and
+    every kept filling can be completed.
     """
-    k = len(mu)
-
-    def rec(i, remaining):
-        if i == k:
-            if remaining == 0:
-                yield ()
-            return
-        cap = w if i == 0 else mu[i - 1]  # nu_i <= mu_{i-1}, mu_0 := w
-        hi = min(cap, mu[i] + remaining)
-        for nu_i in range(mu[i], hi + 1):
-            for rest in rec(i + 1, remaining - (nu_i - mu[i])):
-                yield (nu_i,) + rest
-
-    return tuple(rec(0, special))
+    last = mu[-1]
+    fills = [((), special)]
+    cap = w  # nu_i <= mu_{i-1}, mu_0 := w
+    for m in mu:
+        nxt = []
+        for head, rem in fills:
+            for nu_i in range(max(m, rem + last), min(cap, m + rem) + 1):
+                nxt.append((head + (nu_i,), rem - nu_i + m))
+        fills, cap = nxt, m
+    return tuple(head for head, _ in fills)
 
 
 def giambelli(lam: BoxedPartition) -> list[tuple[int, tuple[int, ...]]]:
@@ -250,8 +255,10 @@ def _order(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
 
 
 @lru_cache(maxsize=MEMO_CAP)
-def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> tuple:
-    """sigma_lam * sigma_mu in a box of width w, as (parts, coefficient) pairs: the product memo.
+def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> dict:
+    """sigma_lam * sigma_mu in the len(lam) x w box as a dict from BoxedPartitions to
+    nonzero coefficients, each boxed once, here: the product memo. Read only: `multiply`
+    hands out copies.
 
     The Jacobi-Trudi determinant sigma_lam = det(sigma_{lam_i - i + j}),
     l x l for the l nonzero parts of lam, expanded along its last column:
@@ -263,30 +270,32 @@ def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> tuple:
     lam_i + mu_{k+1-i} > w: then lam does not fit in the complement of mu,
     and the two Schubert varieties in opposite position do not meet.
     """
-    rows = len(lam) - lam.count(0)
+    k = len(lam)
+    rows = k - lam.count(0)
     if rows == 0:
-        return ((mu, 1),)
-    if any(p + q > w for p, q in zip(lam, reversed(mu))):
-        return ()
+        return {_boxed(mu, k, w): 1}
+    if max(map(operator.add, lam, reversed(mu))) > w:
+        return {}
     acc: dict = {}
-    pad = (0,) * (len(lam) - rows + 1)
+    pad = (0,) * (k - rows + 1)
     for i in range(rows):
         special = lam[i] + rows - 1 - i
         if special > w:
             continue
         sign = -1 if (rows - 1 - i) % 2 else 1
-        minor = lam[:i] + tuple(p - 1 for p in lam[i + 1:rows]) + pad
-        for nu, c in _product_parts(minor, mu, w):
-            for rho in _pieri_parts(nu, w, special):
+        minor = lam[:i] + tuple([p - 1 for p in lam[i + 1:rows]]) + pad
+        for nu, c in _product_parts(minor, mu, w).items():
+            for rho in _pieri_parts(nu.parts, w, special):
                 acc[rho] = acc.get(rho, 0) + sign * c
-    return tuple((nu, c) for nu, c in acc.items() if c)
+    return {_boxed(nu, k, w): c for nu, c in acc.items() if c}
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     """Bilinear product; classes exceeding the box vanish.
 
     Products commute, so each pair of terms goes in `_order`: both orders
-    share one memo entry.
+    share one memo entry. A product of two one-term classes is a copy of that
+    entry, scaled by the two coefficients; its terms are nonzero already.
     """
     ctx = a.ctx
     if ctx is not b.ctx and ctx != b.ctx:
@@ -295,13 +304,20 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     if codim > ctx.dim:
         return zero(ctx, codim)
     w = ctx.w
+    if len(a.coeffs) == 1 == len(b.coeffs):
+        (lam, c), = a.coeffs.items()
+        (mu, d), = b.coeffs.items()
+        entry = _product_parts(*_order(lam.parts, mu.parts), w)
+        cd = c * d
+        return _chow_class(ctx, codim,
+                           entry.copy() if cd == 1 else {nu: cd * e for nu, e in entry.items()})
     acc: dict = {}
     for lam, c in a.coeffs.items():
         for mu, d in b.coeffs.items():
             cd = c * d
-            for nu, e in _product_parts(*_order(lam.parts, mu.parts), w):
+            for nu, e in _product_parts(*_order(lam.parts, mu.parts), w).items():
                 acc[nu] = acc.get(nu, 0) + cd * e
-    return _chow_class(ctx, codim, acc)
+    return _chow_class(ctx, codim, {nu: c for nu, c in acc.items() if c})
 
 
 def pair(a: ChowClass, b: ChowClass) -> int:

@@ -8,8 +8,10 @@ round trip are one pass over rows: the encoder keeps one running row of counters
 decoder inverts each row against the one above. A representative is checked only where it
 comes in, by make_representative (pairs a caller supplies) and by the decoder;
 enumerate_orbits builds its records unchecked, valid by construction. The decoder,
-representative_from_incidence, is also the one place a matrix is checked; every other one
-is built from a valid representative or read off ranks. Includes exact orbit dimensions
+representative_from_incidence, is also the one place a matrix is checked, and needs no
+re-encoding: once every inclusion-exclusion value is 0 or 1, the pairs re-encode to the
+matrix by telescoping; every other matrix is built from a valid representative or read
+off ranks. Includes exact orbit dimensions
 via the Lie algebra stabilizer condition and a finite-field enumeration used as an oracle,
 which reads each row of a subspace's incidence off one echelon over F_q. Two bounds count
 what they would build, before any work: enumerate_orbits refuses more than ORBIT_CAP
@@ -109,10 +111,12 @@ def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
     e[i][j] - e[i-1][j] - e[i][j-1] + e[i-1][j-1] is 1 (entries with a negative index are
     0): row by row, the differences along the row of its step from the row above, and a
     row equal to the one above holds no pair. A shape other than (k+1) x (k+1), any value
-    other than 0 or 1, the pair (0,0), a reused flag vector, more than k pairs, or pairs
-    that do not re-encode to the matrix mean it is not the incidence profile of any
-    subspace; together these imply (0,0) = 0, (k,k) <= k, nonnegative entries and row and
-    column steps of 0 or 1.
+    other than 0 or 1, the pair (0,0), a reused flag vector or more than k pairs mean it is
+    not the incidence profile of any subspace; together these imply (0,0) = 0, (k,k) <= k,
+    nonnegative entries and row and column steps of 0 or 1. The pairs need no re-encoding
+    check: summed over a <= i, b <= j, the inclusion-exclusion values telescope back to
+    e[i][j], and once each of them is 0 or 1 that sum counts the pairs dominated by (i,j),
+    which is what the encoder writes. Rows may be tuples or lists.
     """
     k, entries = inc.k, inc.entries
     if len(entries) != k + 1 or any(len(row) != k + 1 for row in entries):
@@ -138,10 +142,7 @@ def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
         above = row
     if len(pairs) > k:
         raise InputError("invalid incidence profile: %d pairs, more than k=%d" % (len(pairs), k))
-    rep = OrbitRepresentative(k, tuple(pairs))
-    if incidence_of_representative(rep).entries != entries:
-        raise InputError("invalid incidence profile: its pairs do not reproduce the matrix")
-    return rep
+    return OrbitRepresentative(k, tuple(pairs))
 
 
 # Incidence entries, orbit_count(k, d) x (k+1)^2, one enumerate_orbits may build;

@@ -1,9 +1,12 @@
-"""Shared brute-force oracles, resum shorthands and orbit references for the test suite."""
+"""Shared brute-force oracles, resum shorthands and orbit, Pieri and multiplicity references
+for the test suite."""
 
 import itertools
 from functools import lru_cache, partial
+from math import comb
 
 from grasseff import cones
+from grasseff.linalg import det_bareiss
 
 
 @lru_cache(maxsize=None)
@@ -112,3 +115,41 @@ def fold_degree(k: int, n: int) -> int:
                     nxt[rho] = nxt.get(rho, 0) + c
         cur = nxt
     return cur.get((w,) * k, 0)
+
+
+def reference_pieri_parts(mu: tuple, w: int, special: int) -> tuple:
+    """The interlacing sum of sigma_special * sigma_mu as a recursive generator, in
+    lexicographic order: nu_i runs from mu_i up to min(mu_{i-1}, mu_i + remaining), mu_0 := w."""
+    k = len(mu)
+
+    def rec(i, remaining):
+        if i == k:
+            if remaining == 0:
+                yield ()
+            return
+        cap = w if i == 0 else mu[i - 1]
+        for nu_i in range(mu[i], min(cap, mu[i] + remaining) + 1):
+            for rest in rec(i + 1, remaining - (nu_i - mu[i])):
+                yield (nu_i,) + rest
+
+    return tuple(rec(0, special))
+
+
+def reference_multiplicity(ctx, lam, mu) -> int:
+    """Rosenthal-Zelevinsky on the whole k x k matrix, by one forward Bareiss pass.
+
+    t_i = n - k + i - lam_i and s_i = #{j : mu_j - j < lam_i - i}, found by one merge;
+    the value is (-1)^{sum s_i} det(binom(t_i, rho - s_i)), 0 where rho < s_i. No price.
+    """
+    k, w = ctx.k, ctx.w
+    lp, mp = lam.parts, mu.parts
+    t, s, j = [], [], 0
+    for i in range(k):
+        x = lp[i] - i
+        while j < k and mp[j] - j >= x:
+            j += 1
+        t.append(w + i + 1 - lp[i])
+        s.append(k - j)
+    cols = range(k)
+    matrix = [[comb(t[i], rho - s[i]) if rho >= s[i] else 0 for i in cols] for rho in cols]
+    return (-1) ** sum(s) * det_bareiss(matrix)

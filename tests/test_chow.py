@@ -13,7 +13,7 @@ from grasseff.errors import InputError
 from grasseff.jsonio import MAX_DIGITS
 from grasseff.partitions import dual, enumerate_box
 
-from support import fold_degree
+from support import fold_degree, reference_pieri_parts
 
 G24 = GrassCtx(2, 4)
 G25 = GrassCtx(2, 5)
@@ -64,6 +64,17 @@ def test_pieri_count_matches_the_enumeration():
                 for special in range(w + 1):
                     assert chow._pieri_count(mu.parts, w, special) \
                         == len(chow._pieri_parts(mu.parts, w, special)), (mu, special)
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
+def test_pieri_parts_match_the_recursive_reference_in_order(k, n):
+    ctx = GrassCtx(k, n)
+    for m in range(ctx.dim + 1):
+        for mu in enumerate_box(k, ctx.w, m):
+            for special in range(ctx.dim - m + 2):
+                got = chow._pieri_parts(mu.parts, ctx.w, special)
+                assert got == reference_pieri_parts(mu.parts, ctx.w, special), (mu, special)
+                assert len(got) == chow._pieri_count(mu.parts, ctx.w, special)
 
 
 def test_pieri_refuses_more_than_memo_cap_terms_before_work():

@@ -49,13 +49,25 @@ def test_mult(capsys):
 @pytest.mark.parametrize("k, n", [(640, 1280), (320, 640), (60, 10 ** 1000 + 60)],
                          ids=["G(640,1280)", "G(320,640)", "G(60,10^1000+60)"])
 def test_mult_refuses_work_over_the_price_cap(capsys, k, n):
-    # the densest cell of each: lambda empty, mu the full box
+    # lambda = (w/2)^(k/2) and mu the full box: one k x k block that needs det_bareiss
+    # (the densest cell, lambda empty, is one product-formula block and answers 1)
+    half = ",".join([str((n - k) // 2)] * (k // 2))
     full = ",".join([str(n - k)] * k)
     started = time.perf_counter()
-    code, out, err = run(capsys, "mult", "--k", str(k), "--n", str(n), "--lambda", "0", "--mu", full)
+    code, out, err = run(capsys, "mult", "--k", str(k), "--n", str(n), "--lambda", half, "--mu", full)
     assert code == 2 and out is None and time.perf_counter() - started < 1
     [msg] = json_lines(err)
     assert msg["error"].endswith("more than %d" % multiplicity.RZ_WORK_CAP)
+
+
+@pytest.mark.parametrize("k, n", [(640, 1280), (60, 10 ** 1000 + 60)],
+                         ids=["G(640,1280)", "G(60,10^1000+60)"])
+def test_mult_answers_the_smooth_and_the_densest_cell(capsys, k, n):
+    full = ",".join([str(n - k)] * k)
+    for mu in ("0", full):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "mult", "--k", str(k), "--n", str(n), "--lambda", "0", "--mu", mu)
+        assert code == 0 and out == {"multiplicity": 1} and time.perf_counter() - started < 1
 
 
 def test_product(capsys):

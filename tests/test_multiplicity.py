@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -9,7 +10,10 @@ import pytest
 from grasseff import chow, jsonio
 from grasseff.chow import GrassCtx
 from grasseff.errors import InputError
-from grasseff.multiplicity import RZ_WORK_CAP, max_point_multiplicity, rz_multiplicity, rz_work
+from grasseff.multiplicity import RZ_WORK_CAP, max_point_multiplicity, rz_blocks, rz_multiplicity, \
+    rz_work
+
+from support import reference_multiplicity
 
 G25 = GrassCtx(2, 5)
 
@@ -38,10 +42,38 @@ def test_cell_not_contained_rejected():
 
 
 def test_price_accepts_the_dense_cells_that_answer_in_under_a_second():
-    # lambda empty and mu the full box: every s_i is 0 and t_k = n
-    assert rz_work(160, 320, 0) <= RZ_WORK_CAP
-    assert rz_work(120, 100000, 0) <= RZ_WORK_CAP
-    assert rz_work(320, 640, 0) > RZ_WORK_CAP
+    # lambda empty and mu the full box: every s_i is 0 and t runs over w+1..n, one block
+    # with the product formula, whose factors are (t_b - t_a) / (b - a) = 1
+    for k, n in [(160, 320), (120, 100120), (320, 640), (640, 1280), (60, 10 ** 1000 + 60)]:
+        ctx = GrassCtx(k, n)
+        blocks = rz_blocks(ctx, ctx.partition(()), ctx.point_class_partition())
+        assert [(len(t), s[0], lo) for t, s, lo in blocks] == [(k, 0, 0)]
+        assert rz_work(blocks) <= RZ_WORK_CAP
+        started = time.perf_counter()
+        assert max_point_multiplicity(ctx, ctx.partition(())) == 1
+        assert time.perf_counter() - started < 1
+
+
+def test_price_refuses_the_large_mixed_block_before_any_work():
+    # lambda = 100^100 with mu the full box on G(200,400) is one 200 x 200 block whose
+    # shifts run 99..0, then 0: the forward pass took over 17 s on it
+    ctx = GrassCtx(200, 400)
+    lam = ctx.partition((100,) * 100)
+    blocks = rz_blocks(ctx, lam, ctx.point_class_partition())
+    assert [(len(t), s[0], lo) for t, s, lo in blocks] == [(200, 99, 0)]
+    started = time.perf_counter()
+    with pytest.raises(InputError, match="more than %d$" % RZ_WORK_CAP):
+        max_point_multiplicity(ctx, lam)
+    assert time.perf_counter() - started < 1
+
+
+def test_a_multiplicity_past_the_json_digits_is_refused():
+    # a 640 x 640 product-formula block whose value has about 78,000 digits
+    ctx = GrassCtx(640, 4480)
+    lam = ctx.partition((1920,) * 320)
+    assert rz_work(rz_blocks(ctx, lam, ctx.point_class_partition())) <= RZ_WORK_CAP
+    with pytest.raises(InputError, match="more than %d digits" % jsonio.MAX_DIGITS):
+        max_point_multiplicity(ctx, lam)
 
 
 def test_all_values_positive_small_boxes():
@@ -155,3 +187,40 @@ def test_g48_table_is_pinned():
              for lam, mu in _comparable_pairs(ctx)]
     assert len(table) == 1764
     assert hashlib.sha256(jsonio.canonical_dumps(table).encode()).hexdigest() == G48_TABLE_SHA256
+
+
+def test_matches_the_whole_matrix_reference_on_every_box_up_to_5_by_5():
+    count = 0
+    for k in range(1, 6):
+        for w in range(1, 6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ctx = GrassCtx(k, k + w)
+            for lam, mu in _comparable_pairs(ctx):
+                assert rz_multiplicity(ctx, lam, mu) == reference_multiplicity(ctx, lam, mu), \
+                    (k, w, lam, mu)
+                count += 1
+    assert count == 36088
+
+
+@pytest.mark.parametrize("k, n, lam, mu, blocks, value", [
+    # the smooth point: one 1 x 1 block per column, binom(t, 0) = 1
+    (4, 8, (2, 1), (2, 1), [([3, 5, 7, 8], [3, 2, 1, 0], None)], 1),
+    # one uniform block: (t_1 - t_0) / 1
+    (2, 4, (1,), (2, 2), [([2, 4], [0, 0], 0)], 2),
+    # one mixed block, by det_bareiss
+    (3, 5, (1,), (2, 2, 1), [([2, 4, 5], [1, 0, 0], 0)], 2),
+    # a uniform block with lo m = 3 odd under a 1 x 1 block
+    (4, 7, (1,), (3, 3, 3), [([3, 5, 6], [1, 1, 1], 1), ([7], [0], 0)], 3),
+    # a mixed block with lo m = 3 odd
+    (4, 6, (1,), (2, 2, 1), [([2, 4, 5], [2, 1, 1], 1), ([6], [0], 0)], 2),
+], ids=["1x1", "uniform", "mixed", "uniform-odd-sign", "mixed-odd-sign"])
+def test_constructed_blocks(k, n, lam, mu, blocks, value):
+    ctx = GrassCtx(k, n)
+    lam, mu = ctx.partition(lam), ctx.partition(mu)
+    got = rz_blocks(ctx, lam, mu)
+    if blocks[0][2] is None:  # the 1 x 1 chain: block i is column i with lo = k - 1 - i
+        t, s, _ = blocks[0]
+        blocks = [([t[i]], [s[i]], k - 1 - i) for i in range(k)]
+    assert got == [(t, s, lo) for t, s, lo in blocks]
+    assert rz_multiplicity(ctx, lam, mu) == reference_multiplicity(ctx, lam, mu) == value

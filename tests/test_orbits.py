@@ -169,6 +169,41 @@ def test_decoder_agrees_with_the_reference_on_perturbed_orbits_at_k_3_and_4():
     assert verdicts == {True, False}
 
 
+def test_list_rows_decode_like_tuple_rows():
+    assert representative_from_incidence(IncidenceMatrix(1, [[0, 1], [0, 1]])).pairs == ((0, 1),)
+    for k in range(1, 4):
+        for d in range(k + 1):
+            for rep in enumerate_orbits(k, d):
+                inc = incidence_of_representative(rep)
+                assert representative_from_incidence(IncidenceMatrix(k, inc.to_json())) == rep
+
+
+def test_every_accepted_matrix_re_encodes_to_itself():
+    # the decoder has no re-encoding check: whatever it accepts must still re-encode exactly,
+    # on orbit matrices with one to three entries moved by +-1 and on matrices of random entries
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for k in (1, 2, 3, 4):
+        reps = [rep for d in range(k + 1) for rep in enumerate_orbits(k, d)]
+        cells = [(i, j) for i in range(k + 1) for j in range(k + 1)]
+        for _ in range(1500):
+            if rng.random() < 0.5:
+                e = [list(row) for row in incidence_of_representative(rng.choice(reps)).entries]
+                for i, j in rng.sample(cells, rng.randint(1, 3)):
+                    e[i][j] += rng.choice((-1, 1))
+            else:
+                e = [[rng.randint(0, min(i, j, k)) for j in range(k + 1)] for i in range(k + 1)]
+            rows = e if rng.random() < 0.5 else tuple(map(tuple, e))
+            try:
+                rep = representative_from_incidence(IncidenceMatrix(k, rows))
+            except InputError:
+                outcomes[False] += 1
+                continue
+            outcomes[True] += 1
+            assert incidence_of_representative(rep).entries == tuple(map(tuple, e)), e
+    assert min(outcomes.values()) > 100, outcomes
+
+
 @pytest.mark.parametrize("k, entries", [
     (2, ((0, 0), (0, 1))),  # wrong shape
     (1, ((0, 0), (-1, 0))),  # negative entry
