@@ -238,7 +238,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_ring(args) -> int:
     try:
-        table = ring_io.export_ring(args.k, args.n, args.out, cap=args.cap)
+        table = ring_io.export_ring(args.k, args.n, args.out)
     except OSError as exc:
         raise InputError("cannot write ring file %r: %s" % (args.out, exc.strerror or exc))
     _emit({"path": args.out, "basis_size": sum(len(v) for v in table["basis"].values())})
@@ -322,7 +322,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("export-ring", help="write the full multiplication table")
     kn(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int, default=16)
     p.set_defaults(func=cmd_export_ring)
 
     return parser

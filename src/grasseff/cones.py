@@ -6,22 +6,18 @@ quadric curve-cone reduction for blow-ups of G(2, 4) at up to 7 points, the
 three-cycle reduction on G(2, 5) for up to 4 points, and the r = 3 class on
 G(2, 4) that leaves the span of the Schubert classes.
 
-Each cone's generators are the terms its decomposition peels off, built by its
-term-vector function: lemma41_vector for the divisor cone, lemma42_term_vector
-for the span cone and quadric_term_vector for the quadric cone. Each carries a
-rule that answers every integer query: a violated inequality of the cone
-(Theorem 4.4, Lemma 4.2, the quadric facets) is the certificate, else the
-cone's own decomposition (Lemma 4.1, Lemma 4.2, the quadric conics) is the
-witness. The Lemma 4.1, quadric and three-cycle decompositions are closed
-forms whose cost depends on the number of points, not on the size of the
-coefficients. Membership has one path: the rule answers in integers, or else
-the simplex (`cone check` cones, non-integral members) in integers over its
-denominator D, on the cone's tableau block, scaled once on the cone's first
-simplex query; either answer is re-checked once by substitution (a
-certificate < 0 on the query and >= 0 on every generator, a witness >= 0 with
-sum c_j g_j equal to D times the query, D = 1 for a rule) and kept as those
-numerators over D. Fractions are built only when a witness or certificate is
-read.
+Each paper cone is built by _paper_cone from the term keys its decomposition peels
+off, placed by lemma41_vector, lemma42_term_vector or quadric_term_vector, with a
+rule that answers every query: the first violated inequality (Theorem 4.4, Lemma
+4.2, the quadric facets) is the certificate over D = 1, else the decomposition
+(Lemma 4.1, Lemma 4.2, the quadric conics) of L times the query, L the lcm of its
+denominators, is the witness over D = L. Lemma 4.1, the quadric and the three-cycle
+decompositions are closed forms, their cost set by the number of points, not the
+size of the coefficients. A cone without a rule (`cone check`) is answered by the
+simplex over its own D, on the tableau block built on its first query. Either
+answer is re-checked once by substitution (a certificate < 0 on the query and >= 0
+on every generator, a witness >= 0 with sum c_j g_j equal to D v) and kept as
+integer numerators over D; Fractions are built only when one is read.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import mul
 
 from grasseff import chow
@@ -48,19 +44,17 @@ class ConeSpec:
     """A cone given by generators over a labeled rational basis.
 
     Coordinates are kept as given (ints, or Fractions from an input file).
-    rule, if set, answers a query in integers, ("witness", coefficients per
-    generator) or ("certificate", a normal), or passes it over with None; the
-    simplex gives the same two kinds as integer numerators over its own
-    denominator, and cone_membership re-checks either one. block, the simplex's
-    scaled generators, is built on the first query that reaches the simplex and
-    lives as long as the cone; a cone whose rule answers never builds it.
+    rule, if set, answers every query as the simplex does, ("witness", integer
+    coefficients per generator, D) or ("certificate", an integer normal, D), and
+    cone_membership re-checks it. block, the simplex's scaled generators, is
+    built on a rule-less cone's first query and lives as long as the cone.
     """
 
     dim: int
     basis_labels: tuple[str, ...]
     labels: tuple[str, ...]
     generators: tuple[tuple, ...]
-    rule: Callable[[tuple], tuple[str, tuple[int, ...]] | None] | None = None
+    rule: Callable[[tuple], tuple[str, tuple[int, ...], int]] | None = None
 
     @staticmethod
     def build(dim, basis_labels, labeled_generators) -> "ConeSpec":
@@ -126,18 +120,37 @@ def _answer_holds(cone: ConeSpec, v, kind: str, data, D: int) -> bool:
 def cone_membership(cone: ConeSpec, v) -> MembershipResult:
     """Exact membership: a witness, or a Farkas certificate.
 
-    v is a sequence. The cone's rule answers first, over D = 1; when there is
-    no rule or it returns None, the simplex answers over its own D. Either
-    answer stands once substitution re-checks it, and one that fails is an
-    internal error.
+    v is a sequence, answered by the cone's rule if it has one and by the simplex otherwise;
+    the answer stands once substitution re-checks it, and one that fails is an internal error.
     """
     if len(v) != cone.dim:
         raise InputError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
-    answer = cone.rule(v) if cone.rule else None
-    kind, data, D = answer + (1,) if answer else solve_nonneg_combination(cone.block, v)
+    kind, data, D = cone.rule(v) if cone.rule else solve_nonneg_combination(cone.block, v)
     if not _answer_holds(cone, v, kind, data, D):
         raise InternalError("internal: %s %s fails its re-check on %s" % (kind, data, v))
     return MembershipResult("in-span" if kind == "witness" else "not-in-span", tuple(data), D)
+
+
+def _paper_cone(basis_labels, keys, label, vector, rule, decompose) -> ConeSpec:
+    """One generator per decomposition term key, labelled label(key), at vector(key).
+
+    rule(member, v) returns ("certificate", normal, 1) for an inequality of the cone
+    that v violates, else member(v): the counts per generator of the (key, count) terms
+    of decompose(L v), L the lcm of v's denominators, as ("witness", counts, L).
+    """
+    position = {key: j for j, key in enumerate(keys)}
+
+    def member(v):
+        L = 1
+        if type(sum(v)) is not int:  # a Fraction among v makes the sum one
+            L = math.lcm(*[x.denominator for x in v])
+            v = [x.numerator * (L // x.denominator) for x in v]
+        witness = [0] * len(keys)
+        for key, c in decompose(v):
+            witness[position[key]] += c
+        return "witness", tuple(witness), L
+    return ConeSpec(len(basis_labels), tuple(basis_labels), tuple(map(label, keys)),
+                    tuple(map(vector, keys)), partial(rule, member))
 
 
 # ---------------------------------------------------------------------------
@@ -189,29 +202,25 @@ def thm44_generators(k: int) -> ConeSpec:
     """
     if k < 2:
         raise InputError("need k >= 2")
-    labels = ("e1", "e2") + tuple("beta_%d" % m for m in range(k + 1))
-    index = {label: j for j, label in enumerate(labels)}
 
-    def rule(v):  # v = (a, -b_1, -b_2)
+    def rule(member, v):  # v = (a, -b_1, -b_2)
         a, y, z = v
         if a < 0:
-            return "certificate", (1, 0, 0)
+            return "certificate", (1, 0, 0), 1
         if k * a + z < 0:
-            return "certificate", (k, 0, 1)
+            return "certificate", (k, 0, 1), 1
         if k * a + y < 0:
-            return "certificate", (k, 1, 0)
+            return "certificate", (k, 1, 0), 1
         if k * a + y + z < 0:
-            return "certificate", (k, 1, 1)
-        if not all(type(x) is int for x in v):  # Lemma 4.1 peels whole copies of H
-            return None
-        witness = [0] * len(index)
-        for label, c in lemma41_decompose(k, a, max(-y, 0), max(-z, 0)):
-            witness[index[label]] = c
-        witness[index["e1"]] += max(y, 0)
-        witness[index["e2"]] += max(z, 0)
-        return "witness", tuple(witness)
-    return ConeSpec(3, ("H", "E1", "E2"), labels,
-                    tuple(lemma41_vector(k, label) for label in labels), rule)
+            return "certificate", (k, 1, 1), 1
+        return member(v)
+
+    def decompose(v):
+        a, y, z = v
+        terms = lemma41_decompose(k, a, max(-y, 0), max(-z, 0))
+        return terms if y <= 0 >= z else terms + [("e1", max(y, 0)), ("e2", max(z, 0))]
+    keys = ("e1", "e2") + tuple("beta_%d" % m for m in range(k + 1))  # each its own label
+    return _paper_cone(("H", "E1", "E2"), keys, str, partial(lemma41_vector, k), rule, decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +228,19 @@ def thm44_generators(k: int) -> ConeSpec:
 
 def _lemma42_greedy(a: dict, bs) -> dict[tuple, object]:
     """Lemma 4.2's induction on the number of points, for a mapping lam -> a_lam >= 0
-    and b_i >= 0 with sum a_lam >= sum b_i.
+    and b_i with sum a_lam >= the sum of the b_i > 0.
 
     From the last point to the first, the coefficients a'_lam with total b_i
     are drawn greedily from the largest remaining a_lam (ties to the larger
-    parts). Each lam is drawn at most once per point. Term keys:
-    ("sigma-E", lam, i) and ("sigma", lam).
+    parts). Each lam is drawn at most once per point; a b_i < 0 is -b_i copies
+    of E_i. Term keys: ("sigma-E", lam, i), ("sigma", lam) and ("E", i).
     """
     coeffs = {lam: c for lam, c in a.items() if c}
     out: dict[tuple, object] = {}
     for i in range(len(bs) - 1, -1, -1):
         need = bs[i]
+        if need < 0:
+            out[("E", i)] = -need
         while need > 0:
             lam = max(coeffs, key=lambda l: (coeffs[l], l.parts))
             take = min(coeffs[lam], need)
@@ -420,32 +431,23 @@ def quadric_cone(r: int) -> ConeSpec:
 
     One generator per term kind of quadric_curve_decompose; a class
     a*l - sum b_i l_i is the vector (a, -b_1, ..., -b_r). The rule: the certificate
-    is _violated_facet, else an integer query's witness is quadric_curve_decompose.
+    is _violated_facet, else the witness is quadric_curve_decompose.
     """
-    if r > 7:
-        raise InputError("at most 7 points supported")
+    if not 0 <= r <= 7:
+        raise InputError("r = %d: need r >= 0, and at most 7 points supported" % r)
     keys = [("ell",)] + [("ell_i", i) for i in range(r)] + [("line", i) for i in range(r)] \
         + [("conic", *ijk) for ijk in itertools.combinations(range(r), 3)]
-    position = {key: j for j, key in enumerate(keys)}
 
-    def rule(v):  # v = (a, -b_1, ..., -b_r)
-        a, bs = v[0], [-x for x in v[1:]]
-        normal = _violated_facet(a, bs)
-        if normal is not None:
-            return "certificate", normal
-        if not all(type(x) is int for x in v):  # the greedy peels whole conics and lines
-            return None
-        witness = [0] * len(keys)
-        for key, c in quadric_curve_decompose(a, bs).items():
-            witness[position[key]] = c
-        return "witness", tuple(witness)
-    gens = []
-    for key in keys:
+    def rule(member, v):  # v = (a, -b_1, ..., -b_r)
+        normal = _violated_facet(v[0], [-x for x in v[1:]])
+        return member(v) if normal is None else ("certificate", normal, 1)
+
+    def vector(key):
         a, *bs = quadric_term_vector(key, r)
-        gens.append((a, *(-b for b in bs)))
-    return ConeSpec(r + 1, ("ell",) + tuple("ell_%d" % (i + 1) for i in range(r)),
-                    tuple(key[0] + "".join("_%d" % (i + 1) for i in key[1:]) for key in keys),
-                    tuple(gens), rule)
+        return (a, *(-b for b in bs))
+    return _paper_cone(("ell",) + tuple("ell_%d" % (i + 1) for i in range(r)), keys,
+                       lambda key: key[0] + "".join("_%d" % (i + 1) for i in key[1:]), vector,
+                       rule, lambda v: quadric_curve_decompose(v[0], [-x for x in v[1:]]).items())
 
 
 def resum(terms, vector_of, length: int) -> tuple:
@@ -548,11 +550,13 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
     (b + 1) r + b generators of b + r coordinates; more than SGEN_CAP
     entries in all is refused before any is built. The rule is Lemma 4.2:
     e_lam for the first a_lam < 0, else (1, ..., 1, 1_S) with S = {i : b_i > 0}
-    when that is negative on the query, else the witness _lemma42_greedy(a, b+)
-    plus -b_i times E_i for each b_i < 0.
+    when that is negative on the query, else the witness _lemma42_greedy(a, b),
+    which gives -b_i times E_i for each b_i < 0.
     """
     if cycle_dim not in (1, 2):
         raise InputError("cycle_dim must be 1 or 2")
+    if r < 0:
+        raise InputError("need r >= 0 points, got %d" % r)
     sigmas = chow.basis(ctx, ctx.dim - cycle_dim)
     b = len(sigmas)
     if ((b + 1) * r + b) * (b + r) > SGEN_CAP:
@@ -562,27 +566,18 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
     for lam in sigmas:
         keys += [("sigma", lam)] + [("sigma-E", lam, i) for i in range(r)]
     keys += [("E", i) for i in range(r)]
-    basis = [("sigma", lam) for lam in sigmas] + [("E", i) for i in range(r)]
-    position = {key: j for j, key in enumerate(keys)}
 
-    def rule(v):  # v = (a_lam..., -b_1, ..., -b_r)
-        a, minus_b = v[:b], v[b:]
-        for j, x in enumerate(a):
+    def rule(member, v):  # v = (a_lam..., -b_1, ..., -b_r)
+        for j, x in enumerate(v[:b]):
             if x < 0:
-                return "certificate", tuple(int(t == j) for t in range(b + r))
-        normal = (1,) * b + tuple(int(c < 0) for c in minus_b)
-        if _dot(normal, v) < 0:
-            return "certificate", normal
-        witness = [0] * len(keys)
-        for key, c in _lemma42_greedy(dict(zip(sigmas, a)),
-                                      [max(-c, 0) for c in minus_b]).items():
-            witness[position[key]] = c
-        for i, c in enumerate(minus_b):
-            if c > 0:
-                witness[position[("E", i)]] = c
-        return "witness", tuple(witness)
-    return ConeSpec(b + r, tuple(map(_lemma42_label, basis)), tuple(map(_lemma42_label, keys)),
-                    tuple(lemma42_term_vector(sigmas, r, key) for key in keys), rule)
+                return "certificate", tuple(int(t == j) for t in range(b + r)), 1
+        normal = (1,) * b + tuple(int(c < 0) for c in v[b:])
+        return ("certificate", normal, 1) if _dot(normal, v) < 0 else member(v)
+
+    def decompose(v):
+        return _lemma42_greedy(dict(zip(sigmas, v)), [-c for c in v[b:]]).items()
+    return _paper_cone([_lemma42_label(key) for key in keys if key[0] != "sigma-E"], keys,
+                       _lemma42_label, partial(lemma42_term_vector, sigmas, r), rule, decompose)
 
 
 def blowup_cycle_vector(cls: BlowupClass) -> tuple:

@@ -125,6 +125,42 @@ def test_cone_sgen_nonspan_class(capsys, tmp_path):
     assert code == 0 and out["verdict"] == "in-span"
 
 
+SGEN_CLASS = {"k": 2, "n": 4, "grading": "dim", "m": 2, "exc": [1], "terms": []}
+SGEN_ARGS = ["cone", "sgen", "--k", "2", "--n", "4", "--r", "1", "--dim", "2"]
+
+# (arguments, generator file, class file, the file refused, the reason printed after its
+# name): the file refusals that no other test reaches
+FILE_REFUSALS = {
+    "non-integer k": (SGEN_ARGS, None, {**SGEN_CLASS, "k": "5/2"}, "class",
+                      "'5/2' is not an integer"),
+    "non-integer n": (SGEN_ARGS, None, {**SGEN_CLASS, "n": "9/2"}, "class",
+                      "'9/2' is not an integer"),
+    "non-integer m": (SGEN_ARGS, None, {**SGEN_CLASS, "m": "1/2"}, "class",
+                      "'1/2' is not an integer"),
+    "non-integer dim": (["cone", "check"], {"dim": "3/2", "generators": []}, [1, 1],
+                        "generator", "'3/2' is not an integer"),
+    "ragged generators": (["cone", "check"], [[1, 0], [0, 1, 2]], [1, 1], "generator",
+                          "every generator needs 2 coordinates"),
+    "other k and n": (SGEN_ARGS, None, {**SGEN_CLASS, "n": 5}, "class",
+                      "k and n do not match --k 2 --n 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_REFUSALS))
+def test_malformed_file_exits_2_with_one_error_line(capsys, tmp_path, case):
+    args, gens, cls, refused, reason = FILE_REFUSALS[case]
+    paths = {"generator": tmp_path / "gens.json", "class": tmp_path / "cls.json"}
+    argv = list(args)
+    for (what, path), doc in zip(paths.items(), (gens, cls)):
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+            argv += ["--generators" if what == "generator" else "--class", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, None)
+    assert err == canonical_dumps({"error": "malformed %s file %r: %s"
+                                   % (refused, str(paths[refused]), reason)}) + "\n"
+
+
 def test_cone_sgen_bound_only(capsys):
     code, out, _ = run(capsys, "cone", "sgen", "--k", "2", "--n", "5", "--r", "4", "--dim", "2")
     assert code == 0 and out["bound"] == 4 and out["bound_satisfied"] is True
@@ -371,9 +407,6 @@ def test_export_ring_needs_out_and_is_never_read_back(capsys, tmp_path):
     out_path = tmp_path / "ring.json"
     code, out, _ = run(capsys, "export-ring", "--k", "2", "--n", "4", "--out", str(out_path))
     assert code == 0 and out == {"basis_size": 6, "path": str(out_path)}
-    assert run(capsys, "export-ring", "--k", "3", "--n", "8", "--cap", "12",
-               "--out", str(tmp_path / "big.json"))[0] == 2
-    assert not (tmp_path / "big.json").exists()
     # an exported table is never read back: a hand-edited sigma1*sigma1 = 7*sigma2 is ignored
     ring = json.loads(out_path.read_text())
     entry = next(rec for rec in ring["products"] if rec["a"] == [1] and rec["b"] == [1])
@@ -432,7 +465,7 @@ def test_huge_exponent_q_is_refused_quickly(capsys):
     assert code == 2 and out is None and "--q" in json.loads(err)["error"]
 
 
-# sha256 of `export-ring --cap 20` output, pinned so that a faster product
+# sha256 of `export-ring` output, pinned so that a faster product
 # path has to give the same structure constants byte for byte
 RING_DIGESTS = {
     (3, 8): "ab84091e773baff651a4b456586e47b85603938ee5cb6bf522fed92fc4913bdb",
@@ -447,8 +480,7 @@ RING_BLOCKS = Path(__file__).with_name("ring_blocks.sha256")
 @pytest.mark.parametrize("k,n", sorted(RING_DIGESTS))
 def test_export_ring_matches_pinned_digest(capsys, tmp_path, k, n):
     path = tmp_path / "ring.json"
-    code, _, _ = run(capsys, "export-ring", "--k", str(k), "--n", str(n), "--cap", "20",
-                     "--out", str(path))
+    code, _, _ = run(capsys, "export-ring", "--k", str(k), "--n", str(n), "--out", str(path))
     assert code == 0
     table = json.loads(path.read_text())
     blocks = {"basis": [canonical_dumps(table["basis"])]}
@@ -519,6 +551,31 @@ def test_export_ring_opens_the_path_before_computing(capsys, tmp_path, monkeypat
     code, out, err = run(capsys, "export-ring", "--k", "2", "--n", "4", "--out", str(path))
     assert code == 2 and out is None and str(path) in json.loads(err)["error"]
     assert calls == []
+
+
+@pytest.mark.parametrize("k, n", [(5, 11), (6, 12), (2, 24), (500_000_000, 1_000_000_000)])
+def test_export_ring_refuses_more_class_pairs_than_the_product_memo(capsys, tmp_path, k, n):
+    # priced before the file is opened: nothing is written, and the 10^9 box stops at
+    # its first factor
+    path = tmp_path / "ring.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "export-ring", "--k", str(k), "--n", str(n), "--out", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out is None and not path.exists()
+    assert len(err.splitlines()) == 1 and "product memo" in json.loads(err)["error"]
+
+
+def test_export_ring_prices_a_table_by_its_class_pairs():
+    # b classes have b(b+1)/2 unordered products: 255 * 256 / 2 <= MEMO_CAP < 256 * 257 / 2,
+    # so every box of at most 255 classes is priced in, G(5,10)'s 252 among them
+    assert 255 * 256 // 2 <= chow.MEMO_CAP < 256 * 257 // 2
+    for k in range(2, 12):
+        for n in range(k + 2, 40):
+            if math.comb(n, k) <= 255:
+                assert ring_io._priced_ctx(k, n) == chow.GrassCtx(k, n)
+            else:
+                with pytest.raises(InputError, match="product memo"):
+                    ring_io._priced_ctx(k, n)
 
 
 def assert_float_rejected(err, path):

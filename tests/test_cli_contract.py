@@ -80,7 +80,7 @@ COMMANDS = [
                               ("--q", Q)]),
     (["verify"], []),
     (["verify-paper"], []),
-    (["export-ring"], [("--k", ints(0, 3)), ("--n", ints(1, 6)), ("--cap", ints(-1, 16))]),
+    (["export-ring"], [("--k", ints(0, 3)), ("--n", ints(1, 6))]),
     ([], []),
 ]
 

@@ -96,8 +96,9 @@ def test_thm44_facets_are_the_inequalities():
         assert cross_product_facets(cone.generators) == normals
         returned = set()
         for v in itertools.product(range(-1, 3), range(-2 * k - 1, 3), range(-2 * k - 1, 3)):
-            kind, data = cone.rule(v)
+            kind, data, D = cone.rule(v)
             normal = data if kind == "certificate" else None
+            assert D == 1
             assert normal == next((n for n in normals if dot(n, v) < 0), None), (k, v)
             returned.add(normal)
         assert returned == {None, *normals}
@@ -147,11 +148,13 @@ def test_divisor_rule_keeps_verdicts_and_witnesses():
                         assert tuple(map(int, res.certificate)) in normals
                         assert all(type(p) is Fraction for p in res.certificate)
         assert kinds == {"witness", "witness with e_i"}
-    # Lemma 4.1 peels whole copies of H, so a non-integral member goes to the simplex
+    # a non-integral member is Lemma 4.1 on twice the query, over D = 2; a certificate
+    # stays over D = 1
     cone = cones.thm44_generators(2)
     half = (Fraction(1, 2), -1, 0)
-    assert cone.rule(half) is None and cone_membership(cone, half).witness == (0, 0, 0, 0, half[0])
-    assert cone.rule((Fraction(1, 2), -2, 0)) == ("certificate", (2, 1, 0))
+    assert cone.rule(half) == ("witness", (0, 0, 0, 0, 1), 2)
+    assert cone_membership(cone, half).witness == (0, 0, 0, 0, half[0])
+    assert cone.rule((Fraction(1, 2), -2, 0)) == ("certificate", (2, 1, 0), 1)
 
 
 def span_label(key):
@@ -202,26 +205,54 @@ def test_span_rule_keeps_verdicts_and_witnesses():
     assert kinds == {"e_lam", "1_S", "witness", "witness with E_i"}
 
 
-def test_an_incomplete_rule_falls_back_to_the_simplex():
-    cone = cones.thm44_generators(2)
-    bare = replace(cone, rule=None)
-    partial_cone = replace(cone, rule=lambda v: ("certificate", (1, 0, 0)) if v[0] < 0 else None)
-    target = (1, -2, -1)  # a >= 0, but 2a < b1 + b2
-    res = cone_membership(partial_cone, target)
-    assert not res.is_member
-    assert res.certificate == cone_membership(bare, target).certificate
-    assert cone_membership(partial_cone, (-1, 0, 0)).certificate == (1, 0, 0)
-    # a member the rule passes over gets the simplex's witness
-    assert cone_membership(partial_cone, (1, -1, -1)).witness \
-        == cone_membership(bare, (1, -1, -1)).witness
+def refuse_the_simplex(*args):
+    raise AssertionError("the simplex was called")
+
+
+def one_path_queries(dim, rng):
+    """Seeded integer queries in -2..4, then rational ones with denominators 1..6."""
+    for _ in range(80):
+        yield tuple(rng.randint(-2, 4) for _ in range(dim))
+    for _ in range(80):
+        yield tuple(Fraction(rng.randint(-6, 24), rng.randint(1, 6)) for _ in range(dim))
+
+
+def test_paper_cones_answer_every_query_by_their_rule(monkeypatch):
+    # each paper cone has one membership path, its rule: with the simplex refusing,
+    # every query is still answered, with the verdict of the rule-less cone, in int
+    # numerators, and a member's witness over the lcm of the query's denominators
+    rng = random.Random(31)
+    paper_cones = [cones.thm44_generators(k) for k in range(2, 7)] \
+        + [cones.quadric_cone(r) for r in range(8)] \
+        + [cones.sgen_cycle_cone(ctx, cycle_dim, r) for ctx in (G24, G25, GrassCtx(3, 6))
+           for cycle_dim in (1, 2) for r in range(4)]
+    seen = set()
+    for cone in paper_cones:
+        queries = list(one_path_queries(cone.dim, rng))
+        verdicts = [cone_membership(replace(cone, rule=None), v).verdict for v in queries]
+        with monkeypatch.context() as m:
+            m.setattr(cones, "solve_nonneg_combination", refuse_the_simplex)
+            for v, verdict in zip(queries, verdicts):
+                res = cone_membership(cone, v)
+                assert res.verdict == verdict, (cone.labels, v)
+                assert all(type(x) is int for x in res.num), (cone.labels, v)
+                lcm = math.lcm(*(Fraction(x).denominator for x in v))
+                assert res.D == (lcm if res.is_member else 1), (cone.labels, v)
+                seen.add((res.verdict, lcm > 1))
+    assert seen == {(verdict, rational) for verdict in ("in-span", "not-in-span")
+                    for rational in (False, True)}
+    # a rational member of the span cone: int numerators over 12, the lcm of 2, 3 and 4
+    res = cone_membership(cones.sgen_cycle_cone(G24, 2, 2),
+                          (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4), 0))
+    assert (res.num, res.D) == ((3, 3, 0, 4, 0, 0, 0, 0), 12)
 
 
 def test_a_wrong_rule_normal_is_caught():
     cone = cones.thm44_generators(2)
-    negative_on_a_generator = replace(cone, rule=lambda v: ("certificate", (0, -1, 0)))
+    negative_on_a_generator = replace(cone, rule=lambda v: ("certificate", (0, -1, 0), 1))
     with pytest.raises(InternalError):
         cone_membership(negative_on_a_generator, (0, 1, 0))
-    not_negative_on_the_query = replace(cone, rule=lambda v: ("certificate", (1, 0, 0)))
+    not_negative_on_the_query = replace(cone, rule=lambda v: ("certificate", (1, 0, 0), 1))
     with pytest.raises(InternalError):
         cone_membership(not_negative_on_the_query, (1, 0, 0))
 
@@ -233,14 +264,17 @@ def test_a_wrong_rule_witness_is_caught():
     target = (1, -1, -1)
     assert cone_membership(cone, target).witness == (0, 0, 0, 1, 0)
     # sums back to the target, but with a negative coefficient
-    negative = replace(cone, rule=lambda v: ("witness", (1, -1, 0, 0, 1)))
+    negative = replace(cone, rule=lambda v: ("witness", (1, -1, 0, 0, 1), 1))
     assert resums(cone, (1, -1, 0, 0, 1), target)
     with pytest.raises(InternalError, match="fails its re-check"):
         cone_membership(negative, target)
     for wrong in ((0, 0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1, 0, 0)):
         # nonnegative, but beta_0 alone does not sum back, nor does a witness of the wrong length
         with pytest.raises(InternalError, match="fails its re-check"):
-            cone_membership(replace(cone, rule=lambda v, w=wrong: ("witness", w)), target)
+            cone_membership(replace(cone, rule=lambda v, w=wrong: ("witness", w, 1)), target)
+    # the right coefficients over the wrong denominator sum to half the target
+    with pytest.raises(InternalError, match="fails its re-check"):
+        cone_membership(replace(cone, rule=lambda v: ("witness", (0, 0, 0, 1, 0), 2)), target)
 
 
 @pytest.mark.parametrize("corrupt", ["bumped witness", "negative witness",
@@ -648,9 +682,7 @@ def quadric_queries(r, rng):
 
 
 def test_quadric_rule_agrees_with_the_simplex_and_never_calls_it(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the simplex was called")
-    monkeypatch.setattr(cones, "solve_nonneg_combination", refuse)
+    monkeypatch.setattr(cones, "solve_nonneg_combination", refuse_the_simplex)
     rng = random.Random(5)
     forms = set()
     for r in range(8):
@@ -662,9 +694,9 @@ def test_quadric_rule_agrees_with_the_simplex_and_never_calls_it(monkeypatch):
             if not res.is_member:
                 forms.add(facet_form(res.certificate))
     assert forms == {0, 1, 2, 3, 4}
-    # a member with a non-integral coefficient is passed over to the simplex
-    with pytest.raises(AssertionError, match="simplex"):
-        cone_membership(cones.quadric_cone(3), (Fraction(3, 2), -1, 0, 0))
+    # a member with a non-integral coefficient is the decomposition of twice the query
+    res = cone_membership(cones.quadric_cone(3), (Fraction(3, 2), -1, 0, 0))
+    assert res.is_member and res.D == 2
 
 
 def test_broken_quadric_rule_raises_internal_error(monkeypatch):
@@ -684,6 +716,11 @@ def test_broken_quadric_rule_raises_internal_error(monkeypatch):
 def test_quadric_cone_refuses_more_than_seven_points():
     with pytest.raises(InputError, match="at most 7 points"):
         cones.quadric_cone(8)
+
+
+def test_quadric_cone_refuses_a_negative_point_count():
+    with pytest.raises(InputError, match="need r >= 0"):
+        cones.quadric_cone(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +789,12 @@ def test_sgen_cycle_cone_membership_roundtrip():
     cone = cones.sgen_cycle_cone(G24, 2, 2)
     res = cone_membership(cone, cones.blowup_cycle_vector(cls))
     assert res.is_member
+
+
+def test_sgen_cycle_cone_refuses_a_negative_point_count():
+    for build in (lambda: cones.sgen_cycle_cone(G25, 2, -1), lambda: cones.g24_sgen_cone(-1)):
+        with pytest.raises(InputError, match="need r >= 0"):
+            build()
 
 
 def test_g24_sgen_cone_keeps_the_hand_built_generator_order():

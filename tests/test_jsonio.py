@@ -84,4 +84,4 @@ def test_ring_table_cap(tmp_path):
     import pytest
     from grasseff.errors import InputError
     with pytest.raises(InputError):
-        ring_io.ring_table(3, 8, cap=12)
+        ring_io.ring_table(5, 11)  # 462 classes: more pairs than the product memo holds
