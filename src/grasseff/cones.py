@@ -15,9 +15,11 @@ denominators, is the witness over D = L. Lemma 4.1, the quadric and the three-cy
 decompositions are closed forms, their cost set by the number of points, not the
 size of the coefficients. A cone without a rule (`cone check`) is answered by the
 simplex over its own D, on the tableau block built on its first query. Either
-answer is re-checked once by substitution (a certificate < 0 on the query and >= 0
-on every generator, a witness >= 0 with sum c_j g_j equal to D v) and kept as
-integer numerators over D; Fractions are built only when one is read.
+answer is re-checked by substitution and kept as integer numerators over D;
+Fractions are built only when one is read. A witness is checked on every query
+(>= 0, with sum c_j g_j equal to D v). A certificate has two halves: < 0 on the
+query, checked on every query, and >= 0 on every generator, which depends only on
+the cone and the normal and is checked once per distinct normal per cone.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class ConeSpec:
     coefficients per generator, D) or ("certificate", an integer normal, D), and
     cone_membership re-checks it. block, the simplex's scaled generators, is
     built on a rule-less cone's first query and lives as long as the cone.
+    normals holds the certificate normals already found >= 0 on every generator,
+    at most chow.MEMO_CAP of them, so that half of a certificate's re-check runs
+    once per distinct normal; the generators never change, so an entry never goes
+    stale, and a cone made by dataclasses.replace starts with none.
     """
 
     dim: int
@@ -63,12 +69,19 @@ class ConeSpec:
             vec = tuple(vec)
             if len(vec) != dim:
                 raise InputError("generator %s has wrong dimension" % label)
+            if not _exact(vec):
+                raise InputError("generator %s has a coordinate that is not an int or a "
+                                 "Fraction" % label)
             seen.setdefault(vec, label)
         return ConeSpec(dim, tuple(basis_labels), tuple(seen.values()), tuple(seen))
 
     @cached_property
     def block(self):
         return tableau_block(self.dim, self.generators)
+
+    @cached_property
+    def normals(self) -> set:
+        return set()
 
 
 @dataclass(frozen=True)
@@ -102,33 +115,57 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def _answer_holds(cone: ConeSpec, v, kind: str, data, D: int) -> bool:
-    """An answer over the denominator D > 0: a certificate is < 0 on v and >= 0 on every
-    generator; a witness is >= 0 and sum c_j g_j is D v."""
-    if kind == "certificate":
-        return len(data) == cone.dim and _dot(data, v) < 0 \
-            and all(_dot(data, g) >= 0 for g in cone.generators)
-    if kind != "witness" or len(data) != len(cone.generators) or any(c < 0 for c in data):
+def _exact(v) -> bool:
+    """Whether every coordinate of v is an int or a Fraction, by the type of their sum."""
+    try:
+        return type(sum(v)) in (int, Fraction)
+    except (TypeError, OverflowError):
         return False
-    total = [0] * cone.dim
+
+
+def _answer_holds(cone: ConeSpec, v, kind: str, data: tuple, D: int) -> bool:
+    """An answer over the denominator D > 0: a certificate is < 0 on v and >= 0 on every
+    generator (looked up in cone.normals, and stored there once it holds); a witness is
+    >= 0 and D v less sum c_j g_j over the nonzero c_j is 0."""
+    if not D > 0:
+        return False
+    if kind == "certificate":
+        if len(data) != cone.dim or _dot(data, v) >= 0:
+            return False
+        normals = cone.normals
+        if data in normals:
+            return True
+        for g in cone.generators:  # inlined _dot: no call per generator on this path
+            if sum(map(mul, data, g)) < 0:
+                return False
+        if len(normals) < chow.MEMO_CAP:
+            normals.add(data)
+        return True
+    if kind != "witness" or len(data) != len(cone.generators) or min(data, default=0) < 0:
+        return False
+    rest = list(v) if D == 1 else [D * x for x in v]
     for c, g in zip(data, cone.generators):
         if c:
-            total = [t + c * x for t, x in zip(total, g)]
-    return total == (list(v) if D == 1 else [D * x for x in v])
+            rest = [r - c * x for r, x in zip(rest, g)]
+    return not any(rest)
 
 
 def cone_membership(cone: ConeSpec, v) -> MembershipResult:
     """Exact membership: a witness, or a Farkas certificate.
 
-    v is a sequence, answered by the cone's rule if it has one and by the simplex otherwise;
-    the answer stands once substitution re-checks it, and one that fails is an internal error.
+    v is a sequence of ints and Fractions, answered by the cone's rule if it has one and by
+    the simplex otherwise; the answer stands once substitution re-checks it, and one that
+    fails is an internal error.
     """
     if len(v) != cone.dim:
         raise InputError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
+    if not _exact(v):
+        raise InputError("vector %s has a coordinate that is not an int or a Fraction" % (v,))
     kind, data, D = cone.rule(v) if cone.rule else solve_nonneg_combination(cone.block, v)
+    data = tuple(data)
     if not _answer_holds(cone, v, kind, data, D):
         raise InternalError("internal: %s %s fails its re-check on %s" % (kind, data, v))
-    return MembershipResult("in-span" if kind == "witness" else "not-in-span", tuple(data), D)
+    return MembershipResult("in-span" if kind == "witness" else "not-in-span", data, D)
 
 
 def _paper_cone(basis_labels, keys, label, vector, rule, decompose) -> ConeSpec:

@@ -24,9 +24,10 @@ from grasseff.cli import run_subcommand
 from grasseff.delpezzo import FANO_TABLE
 from grasseff.jsonio import MAX_DIGITS
 
-# about 3 s together; the JSON strategies cost more to draw than the calls they feed
-FUZZ = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow,
-                                                  HealthCheck.data_too_large])
+# about 3 s together; the JSON strategies cost more to draw than the calls they feed.
+# print_blob: a failure prints the @reproduce_failure line that replays its example.
+FUZZ = dict(deadline=None, print_blob=True,
+            suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
 
 def is_canonical(line):

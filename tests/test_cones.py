@@ -5,6 +5,7 @@ import random
 import re
 import time
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -275,6 +276,78 @@ def test_a_wrong_rule_witness_is_caught():
     # the right coefficients over the wrong denominator sum to half the target
     with pytest.raises(InternalError, match="fails its re-check"):
         cone_membership(replace(cone, rule=lambda v: ("witness", (0, 0, 0, 1, 0), 2)), target)
+
+
+def test_a_wrong_rule_normal_is_caught_on_every_query():
+    cone = replace(cones.thm44_generators(2), rule=lambda v: ("certificate", (0, -1, 0), 1))
+    for _ in range(2):  # a normal that failed is never stored, so it fails again
+        with pytest.raises(InternalError, match="fails its re-check"):
+            cone_membership(cone, (0, 1, 0))
+    assert cone.normals == set()
+
+
+def test_a_stored_normal_is_still_checked_on_the_query():
+    cone = replace(cones.thm44_generators(2), rule=lambda v: ("certificate", (1, 0, 0), 1))
+    assert not cone_membership(cone, (-1, 0, 0)).is_member
+    assert cone.normals == {(1, 0, 0)}
+    for query in ((1, 0, 0), (0, -1, -1)):  # (1, 0, 0) is >= 0 on both
+        with pytest.raises(InternalError, match="fails its re-check"):
+            cone_membership(cone, query)
+
+
+def test_stored_normals_stop_at_the_memo_cap(monkeypatch):
+    monkeypatch.setattr(chow, "MEMO_CAP", 3)
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    cone = ConeSpec.build(4, "wxyz", zip("abcd", unit))
+    normals = set()
+    for e in unit + unit:  # the fourth normal is checked in full on every query
+        res = cone_membership(cone, tuple(-x for x in e))
+        assert res.num == e and res.D == 1
+        normals.add(res.num)
+        assert len(cone.normals) <= 3
+    assert len(normals) == 4 and cone.normals < normals and len(cone.normals) == 3
+    negative_on_a_generator = replace(cone, rule=lambda v: ("certificate", (1, 1, 1, -1), 1))
+    with pytest.raises(InternalError, match="fails its re-check"):
+        cone_membership(negative_on_a_generator, (-1, 0, 0, 0))
+
+
+def test_a_reused_divisor_cone_answers_like_a_fresh_one():
+    # the criterion-4 grid of tests/test_acceptance.py, every point also asked of a new cone
+    for k in range(2, 7):
+        cone = cones.thm44_generators(k)
+        for a, b1, b2 in itertools.product(range(7), range(6 * k + 1), range(6 * k + 1)):
+            res = cone_membership(cone, (a, -b1, -b2))
+            fresh = cone_membership(cones.thm44_generators(k), (a, -b1, -b2))
+            assert (res.verdict, res.num, res.D) == (fresh.verdict, fresh.num, fresh.D)
+        assert cone.normals == {(k, 0, 1), (k, 1, 0), (k, 1, 1)}  # a >= 0 on the whole grid
+
+
+def test_a_replaced_cone_starts_with_no_stored_normals():
+    cone = cones.thm44_generators(3)
+    cone_membership(cone, (1, -4, 0))
+    assert cone.normals == {(3, 1, 0)}
+    assert replace(cone).normals == set() and replace(cone, rule=None).normals == set()
+
+
+def test_an_answer_over_a_denominator_below_1_is_caught():
+    cone = cones.thm44_generators(2)
+    for answer in (("witness", (0,) * 5, 0), ("witness", (0, 0, 0, 1, 0), -1),
+                   ("certificate", (1, 0, 0), 0)):
+        with pytest.raises(InternalError, match="fails its re-check"):
+            cone_membership(replace(cone, rule=lambda v, w=answer: w), (-1, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [0.5, -0.5, "1", Decimal("0.5"), Decimal(1), 1j])
+def test_a_coordinate_that_is_not_an_int_or_a_fraction_is_refused(bad):
+    cone = cones.thm44_generators(2)
+    for query in ((bad, 0, 0), (Fraction(1, 2), bad, 0), (10 ** 400, Fraction(1, 3), bad)):
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            cone_membership(cone, query)
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            cone_membership(replace(cone, rule=None), query)
+    with pytest.raises(InputError, match="generator b has a coordinate that is not an int"):
+        ConeSpec.build(2, ("x", "y"), [("a", (1, 0)), ("b", (Fraction(1, 2), bad))])
+    assert cone_membership(cone, (True, Fraction(-1, 2), 0)).is_member
 
 
 @pytest.mark.parametrize("corrupt", ["bumped witness", "negative witness",
