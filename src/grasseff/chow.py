@@ -221,19 +221,22 @@ def _pieri_parts(mu: tuple[int, ...], w: int, special: int) -> tuple[tuple[int, 
 def giambelli(lam: BoxedPartition) -> list[tuple[int, tuple[int, ...]]]:
     """Determinant expansion of sigma_lam as signed products of special sizes.
 
-    Entry (i, j) of the k x k matrix is sigma_{lam_i + j - i}; entries with
-    index < 0 or > w are the zero class and prune the expansion. Each monomial
-    is a tuple of special sizes with sigma_0 factors dropped.
+    Entry (i, j) of the l x l matrix, l the number of nonzero parts, is
+    sigma_{lam_i + j - i}; entries with index < 0 or > w are the zero class and
+    prune the expansion. The rows of the k x k matrix past the nonzero parts
+    are zero left of the diagonal, so they can only take their diagonal
+    sigma_0 and add nothing. Each monomial is a tuple of special sizes with
+    sigma_0 factors dropped.
     """
     parts, w = lam.parts, lam.box_w
-    k = len(parts)
+    rows = len(parts) - parts.count(0)
     out: list[tuple[int, tuple[int, ...]]] = []
 
     def expand(row, used_cols, sign, mono):
-        if row == k:
+        if row == rows:
             out.append((sign, tuple(sorted((m for m in mono if m != 0), reverse=True))))
             return
-        for j in range(k):
+        for j in range(rows):
             if used_cols & (1 << j):
                 continue
             entry = parts[row] + j - row

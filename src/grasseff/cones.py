@@ -14,9 +14,9 @@ rule that answers every query: the first violated inequality (Theorem 4.4, Lemma
 denominators, is the witness over D = L. Lemma 4.1, the quadric and the three-cycle
 decompositions are closed forms, their cost set by the number of points, not the
 size of the coefficients. A cone without a rule (`cone check`) is answered by the
-simplex over its own D, on the tableau block built on its first query. Either
-answer is re-checked by substitution and kept as integer numerators over D;
-Fractions are built only when one is read. A witness is checked on every query
+simplex over its own D, on a tableau built for the query. Either answer is
+re-checked by substitution and kept as integer numerators over D; Fractions
+are built only when one is read. A witness is checked on every query
 (>= 0, with sum c_j g_j equal to D v). A certificate has two halves: < 0 on the
 query, checked on every query, and >= 0 on every generator, which depends only on
 the cone and the normal and is checked once per distinct normal per cone.
@@ -38,7 +38,7 @@ from grasseff.blowup import BlowupClass, BlowupCtx, blow_class
 from grasseff.chow import GrassCtx
 from grasseff.errors import DecompositionError, InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS
-from grasseff.simplex import solve_nonneg_combination, tableau_block
+from grasseff.simplex import solve_nonneg_combination
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,11 @@ class ConeSpec:
     Coordinates are kept as given (ints, or Fractions from an input file).
     rule, if set, answers every query as the simplex does, ("witness", integer
     coefficients per generator, D) or ("certificate", an integer normal, D), and
-    cone_membership re-checks it. block, the simplex's scaled generators, is
-    built on a rule-less cone's first query and lives as long as the cone.
-    normals holds the certificate normals already found >= 0 on every generator,
-    at most chow.MEMO_CAP of them, so that half of a certificate's re-check runs
-    once per distinct normal; the generators never change, so an entry never goes
-    stale, and a cone made by dataclasses.replace starts with none.
+    cone_membership re-checks it. normals holds the certificate normals already
+    found >= 0 on every generator, at most chow.MEMO_CAP of them, so that half of
+    a certificate's re-check runs once per distinct normal; the generators never
+    change, so an entry never goes stale, and a cone made by dataclasses.replace
+    starts with none.
     """
 
     dim: int
@@ -74,10 +73,6 @@ class ConeSpec:
                                  "Fraction" % label)
             seen.setdefault(vec, label)
         return ConeSpec(dim, tuple(basis_labels), tuple(seen.values()), tuple(seen))
-
-    @cached_property
-    def block(self):
-        return tableau_block(self.dim, self.generators)
 
     @cached_property
     def normals(self) -> set:
@@ -161,7 +156,7 @@ def cone_membership(cone: ConeSpec, v) -> MembershipResult:
         raise InputError("vector has dimension %d, cone has %d" % (len(v), cone.dim))
     if not _exact(v):
         raise InputError("vector %s has a coordinate that is not an int or a Fraction" % (v,))
-    kind, data, D = cone.rule(v) if cone.rule else solve_nonneg_combination(cone.block, v)
+    kind, data, D = cone.rule(v) if cone.rule else solve_nonneg_combination(cone.generators, v)
     data = tuple(data)
     if not _answer_holds(cone, v, kind, data, D):
         raise InternalError("internal: %s %s fails its re-check on %s" % (kind, data, v))

@@ -84,17 +84,20 @@ def dual(lam: BoxedPartition) -> BoxedPartition:
 @lru_cache(maxsize=MEMO_CAP)
 def _enumerate(k: int, m: int, cap: int) -> tuple[tuple[int, ...], ...]:
     # All weakly decreasing k-tuples with entries <= cap summing to m,
-    # first part descending (reverse-lexicographic order).
+    # first part descending (reverse-lexicographic order). The tuples grow one
+    # row at a time: with rem left for the last `left` rows, a row takes from
+    # min(the row above, rem) down to ceil(rem / left), so every partial
+    # tuple completes, and no recursion bounds k.
     if m < 0 or m > k * cap:
         return ()
-    if k == 0:
-        return ((),) if m == 0 else ()
-    out = []
-    lo = -(-m // k)  # ceil(m/k): smallest feasible first part
-    for first in range(min(cap, m), lo - 1, -1):
-        for rest in _enumerate(k - 1, m - first, min(cap, first)):
-            out.append((first,) + rest)
-    return tuple(out)
+    fills = [((), m, cap)]
+    for left in range(k, 0, -1):
+        nxt = []
+        for head, rem, top in fills:
+            for p in range(min(top, rem), -(-rem // left) - 1, -1):
+                nxt.append((head + (p,), rem - p, p))
+        fills = nxt
+    return tuple(head for head, _, _ in fills)
 
 
 def enumerate_box(k: int, w: int, m: int) -> list[BoxedPartition]:

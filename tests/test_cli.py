@@ -360,6 +360,22 @@ def test_cone_sgen_answers_curve_bounds_whose_degree_is_refused(capsys, k):
     assert out["bound"] == math.comb(2 * k, k) - k * k + 1
 
 
+def test_tall_boxes_answer_without_a_recursion_per_row(capsys, tmp_path):
+    # k = 1100 rows is past the interpreter's recursion limit: giambelli expands only the
+    # nonzero rows, and the codim kw - 2 basis of the span cone is enumerated row by row
+    code, out, _ = run(capsys, "giambelli", "--k", "1100", "--n", "2200", "--lambda", "1")
+    assert code == 0 and out == {"k": 1100, "lambda": [1],
+                                 "monomials": [{"sign": 1, "sizes": [1]}], "n": 2200}
+    lam = [1100] * 1099 + [1098]
+    path = tmp_path / "cls.json"
+    path.write_text(json.dumps({"k": 1100, "n": 2200, "grading": "dim", "m": 2, "exc": [1],
+                                "terms": [{"lambda": lam, "c": 1}]}))
+    code, out, _ = run(capsys, "cone", "sgen", "--k", "1100", "--n", "2200", "--r", "1",
+                       "--dim", "2", "--class", str(path))
+    assert code == 0 and out["verdict"] == "in-span" and out["bound_satisfied"]
+    assert out["witness"] == {"s(%s)-E1" % ",".join(map(str, lam)): "1"}
+
+
 def test_cone_sgen_refuses_a_bound_too_long_to_print(capsys):
     code, out, err = run(capsys, "cone", "sgen", "--k", "10000", "--n", "20000", "--r", "1",
                          "--dim", "2")

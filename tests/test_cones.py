@@ -357,7 +357,7 @@ def test_a_wrong_simplex_answer_is_caught(monkeypatch, corrupt):
     # generators e1, e2, beta_0 = (1, 0, -2), beta_1 = (1, -1, -1), beta_2 = (1, -2, 0)
     cone = replace(cones.thm44_generators(2), rule=None)
     target = (1, -1, -1)
-    kind, xnum, D = solve_nonneg_combination(cone.block, target)
+    kind, xnum, D = solve_nonneg_combination(cone.generators, target)
     assert kind == "witness" and resums(cone, [Fraction(x, D) for x in xnum], target)
     answers = {
         "bumped witness": ("witness", [x + (j == 3) for j, x in enumerate(xnum)], D),
@@ -369,7 +369,7 @@ def test_a_wrong_simplex_answer_is_caught(monkeypatch, corrupt):
         "non-separating certificate": ("certificate", [2, 0, 0], 2),
     }
     query = {"certificate negative on a generator": (0, 1, 0)}.get(corrupt, target)
-    monkeypatch.setattr(cones, "solve_nonneg_combination", lambda block, v: answers[corrupt])
+    monkeypatch.setattr(cones, "solve_nonneg_combination", lambda gens, v: answers[corrupt])
     with pytest.raises(InternalError, match="fails its re-check"):
         cone_membership(cone, query)
 
@@ -763,7 +763,7 @@ def test_quadric_rule_agrees_with_the_simplex_and_never_calls_it(monkeypatch):
         for a, bs in quadric_queries(r, rng):
             v = (a, *(-b for b in bs))
             res = cone_membership(cone, v)
-            assert res.is_member == (solve_nonneg_combination(cone.block, v)[0] == "witness")
+            assert res.is_member == (solve_nonneg_combination(cone.generators, v)[0] == "witness")
             if not res.is_member:
                 forms.add(facet_form(res.certificate))
     assert forms == {0, 1, 2, 3, 4}

@@ -47,8 +47,8 @@ def test_enumerate_strictly_ordered_no_duplicates():
             assert parts == sorted(parts, reverse=True)
 
 
-def test_enumerate_memo_is_keyed_by_subproblem_alone():
-    # the 3 x w boxes share their subproblems across w: 439 distinct (k, m, cap)
+def test_enumerate_matches_brute_force_with_one_memo_entry_per_box_and_size():
+    # the tuples grow row by row with no subproblem of their own: one (k, m, cap) per query
     partitions._enumerate.cache_clear()
     partitions._enumerate_boxed.cache_clear()
     for w in range(2, 12):
@@ -57,7 +57,14 @@ def test_enumerate_memo_is_keyed_by_subproblem_alone():
             brute = [p for p in itertools.product(range(w, -1, -1), repeat=3)
                      if sum(p) == m and p[0] >= p[1] >= p[2]]
             assert parts == brute, (w, m)
-    assert partitions._enumerate.cache_info().currsize == 439
+    assert partitions._enumerate.cache_info().currsize == sum(3 * w + 1 for w in range(2, 12))
+
+
+def test_enumerate_a_box_taller_than_the_recursion_limit():
+    k = 1100
+    assert [p.trimmed() for p in enumerate_box(k, k, 2)] == [(2,), (1, 1)]
+    assert [p.parts for p in enumerate_box(k, k, k * k - 2)] == \
+        [(k,) * (k - 1) + (k - 2,), (k,) * (k - 2) + (k - 1, k - 1)]
 
 
 def test_dual_examples():

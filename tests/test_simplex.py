@@ -11,12 +11,12 @@ from grasseff.cli import run_subcommand
 from grasseff.cones import ConeSpec, cone_membership
 from grasseff.errors import InternalError
 from grasseff.linalg import pivot
-from grasseff.simplex import solve_nonneg_combination, tableau_block
+from grasseff.simplex import solve_nonneg_combination
 
 
 def solve(generators, target):
     """solve_nonneg_combination's integer numerators divided by its denominator D > 0."""
-    kind, data, D = solve_nonneg_combination(tableau_block(len(target), generators), target)
+    kind, data, D = solve_nonneg_combination(generators, target)
     assert type(D) is int and D > 0 and all(type(x) is int for x in data)
     return kind, [Fraction(x, D) for x in data]
 
@@ -103,9 +103,9 @@ def test_rational_witness():
 
 def test_dimension_mismatch():
     with pytest.raises(InternalError):
-        tableau_block(2, [(1, 0, 0)])
+        solve_nonneg_combination([(1, 0)], (1, 0, 0))
     with pytest.raises(InternalError):
-        solve_nonneg_combination(tableau_block(3, [(1, 0, 0)]), (1, 0))
+        solve_nonneg_combination([(1, 0), (1, 0, 0)], (1, 0))
 
 
 coords = st.integers(min_value=-4, max_value=4)
@@ -211,9 +211,9 @@ def test_matches_fraction_tableau(instance):
 
 
 def per_query_simplex(generators, target):
-    """Reference: the same simplex with its whole tableau built on every query (the lcm of
-    every denominator, the scaled generators, their transpose and the cost row), as
-    solve_nonneg_combination did before the generator part was kept in a block."""
+    """Reference: the same simplex with its whole tableau built the plain way (the lcm of
+    every denominator, even when it is 1, the scaled generators, their transpose and the
+    cost row as c less the column sums of the signed rows)."""
     dim = len(target)
     n = len(generators)
     L = math.lcm(1, *(x.denominator for x in target),
@@ -254,17 +254,19 @@ def per_query_simplex(generators, target):
     return "certificate", [(D - M[dim][n + i]) * (1 if b[i] < 0 else -1) for i in range(dim)], D
 
 
-def test_a_reused_block_answers_as_a_per_query_build():
-    # one rule-less cone answers a seeded run of queries from the block its first query
-    # built: members and non-members of mixed sign, some with denominators the generators
-    # lack (the block is rescaled for those), on int and Fraction generators and on none
+def test_every_query_answers_as_the_per_query_reference():
+    # a seeded run of queries on rule-less cones, members and non-members of mixed sign, on
+    # int generators (an all-int query takes the shortcut that scales nothing), on Fraction
+    # generators, on bool ones and on none; some targets bring denominators (5 and 7) that
+    # no generator has, and some hold a bool, whose answer is still over ints
     rng = random.Random(24)
     int_gens = [(1, 0, 2), (0, 3, -1), (2, -1, 0), (1, 1, 1), (-1, 0, 4)]
     frac_gens = [(Fraction(1, 2), 0, Fraction(2, 3)), (0, Fraction(3, 2), -1),
                  (Fraction(-1, 3), 1, Fraction(1, 2)), (1, Fraction(1, 6), 0)]
-    for gens in (int_gens, frac_gens, []):
+    bool_gens = [(True, 0, 2), (0, 3, False), (-1, True, 1)]
+    for gens in (int_gens, frac_gens, bool_gens, []):
         cone = ConeSpec.build(3, ("x", "y", "z"), [("g%d" % j, g) for j, g in enumerate(gens)])
-        kinds, lacking = set(), 0
+        kinds, lacking, shortcut, bools = set(), 0, 0, 0
         for _ in range(80):
             den = rng.choice((1, 1, 2, 5, 7))  # 5 and 7 divide no generator's denominator
             if rng.random() < 0.1:
@@ -276,11 +278,16 @@ def test_a_reused_block_answers_as_a_per_query_build():
                 target = tuple(Fraction(rng.randint(-6, 6), den) for _ in range(3))
             if den == 1 and rng.random() < 0.5:
                 target = tuple(int(x) for x in target)
+                if rng.random() < 0.5:
+                    target = (rng.random() < 0.5, *target[1:])
             res = cone_membership(cone, target)
             kind, num, D = per_query_simplex(gens, target)
             assert (res.verdict, res.num, res.D) == \
                 ("in-span" if kind == "witness" else "not-in-span", tuple(num), D), target
+            assert type(res.D) is int and all(type(x) is int for x in res.num), target
             kinds.add(kind)
             lacking += any(Fraction(x).denominator in (5, 7) for x in target)
-        assert cone.block == tableau_block(3, cone.generators)
+            shortcut += type(sum(target) + sum(map(sum, gens))) is int
+            bools += type(target[0]) is bool
         assert kinds == {"witness", "certificate"} and lacking >= 10
+        assert bools >= 3 and (shortcut == 0 if gens is frac_gens else shortcut >= 15)
