@@ -8,20 +8,22 @@ products reuses its own smaller entries, and since each call removes a
 row, the recursion is at most l(lam) + l(mu) deep. Correctness is testable
 by Poincare duality. All coefficients are Python ints (arbitrary precision).
 
-Validation happens at the API boundary: `GrassCtx.partition` and the
-public `ChowClass(...)` constructor check their partitions. Inside,
-products run on plain part tuples, which interlacing keeps inside the box.
-Each product memo entry is a dict whose keys are boxed once, when the
-entry is computed: `_boxed` turns each tuple into a BoxedPartition,
-validated the first time it is seen and then reused. `multiply` of two
-one-term classes copies the entry (scaled when a coefficient is not 1),
-and a dict copy reuses the stored hashes, so no key is boxed or hashed
-again; longer classes sum the entries' terms. `pieri` boxes the tuples of
-the Pieri memo, which builds its fillings row by row. Both build their
-result through `_chow_class`, which skips the per-term checks. Every memo
-here holds at most `MEMO_CAP` entries, the one cap, defined in
-`partitions`. The Plucker degree is the hook length formula alone, priced
-by its digits.
+Validation happens at the API boundary: `GrassCtx.partition` and the public
+`ChowClass(...)` constructor check their partitions, so `sigma` checks its
+own once. Inside, products run on plain part tuples, which interlacing keeps
+inside the box. The expansion memo, `_expansion`, builds lam's last-column
+terms once for every mu. Each product memo entry is a dict whose keys are
+boxed once, when the entry is computed: `_boxed` turns each tuple into a
+BoxedPartition, validated the first time it is seen and then reused.
+`multiply` of two one-term classes copies the entry (scaled when a
+coefficient is not 1), and a dict copy reuses the stored hashes, so no key
+is boxed or hashed again; longer classes sum one-term products. `pieri`
+boxes the tuples of the Pieri memo, which builds its fillings row by row.
+Both, `sigma`, `+` and `scale` build their result through `_chow_class`,
+which skips the per-term checks. The memos `_boxed`, `_expansion`,
+`_pieri_parts` and `_product_parts` each hold at most `MEMO_CAP` entries,
+the one cap, defined in `partitions`. The Plucker degree is the hook length
+formula alone, priced by its digits.
 """
 
 from __future__ import annotations
@@ -102,10 +104,12 @@ class ChowClass:
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
             out[lam] = out.get(lam, 0) + c
-        return ChowClass(self.ctx, self.codim if self.coeffs or not other.coeffs else other.codim, out)
+        return _chow_class(self.ctx, self.codim if self.coeffs or not other.coeffs else other.codim,
+                           {lam: c for lam, c in out.items() if c != 0})
 
     def scale(self, c) -> "ChowClass":
-        return ChowClass(self.ctx, self.codim, {l: c * v for l, v in self.coeffs.items()})
+        return _chow_class(self.ctx, self.codim,
+                           {l: cv for l, v in self.coeffs.items() if (cv := c * v) != 0})
 
     def coefficient(self, lam: BoxedPartition):
         return self.coeffs.get(lam, 0)
@@ -138,7 +142,7 @@ def unit(ctx: GrassCtx) -> ChowClass:
 
 def sigma(ctx: GrassCtx, parts) -> ChowClass:
     lam = ctx.partition(parts)
-    return ChowClass(ctx, lam.size, {lam: 1})
+    return _chow_class(ctx, lam.size, {lam: 1})
 
 
 @lru_cache(maxsize=MEMO_CAP)
@@ -150,9 +154,10 @@ def _boxed(parts: tuple[int, ...], k: int, w: int) -> BoxedPartition:
 def _chow_class(ctx: GrassCtx, codim: int, coeffs: dict) -> ChowClass:
     """The ChowClass of a dict from BoxedPartitions to nonzero coefficients, trusted.
 
-    The keys come from `_boxed`, through the product memo or `pieri`, whose
-    interlacing keeps each inside the box with size codim, so the per-term
-    checks of `ChowClass.__init__` are skipped.
+    The keys come from `_boxed` (the product memo, `pieri`), whose interlacing
+    keeps each inside the box with size codim, from `GrassCtx.partition`
+    (`sigma`), or from classes of this ctx and codim (`+`, `scale`), so the
+    per-term checks of `ChowClass.__init__` are skipped.
     """
     cls = object.__new__(ChowClass)
     cls.ctx, cls.codim, cls.coeffs = ctx, codim, coeffs
@@ -250,11 +255,15 @@ def giambelli(lam: BoxedPartition) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-def _order(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
-    """The pair in the one order every product takes: fewer nonzero parts first."""
-    if (len(lam) - lam.count(0), lam) <= (len(mu) - mu.count(0), mu):
-        return lam, mu
-    return mu, lam
+@lru_cache(maxsize=MEMO_CAP)
+def _expansion(lam: tuple[int, ...], w: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The expansion memo: (sign, special, minor) per last-column term of
+    lam's Jacobi-Trudi determinant (see `_product_parts`) with special <= w."""
+    rows = len(lam) - lam.count(0)
+    pad = (0,) * (len(lam) - rows + 1)
+    return tuple((-1 if (rows - 1 - i) % 2 else 1, lam[i] + rows - 1 - i,
+                  lam[:i] + tuple([p - 1 for p in lam[i + 1:rows]]) + pad)
+                 for i in range(rows) if lam[i] + rows - 1 - i <= w)
 
 
 @lru_cache(maxsize=MEMO_CAP)
@@ -267,11 +276,12 @@ def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> dict:
     l x l for the l nonzero parts of lam, expanded along its last column:
     sigma_lam * sigma_mu = sum_{i=1..l} (-1)^(l-i) sigma_{lam_i + l - i} * (sigma_nu(i) * sigma_mu),
     where the minor nu(i) drops row i and takes 1 from each part below it.
-    A term with lam_i + l - i > w vanishes. Each minor product comes from
-    this memo as (minor, mu), already in `_order`: lam has no more nonzero
-    parts than mu, and the minor has fewer. The product is zero at once when some
-    lam_i + mu_{k+1-i} > w: then lam does not fit in the complement of mu,
-    and the two Schubert varieties in opposite position do not meet.
+    A term with lam_i + l - i > w vanishes; `_expansion` holds the others.
+    Each minor product comes from this memo as (minor, mu), in the order of
+    `multiply`: lam has no more nonzero parts than mu, and the minor has
+    fewer. The product is zero at once when some lam_i + mu_{k+1-i} > w:
+    then lam does not fit in the complement of mu, and the two Schubert
+    varieties in opposite position do not meet.
     """
     k = len(lam)
     rows = k - lam.count(0)
@@ -280,37 +290,36 @@ def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> dict:
     if max(map(operator.add, lam, reversed(mu))) > w:
         return {}
     acc: dict = {}
-    pad = (0,) * (k - rows + 1)
-    for i in range(rows):
-        special = lam[i] + rows - 1 - i
-        if special > w:
-            continue
-        sign = -1 if (rows - 1 - i) % 2 else 1
-        minor = lam[:i] + tuple([p - 1 for p in lam[i + 1:rows]]) + pad
+    for sign, special, minor in _expansion(lam, w):
         for nu, c in _product_parts(minor, mu, w).items():
+            c *= sign
             for rho in _pieri_parts(nu.parts, w, special):
-                acc[rho] = acc.get(rho, 0) + sign * c
+                acc[rho] = acc.get(rho, 0) + c
     return {_boxed(nu, k, w): c for nu, c in acc.items() if c}
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     """Bilinear product; classes exceeding the box vanish.
 
-    Products commute, so each pair of terms goes in `_order`: both orders
-    share one memo entry. A product of two one-term classes is a copy of that
-    entry, scaled by the two coefficients; its terms are nonzero already.
+    Products commute, so each pair of terms goes in one order, fewer nonzero
+    parts first: both orders share one memo entry. A product of two one-term
+    classes is a copy of that entry, scaled by the two coefficients; its
+    terms are nonzero already.
     """
     ctx = a.ctx
     if ctx is not b.ctx and ctx != b.ctx:
         raise InputError("classes live on different Grassmannians")
     codim = a.codim + b.codim
-    if codim > ctx.dim:
+    k, w = ctx.k, ctx.n - ctx.k
+    if codim > k * w:
         return zero(ctx, codim)
-    w = ctx.w
     if len(a.coeffs) == 1 == len(b.coeffs):
         (lam, c), = a.coeffs.items()
         (mu, d), = b.coeffs.items()
-        entry = _product_parts(*_order(lam.parts, mu.parts), w)
+        lam, mu = lam.parts, mu.parts
+        if (k - lam.count(0), lam) > (k - mu.count(0), mu):
+            lam, mu = mu, lam
+        entry = _product_parts(lam, mu, w)
         cd = c * d
         return _chow_class(ctx, codim,
                            entry.copy() if cd == 1 else {nu: cd * e for nu, e in entry.items()})
@@ -318,7 +327,8 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     for lam, c in a.coeffs.items():
         for mu, d in b.coeffs.items():
             cd = c * d
-            for nu, e in _product_parts(*_order(lam.parts, mu.parts), w).items():
+            for nu, e in multiply(_chow_class(ctx, a.codim, {lam: 1}),
+                                  _chow_class(ctx, b.codim, {mu: 1})).coeffs.items():
                 acc[nu] = acc.get(nu, 0) + cd * e
     return _chow_class(ctx, codim, {nu: c for nu, c in acc.items() if c})
 

@@ -189,6 +189,49 @@ def test_non_integer_parts_are_refused_on_a_memo_hit():
             G24.partition(parts)
 
 
+G49 = GrassCtx(4, 9)
+
+
+@pytest.mark.parametrize("parts,message", [
+    ((True,), "partition parts must be integers: (True,)"),
+    ((1.0,), "partition parts must be integers: (1.0,)"),
+    (("2",), "partition parts must be integers: ('2',)"),
+    ("21", "partition parts must be integers: ('2', '1')"),
+    ((1, 1, 1, 1, 1), "partition (1, 1, 1, 1, 1) has more than 4 nonzero parts"),
+    ((6,), "first part 6 exceeds box width 5"),
+    ((1, 2), "parts must be weakly decreasing: (1, 2, 0, 0)"),
+])
+def test_sigma_keeps_every_refusal(parts, message):
+    # twice: a refusal is not cached by the memo of validated partitions
+    for _ in range(2):
+        with pytest.raises(InputError) as err:
+            chow.sigma(G49, parts)
+        assert str(err.value) == message
+
+
+def test_sigma_builds_what_the_checking_constructor_builds():
+    for lam in (lam for m in range(G49.dim + 1) for lam in enumerate_box(4, 5, m)):
+        got = chow.sigma(G49, lam.parts)
+        assert got == chow.ChowClass(G49, lam.size, {G49.partition(lam.parts): 1})
+        assert got == chow.sigma(G49, lam.trimmed())
+
+
+def test_sums_and_multiples_drop_zero_terms_and_keep_their_refusal():
+    s2, s11 = chow.sigma(G24, (2,)), chow.sigma(G24, (1, 1))
+    both = s2.scale(3) + s11
+    for got in (both, both + s2.scale(-3), s2 + s2.scale(-1), both.scale(0),
+                both.scale(-2), chow.zero(G24, 2) + s11, s11 + chow.zero(G24, 5)):
+        assert got == chow.ChowClass(G24, got.codim, got.coeffs)
+        assert all(c != 0 for c in got.coeffs.values())
+    assert (both + s2.scale(-3)).coeffs == s11.coeffs
+    assert (s2 + s2.scale(-1)).is_zero() and both.scale(0).is_zero()
+    assert (chow.zero(G24, 5) + s11).codim == 2
+    for other in (chow.sigma(G24, (1,)), chow.sigma(G25, (2,))):
+        with pytest.raises(InputError) as err:
+            s2 + other
+        assert str(err.value) == "cannot add classes from different contexts or degrees"
+
+
 def test_mismatched_contexts_rejected():
     with pytest.raises(InputError):
         chow.multiply(chow.sigma(G24, (1,)), chow.sigma(G25, (1,)))

@@ -485,6 +485,7 @@ def test_huge_exponent_q_is_refused_quickly(capsys):
 # path has to give the same structure constants byte for byte
 RING_DIGESTS = {
     (3, 8): "ab84091e773baff651a4b456586e47b85603938ee5cb6bf522fed92fc4913bdb",
+    (3, 9): "622744a18e0ea407bc37511daeb74b3ff91916fe7bc9c03aebe5b3af879b9c9f",
     (4, 8): "950fffbe17e057a94196dbf494b004e1b409b0413eab64291e5b59183829e659",
     (4, 9): "96e5e288cb9076d7a2f7ac6a977e51532b40e9ecdff2e31d9c6129eed0b02ab0",
 }

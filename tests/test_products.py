@@ -175,7 +175,7 @@ def test_pieri_matches_the_earlier_interlacing_sum():
             assert chow.pieri(ctx, special, mu) == reference_pieri(ctx, special, mu)
 
 
-MEMOS = ("_boxed", "_pieri_parts", "_product_parts")
+MEMOS = ("_boxed", "_expansion", "_pieri_parts", "_product_parts")
 
 
 def test_every_memo_is_bounded_by_the_one_cap():
@@ -216,6 +216,24 @@ def test_products_commute_and_share_one_memo_entry(k, n):
     assert chow._product_parts.cache_info().currsize == len(unordered)
 
 
+@pytest.mark.parametrize("k,n", [(3, 6), (4, 8), (3, 9)])
+def test_each_expansion_term_sums_back_to_its_class(k, n):
+    # Laplace along the last column: sigma_lam = sum sign * sigma_special * sigma_minor,
+    # the terms with special > w being zero classes
+    ctx = make_ctx(k, n)
+    for lam in (lam for m in range(1, ctx.dim + 1) for lam in chow.basis(ctx, m)):
+        total = chow.zero(ctx, lam.size)
+        for sign, special, minor in chow._expansion(lam.parts, ctx.w):
+            total = total + chow.pieri(ctx, special, ctx.partition(minor)).scale(sign)
+        assert total == chow.sigma(ctx, lam.parts), lam
+
+
+def in_order(lam, mu):
+    """The one order of a pair in the product memo: fewer nonzero parts first,
+    then the smaller tuple."""
+    return (len(lam) - lam.count(0), lam) <= (len(mu) - mu.count(0), mu)
+
+
 def record_products(monkeypatch):
     """A fresh product memo that lists, in order, the pairs it computes."""
     computed, compute = [], chow._product_parts.__wrapped__
@@ -236,7 +254,7 @@ def test_product_recurses_only_on_the_operand_with_fewer_rows(monkeypatch):
         assert as_parts(chow.multiply(a, b)) == {(5,) + (4,) * 7: 1}
     # sigma_1's one row, then its empty minor; the second order is a memo hit
     assert computed == [((1,) + (0,) * 7, (4,) * 8), ((0,) * 8, (4,) * 8)]
-    assert all(chow._order(lam, mu) == (lam, mu) for lam, mu in computed)
+    assert all(in_order(lam, mu) for lam, mu in computed)
 
 
 def test_a_product_that_does_not_fit_the_complement_stops_at_once(monkeypatch):
@@ -267,13 +285,13 @@ def test_a_many_term_product_matches_littlewood_richardson():
 
 @pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
 def test_the_product_memo_computes_only_ordered_pairs(monkeypatch, k, n):
-    # the recursion passes (minor, mu) without `_order`: the minor has fewer
+    # the recursion passes (minor, mu) without reordering: the minor has fewer
     # nonzero parts than lam, and lam no more than mu, so the pair is in order
     computed = record_products(monkeypatch)
     ctx = make_ctx(k, n)
     for lam, mu in all_pairs(ctx):
         chow.multiply(chow.sigma(ctx, lam.parts), chow.sigma(ctx, mu.parts))
-    assert computed and all(chow._order(lam, mu) == (lam, mu) for lam, mu in computed)
+    assert computed and all(in_order(lam, mu) for lam, mu in computed)
 
 
 def assert_built_as_validated(ctx, got):
