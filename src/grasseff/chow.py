@@ -13,16 +13,16 @@ Validation happens at the API boundary: `GrassCtx.partition` and the public
 own once. Inside, products run on plain part tuples, which interlacing keeps
 inside the box. The expansion memo, `_expansion`, builds lam's last-column
 terms once for every mu. Each product memo entry is a dict whose keys are
-boxed once, when the entry is computed: `_boxed` turns each tuple into a
-BoxedPartition, validated the first time it is seen and then reused.
-`multiply` of two one-term classes copies the entry (scaled when a
-coefficient is not 1), and a dict copy reuses the stored hashes, so no key
-is boxed or hashed again; longer classes sum one-term products. `pieri`
-boxes the tuples of the Pieri memo, which builds its fillings row by row.
-Both, `sigma`, `+` and `scale` build their result through `_chow_class`,
-which skips the per-term checks. The memos `_boxed`, `_expansion`,
-`_pieri_parts` and `_product_parts` each hold at most `MEMO_CAP` entries,
-the one cap, defined in `partitions`. The Plucker degree is the hook length
+boxed once, when the entry is computed, by `partitions.boxed`, the one table
+of validated partitions, so they are the basis's own objects. `multiply` of
+two one-term classes copies the entry (scaled when a coefficient is not 1),
+and a dict copy reuses the stored hashes, so no key is boxed or hashed
+again; longer classes sum one-term products. `pieri` boxes the tuples of
+the Pieri memo, which builds its fillings row by row. Both, `sigma`, `+`
+and `scale` build their result through `_chow_class`, which skips the
+per-term checks. The five memos, `_expansion`, `_pieri_parts` and
+`_product_parts` here and `boxed` and `_enumerate` in `partitions`, each
+hold at most `MEMO_CAP` entries. The Plucker degree is the hook length
 formula alone, priced by its digits.
 """
 
@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from grasseff.errors import InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS
-from grasseff.partitions import MEMO_CAP, BoxedPartition, enumerate_box, int_parts, make_partition
+from grasseff.partitions import MEMO_CAP, BoxedPartition, boxed, enumerate_box, make_partition
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,10 @@ class GrassCtx:
 
     def partition(self, parts) -> BoxedPartition:
         """The partition with these parts (trailing zeros optional), validated once."""
-        # checked before the memo: 1.0 and True hash and compare equal to 1
-        return _boxed(int_parts(parts), self.k, self.w)
+        return make_partition(parts, self.k, self.w)
 
     def point_class_partition(self) -> BoxedPartition:
-        return BoxedPartition((self.w,) * self.k, self.k, self.w)
+        return boxed((self.w,) * self.k, self.k, self.w)
 
 
 class ChowClass:
@@ -145,16 +144,10 @@ def sigma(ctx: GrassCtx, parts) -> ChowClass:
     return _chow_class(ctx, lam.size, {lam: 1})
 
 
-@lru_cache(maxsize=MEMO_CAP)
-def _boxed(parts: tuple[int, ...], k: int, w: int) -> BoxedPartition:
-    """make_partition(parts, k, w), validated on first use and then reused."""
-    return make_partition(parts, k, w)
-
-
 def _chow_class(ctx: GrassCtx, codim: int, coeffs: dict) -> ChowClass:
     """The ChowClass of a dict from BoxedPartitions to nonzero coefficients, trusted.
 
-    The keys come from `_boxed` (the product memo, `pieri`), whose interlacing
+    The keys come from `boxed` (the product memo, `pieri`), whose interlacing
     keeps each inside the box with size codim, from `GrassCtx.partition`
     (`sigma`), or from classes of this ctx and codim (`+`, `scale`), so the
     per-term checks of `ChowClass.__init__` are skipped.
@@ -179,7 +172,7 @@ def pieri(ctx: GrassCtx, special: int, mu: BoxedPartition) -> ChowClass:
                          % (special, mu, terms, MEMO_CAP))
     k, w = ctx.k, ctx.w
     return _chow_class(ctx, special + mu.size,
-                       {_boxed(nu, k, w): 1 for nu in _pieri_parts(mu.parts, w, special)})
+                       {boxed(nu, k, w): 1 for nu in _pieri_parts(mu.parts, w, special)})
 
 
 def _pieri_count(mu: tuple[int, ...], w: int, special: int) -> int:
@@ -286,7 +279,7 @@ def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> dict:
     k = len(lam)
     rows = k - lam.count(0)
     if rows == 0:
-        return {_boxed(mu, k, w): 1}
+        return {boxed(mu, k, w): 1}
     if max(map(operator.add, lam, reversed(mu))) > w:
         return {}
     acc: dict = {}
@@ -295,7 +288,7 @@ def _product_parts(lam: tuple[int, ...], mu: tuple[int, ...], w: int) -> dict:
             c *= sign
             for rho in _pieri_parts(nu.parts, w, special):
                 acc[rho] = acc.get(rho, 0) + c
-    return {_boxed(nu, k, w): c for nu, c in acc.items() if c}
+    return {boxed(nu, k, w): c for nu, c in acc.items() if c}
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:

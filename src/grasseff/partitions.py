@@ -2,7 +2,9 @@
 
 These index the Schubert classes sigma_lambda on G(k, n) with w = n - k.
 Parts are stored with explicit trailing zeros (fixed length k); rendering
-trims them.
+trims them. `boxed` is the one table of validated partitions, from which
+every BoxedPartition comes. The five memos, `boxed` and `_enumerate` here
+and three in `chow`, are each capped at `MEMO_CAP`.
 """
 
 from __future__ import annotations
@@ -62,14 +64,24 @@ def int_parts(parts) -> tuple[int, ...]:
 
 
 def make_partition(parts, k: int, w: int) -> BoxedPartition:
-    """Build a BoxedPartition from parts given with or without trailing zeros."""
-    parts = int_parts(parts)
-    if len(parts) > k:
-        if any(p != 0 for p in parts[k:]):
-            raise InputError("partition %r has more than %d nonzero parts" % (parts, k))
-        parts = parts[:k]
-    parts = parts + (0,) * (k - len(parts))
-    return BoxedPartition(parts, k, w)
+    """The partition with these parts (trailing zeros optional): the checked entry to `boxed`."""
+    return boxed(int_parts(parts), k, w)
+
+
+@lru_cache(maxsize=MEMO_CAP)
+def boxed(parts: tuple[int, ...], k: int, w: int) -> BoxedPartition:
+    """The one table of validated partitions, keyed by parts as given (trailing
+    zeros optional); a shorter or longer key shares the object of its k parts.
+
+    Callers pass ints; `make_partition` is the checked entry, since parts are
+    checked before the memo: 1.0 and True hash and compare equal to 1.
+    """
+    full = parts[:k] + (0,) * (k - len(parts))
+    if full == parts:
+        return BoxedPartition(parts, k, w)
+    if any(p != 0 for p in parts[k:]):
+        raise InputError("partition %r has more than %d nonzero parts" % (parts, k))
+    return boxed(full, k, w)
 
 
 def dual(lam: BoxedPartition) -> BoxedPartition:
@@ -78,11 +90,11 @@ def dual(lam: BoxedPartition) -> BoxedPartition:
     An involution; |lam| + |dual(lam)| = k * w.
     """
     w = lam.box_w
-    return BoxedPartition(tuple(w - p for p in reversed(lam.parts)), lam.box_k, w)
+    return boxed(tuple(w - p for p in reversed(lam.parts)), lam.box_k, w)
 
 
 @lru_cache(maxsize=MEMO_CAP)
-def _enumerate(k: int, m: int, cap: int) -> tuple[tuple[int, ...], ...]:
+def _enumerate(k: int, m: int, cap: int) -> tuple[BoxedPartition, ...]:
     # All weakly decreasing k-tuples with entries <= cap summing to m,
     # first part descending (reverse-lexicographic order). The tuples grow one
     # row at a time: with rem left for the last `left` rows, a row takes from
@@ -97,7 +109,7 @@ def _enumerate(k: int, m: int, cap: int) -> tuple[tuple[int, ...], ...]:
             for p in range(min(top, rem), -(-rem // left) - 1, -1):
                 nxt.append((head + (p,), rem - p, p))
         fills = nxt
-    return tuple(head for head, _, _ in fills)
+    return tuple(boxed(head, k, cap) for head, _, _ in fills)
 
 
 def enumerate_box(k: int, w: int, m: int) -> list[BoxedPartition]:
@@ -108,10 +120,4 @@ def enumerate_box(k: int, w: int, m: int) -> list[BoxedPartition]:
     """
     if k < 1 or w < 1:
         raise InputError("box dimensions must be positive")
-    return list(_enumerate_boxed(k, w, m))
-
-
-@lru_cache(maxsize=MEMO_CAP)
-def _enumerate_boxed(k: int, w: int, m: int) -> tuple[BoxedPartition, ...]:
-    """enumerate_box's partitions, validated on first use and then reused."""
-    return tuple(BoxedPartition(p, k, w) for p in _enumerate(k, m, w))
+    return list(_enumerate(k, m, w))

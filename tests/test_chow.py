@@ -2,12 +2,13 @@ import math
 import random
 import time
 import warnings
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasseff import chow
+from grasseff import chow, partitions
 from grasseff.chow import GrassCtx
 from grasseff.errors import InputError
 from grasseff.jsonio import MAX_DIGITS
@@ -181,12 +182,14 @@ def test_a_term_of_the_wrong_size_is_refused_at_every_codim():
 
 
 def test_non_integer_parts_are_refused_on_a_memo_hit():
-    assert repr(chow.sigma(G24, (1,))) == "1*s(1)"  # (1,) is now in the memo
-    for parts in ((1.5,), (1.0,), (True,)):
-        with pytest.raises(InputError, match="integers"):
-            chow.sigma(G24, parts)
-        with pytest.raises(InputError, match="integers"):
-            G24.partition(parts)
+    assert repr(chow.sigma(G24, (1,))) == "1*s(1)"  # (1,) is now in the table
+    assert partitions.boxed((1,), 2, 2) is G24.partition((1,))
+    for parts in ((1.5,), (1.0,), (True,), ("1",)):
+        for refuse in (partial(chow.sigma, G24), G24.partition,
+                       partial(partitions.make_partition, k=2, w=2)):
+            with pytest.raises(InputError) as err:
+                refuse(parts)
+            assert str(err.value) == "partition parts must be integers: %r" % (parts,)
 
 
 G49 = GrassCtx(4, 9)

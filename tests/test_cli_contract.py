@@ -12,9 +12,13 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -110,6 +114,22 @@ def test_random_arguments_keep_the_contract(args, tmp_path_factory):
     if len(args) == 4 and args[:3] == ["orbits", "check", "--k"] \
             and args[3] in ("-3", "-2", "-1", "4", "5", "6"):
         assert code == 2, args
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@settings(max_examples=20, derandomize=True, **FUZZ)
+@given(args=argv())
+def test_an_answer_does_not_depend_on_what_earlier_calls_left_in_the_memos(args, tmp_path_factory):
+    # in process, the memos hold what every earlier call and test put there;
+    # a fresh interpreter starts with them empty
+    if args and args[0] == "export-ring":
+        args += ["--out", str(tmp_path_factory.getbasetemp() / "ring.json")]
+    code, out, _ = run_checked(args)
+    fresh = subprocess.run([sys.executable, "-m", "grasseff.cli", *args], capture_output=True,
+                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (fresh.returncode, fresh.stdout) == (code, out), args
 
 
 # large boxes for `degree`, refused past its digit bound k(n-k) log10 k <= MAX_DIGITS

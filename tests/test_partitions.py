@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import lru_cache
 
 import pytest
 
@@ -47,17 +48,29 @@ def test_enumerate_strictly_ordered_no_duplicates():
             assert parts == sorted(parts, reverse=True)
 
 
+def brute_force(k, w, m):
+    return [p for p in itertools.product(range(w, -1, -1), repeat=k)
+            if sum(p) == m and all(p[i] >= p[i + 1] for i in range(k - 1))]
+
+
 def test_enumerate_matches_brute_force_with_one_memo_entry_per_box_and_size():
     # the tuples grow row by row with no subproblem of their own: one (k, m, cap) per query
     partitions._enumerate.cache_clear()
-    partitions._enumerate_boxed.cache_clear()
     for w in range(2, 12):
         for m in range(3 * w + 1):
-            parts = [p.parts for p in enumerate_box(3, w, m)]
-            brute = [p for p in itertools.product(range(w, -1, -1), repeat=3)
-                     if sum(p) == m and p[0] >= p[1] >= p[2]]
-            assert parts == brute, (w, m)
+            assert [p.parts for p in enumerate_box(3, w, m)] == brute_force(3, w, m), (w, m)
     assert partitions._enumerate.cache_info().currsize == sum(3 * w + 1 for w in range(2, 12))
+
+
+def test_enumerate_matches_brute_force_while_the_table_evicts(monkeypatch):
+    cap = 7
+    for name in ("boxed", "_enumerate"):
+        monkeypatch.setattr(partitions, name,
+                            lru_cache(maxsize=cap)(getattr(partitions, name).__wrapped__))
+    for k, w in [(3, 4), (4, 3), (2, 6)]:
+        for m in range(k * w + 1):
+            assert [p.parts for p in enumerate_box(k, w, m)] == brute_force(k, w, m), (k, w, m)
+    assert partitions.boxed.cache_info().misses > 10 * cap
 
 
 def test_enumerate_a_box_taller_than_the_recursion_limit():

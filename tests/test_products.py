@@ -175,26 +175,32 @@ def test_pieri_matches_the_earlier_interlacing_sum():
             assert chow.pieri(ctx, special, mu) == reference_pieri(ctx, special, mu)
 
 
-MEMOS = ("_boxed", "_expansion", "_pieri_parts", "_product_parts")
+MEMOS = ((chow, ("_expansion", "_pieri_parts", "_product_parts")),
+         (partitions, ("boxed", "_enumerate")))
+
+
+def memos():
+    return [getattr(module, name) for module, names in MEMOS for name in names]
 
 
 def test_every_memo_is_bounded_by_the_one_cap():
     assert chow.MEMO_CAP is partitions.MEMO_CAP
-    assert all(getattr(chow, name).cache_info().maxsize == chow.MEMO_CAP for name in MEMOS)
-    assert partitions._enumerate.cache_info().maxsize == chow.MEMO_CAP
-    assert partitions._enumerate_boxed.cache_info().maxsize == chow.MEMO_CAP
+    assert len(memos()) == 5
+    assert all(memo.cache_info().maxsize == chow.MEMO_CAP for memo in memos())
 
 
 def test_products_stay_right_after_the_memos_evict(monkeypatch):
     cap = 7
-    for name in MEMOS:
-        memo = lru_cache(maxsize=cap)(getattr(chow, name).__wrapped__)
-        monkeypatch.setattr(chow, name, memo)
+    for module, names in MEMOS:
+        for name in names:
+            memo = lru_cache(maxsize=cap)(getattr(module, name).__wrapped__)
+            monkeypatch.setattr(module, name, memo)
+    monkeypatch.setattr(chow, "boxed", partitions.boxed)
     ctx = make_ctx(3, 6)
     for lam, mu in all_pairs(ctx):
         got = chow.multiply(chow.sigma(ctx, lam.parts), chow.sigma(ctx, mu.parts))
         assert got == reference_product(ctx, lam, mu), (lam, mu)
-        assert all(getattr(chow, name).cache_info().currsize <= cap for name in MEMOS)
+        assert all(memo.cache_info().currsize <= cap for memo in memos())
     # far more distinct Pieri expansions than the cap: entries were evicted many times
     assert chow._pieri_parts.cache_info().misses > 10 * cap
     # a second pass, in the other order, meets a different set of survivors
@@ -296,10 +302,10 @@ def test_the_product_memo_computes_only_ordered_pairs(monkeypatch, k, n):
 
 def assert_built_as_validated(ctx, got):
     """A result of multiply or pieri is what the checking constructor builds
-    from it, with no zero coefficient and every key the one `_boxed` holds."""
+    from it, with no zero coefficient and every key the one `partitions.boxed` holds."""
     assert got == ChowClass(ctx, got.codim, got.coeffs)
     assert all(c != 0 for c in got.coeffs.values())
-    assert all(lam is chow._boxed(lam.parts, ctx.k, ctx.w) for lam in got.coeffs)
+    assert all(lam is partitions.boxed(lam.parts, ctx.k, ctx.w) for lam in got.coeffs)
 
 
 @pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
@@ -311,6 +317,19 @@ def test_products_and_pieri_build_what_the_checking_constructor_builds(k, n):
     for mu in (lam for m in range(ctx.dim + 1) for lam in chow.basis(ctx, m)):
         for special in range(ctx.w + 1):
             assert_built_as_validated(ctx, chow.pieri(ctx, special, mu))
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
+def test_every_partition_handed_out_is_the_one_the_table_holds(k, n):
+    # products and pieri: test_products_and_pieri_build_what_the_checking_constructor_builds
+    ctx = make_ctx(k, n)
+    basis = [lam for m in range(ctx.dim + 1) for lam in chow.basis(ctx, m)]
+    assert all(lam is partitions.boxed(lam.parts, k, ctx.w) for lam in basis)
+    held = set(map(id, basis))
+    for lam in basis:
+        assert ctx.partition(lam.parts) is lam and ctx.partition(lam.trimmed()) is lam
+        assert id(partitions.dual(lam)) in held
+    assert ctx.point_class_partition() is basis[-1]
 
 
 def test_a_cancelling_product_drops_its_zero_term():
