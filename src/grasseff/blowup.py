@@ -80,11 +80,11 @@ def blow_class(bctx: BlowupCtx, grading: str, m: int, ambient: ChowClass, exc) -
     return BlowupClass(bctx, grading, m, ambient, tuple(exc))
 
 
-def exceptional(bctx: BlowupCtx, grading: str, m: int, i: int, coeff=1) -> BlowupClass:
-    """coeff * (linear exceptional cycle at point i): exc entry is -coeff."""
+def exceptional(bctx: BlowupCtx, grading: str, m: int, i: int) -> BlowupClass:
+    """The linear exceptional cycle at point i: its exc entry is -1."""
     codim = m if grading == "codim" else bctx.ctx.dim - m
     exc = [0] * bctx.r
-    exc[i] = -coeff
+    exc[i] = -1
     return BlowupClass(bctx, grading, m, chow.zero(bctx.ctx, codim), tuple(exc))
 
 

@@ -22,8 +22,10 @@ the Pieri memo, which builds its fillings row by row. Both, `sigma`, `+`
 and `scale` build their result through `_chow_class`, which skips the
 per-term checks. The five memos, `_expansion`, `_pieri_parts` and
 `_product_parts` here and `boxed` and `_enumerate` in `partitions`, each
-hold at most `MEMO_CAP` entries. The Plucker degree is the hook length
-formula alone, priced by its digits.
+hold at most `MEMO_CAP` entries. `giambelli` fills the permutations of the
+determinant row by row, keeping only fillings that can be completed, with
+no recursion and no memo, priced by `ENTRY_CAP` entries. The Plucker
+degree is the hook length formula alone, priced by its digits.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from functools import lru_cache
 
 from grasseff.errors import InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS
-from grasseff.partitions import MEMO_CAP, BoxedPartition, boxed, enumerate_box, make_partition
+from grasseff.partitions import (ENTRY_CAP, MEMO_CAP, BoxedPartition, boxed, enumerate_box,
+                                 make_partition)
 
 
 @dataclass(frozen=True)
@@ -220,31 +223,54 @@ def giambelli(lam: BoxedPartition) -> list[tuple[int, tuple[int, ...]]]:
     """Determinant expansion of sigma_lam as signed products of special sizes.
 
     Entry (i, j) of the l x l matrix, l the number of nonzero parts, is
-    sigma_{lam_i + j - i}; entries with index < 0 or > w are the zero class and
-    prune the expansion. The rows of the k x k matrix past the nonzero parts
-    are zero left of the diagonal, so they can only take their diagonal
-    sigma_0 and add nothing. Each monomial is a tuple of special sizes with
-    sigma_0 factors dropped.
+    sigma_{lam_i + j - i}, the zero class when the index is < 0 or > w (the
+    k x k matrix adds rows that can only take their diagonal sigma_0). Each
+    permutation with no zero entry gives one (sign, sizes): its nonzero
+    sizes in decreasing order. They are listed in lexicographic order of
+    the columns that rows 0, 1, ... take, filled one row at a time.
+
+    Row i may take column j in [a_i, b_i], a_i = max(0, i - lam_i) and
+    b_i = min(l - 1, i - lam_i + w); both ends are nondecreasing in i, and
+    a_i <= i <= b_i. A filling of rows 0..r-1 whose free columns are
+    c_0 < c_1 < ... can be completed exactly when c_t >= a_{r+t} for every
+    t: rows r+t.. need that many free columns >= a_{r+t}, and giving c_t to
+    row r+t works, as c_t <= r + t <= b_{r+t} (at most r of the columns
+    0..r+t are used; Glover's greedy matching for interval rows). So every
+    free column is >= a_i, and row i takes its free columns upward while
+    they are <= b_i: it may take c_p when each column it passed still meets
+    its new row, c_t >= a_{i+1+t} for t < p, and stops at the first that
+    does not. The sign flips once per used column right of the one taken.
+    Every kept filling completes, so their number never falls: past ENTRY_CAP
+    monomials x l entries the fill stops at once, after <= ENTRY_CAP fillings.
     """
     parts, w = lam.parts, lam.box_w
     rows = len(parts) - parts.count(0)
-    out: list[tuple[int, tuple[int, ...]]] = []
-
-    def expand(row, used_cols, sign, mono):
-        if row == rows:
-            out.append((sign, tuple(sorted((m for m in mono if m != 0), reverse=True))))
-            return
-        for j in range(rows):
-            if used_cols & (1 << j):
-                continue
-            entry = parts[row] + j - row
-            if entry < 0 or entry > w:
-                continue
-            # parity of the permutation built column by column
-            inversions = bin(used_cols >> (j + 1)).count("1")
-            expand(row + 1, used_cols | (1 << j), sign * (-1) ** inversions, mono + (entry,))
-
-    expand(0, 0, 1, ())
+    lo = [max(0, i - parts[i]) for i in range(rows)] + [0]  # a_l := 0 passes the last column
+    fills = [(0, 1, ())]  # (used columns as bits, sign, nonzero sizes as (size, rest) pairs)
+    for i in range(rows):
+        part, nxt = parts[i] - i, []
+        window = (2 << min(rows - 1, w - part)) - 1  # the columns up to b_i
+        for used, sign, sizes in fills:
+            passed, free = i + 1, window & ~used
+            while free:
+                bit = free & -free
+                j = bit.bit_length() - 1
+                nxt.append((used | bit, -sign if (used >> j).bit_count() & 1 else sign,
+                            (part + j, sizes) if part + j else sizes))
+                if len(nxt) * rows > ENTRY_CAP:
+                    raise InputError("the Giambelli expansion of sigma_%s has more than %d entries"
+                                     " (monomials x %d rows)" % (lam, ENTRY_CAP, rows))
+                if j < lo[passed]:
+                    break
+                passed, free = passed + 1, free ^ bit
+        fills = nxt
+    out = []
+    for _, sign, sizes in fills:
+        flat = []
+        while sizes:
+            size, sizes = sizes
+            flat.append(size)
+        out.append((sign, tuple(sorted(flat, reverse=True))))
     return out
 
 

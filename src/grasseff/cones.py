@@ -38,6 +38,7 @@ from grasseff.blowup import BlowupClass, BlowupCtx, blow_class
 from grasseff.chow import GrassCtx
 from grasseff.errors import DecompositionError, InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS
+from grasseff.partitions import ENTRY_CAP
 from grasseff.simplex import solve_nonneg_combination
 
 
@@ -545,41 +546,13 @@ def g25_threecycle_decompose(a21: int, a3: int, bs) -> dict[tuple, int]:
     return out
 
 
-def g25_term_vector(key: tuple, r: int) -> tuple:
-    """Coordinates (a21, a3, b_1..b_r) of a g25 decomposition term."""
-    a21 = a3 = 0
-    bs = [0] * r
-    kind = key[0]
-    if kind == "s21":
-        a21 = 1
-    elif kind == "s3":
-        a3 = 1
-    elif kind == "E":
-        bs[key[1]] = -1
-    elif kind == "s21-2E":
-        a21, bs[key[1]] = 1, 2
-    elif kind == "s21-E-E":
-        a21 = 1
-        bs[key[1]], bs[key[2]] = 1, 1
-    elif kind == "s3-E":
-        a3, bs[key[1]] = 1, 1
-    else:
-        raise InputError("unknown term key %r" % (key,))
-    return (a21, a3, *bs)
-
-
-# Generators x coordinates of one sgen_cycle_cone; r = 400 on G(2,4), cycle_dim 1 (321,201)
-# takes about 0.3 s to build and query.
-SGEN_CAP = 400_000
-
-
 def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
     """Span of Schubert classes for dimension-1 or -2 cycles on a blow-up at r points.
 
     Each generating Schubert cycle passes through one general point, so the
     generators are the lemma42 terms sigma, sigma - E_i and E_i, in that
     order per sigma and with the E_i last. With b Schubert classes there are
-    (b + 1) r + b generators of b + r coordinates; more than SGEN_CAP
+    (b + 1) r + b generators of b + r coordinates; more than ENTRY_CAP
     entries in all is refused before any is built. The rule is Lemma 4.2:
     e_lam for the first a_lam < 0, else (1, ..., 1, 1_S) with S = {i : b_i > 0}
     when that is negative on the query, else the witness _lemma42_greedy(a, b),
@@ -591,9 +564,9 @@ def sgen_cycle_cone(ctx: GrassCtx, cycle_dim: int, r: int) -> ConeSpec:
         raise InputError("need r >= 0 points, got %d" % r)
     sigmas = chow.basis(ctx, ctx.dim - cycle_dim)
     b = len(sigmas)
-    if ((b + 1) * r + b) * (b + r) > SGEN_CAP:
+    if ((b + 1) * r + b) * (b + r) > ENTRY_CAP:
         raise InputError("the span cone of %d-cycles on G(%d,%d) at r=%d points has more than %d "
-                         "generator entries" % (cycle_dim, ctx.k, ctx.n, r, SGEN_CAP))
+                         "generator entries" % (cycle_dim, ctx.k, ctx.n, r, ENTRY_CAP))
     keys = []
     for lam in sigmas:
         keys += [("sigma", lam)] + [("sigma-E", lam, i) for i in range(r)]

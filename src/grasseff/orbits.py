@@ -14,10 +14,10 @@ matrix by telescoping; every other matrix is built from a valid representative o
 off ranks. Includes exact orbit dimensions
 via the Lie algebra stabilizer condition and a finite-field enumeration used as an oracle,
 which reads each row of a subspace's incidence off one echelon over F_q. Two bounds count
-what they would build, before any work: enumerate_orbits refuses more than ORBIT_CAP
-incidence entries, orbit_count(k, d) x (k+1)^2, which every caller (the listing, the
-oracle, the benchmark) builds one matrix per orbit of; the oracle refuses more than
-ORACLE_CAP subspaces (the Gaussian binomial).
+what they would build, before any work: enumerate_orbits refuses more than ENTRY_CAP
+incidence entries (one cap on entries built, from `partitions`), orbit_count(k, d) x
+(k+1)^2, as every caller (the listing, the oracle, the benchmark) builds one matrix per
+orbit; the oracle refuses more than ORACLE_CAP subspaces (the Gaussian binomial).
 
 A representative's basis vectors have disjoint supports of size 1 or 2, so
 each e_i modulo W is 0 or a signed unit vector of V/W, and each row of the
@@ -41,6 +41,7 @@ from grasseff.errors import InputError
 # stay bound: rref and reduce_mod are not called here, and ff_rank (through it rank) only by
 # the tests
 from grasseff.linalg import echelon, rank, reduce_mod, rref  # noqa: F401
+from grasseff.partitions import ENTRY_CAP
 
 
 @dataclass(frozen=True)
@@ -145,11 +146,6 @@ def representative_from_incidence(inc: IncidenceMatrix) -> OrbitRepresentative:
     return OrbitRepresentative(k, tuple(pairs))
 
 
-# Incidence entries, orbit_count(k, d) x (k+1)^2, one enumerate_orbits may build;
-# k = d = 5 needs 393,192 and k = 7, d = 3 needs 1,265,152.
-ORBIT_CAP = 400_000
-
-
 def orbit_count(k: int, d: int) -> int:
     """The number of d-plane orbits, 0 <= d <= k: j pairs with both indices positive, in
     C(k, j)^2 j! ways, then d - j single flag vectors out of the 2(k - j) unused."""
@@ -161,16 +157,16 @@ def enumerate_orbits(k: int, d: int) -> list[OrbitRepresentative]:
     """All orbit representatives of d-planes, sorted by their pairs.
 
     Each set of pairs with no flag vector reused is one orbit (its incidence gives the pairs
-    back), and exactly these sets are built. More than ORBIT_CAP incidence entries is
+    back), and exactly these sets are built. More than ENTRY_CAP incidence entries is
     refused first: each caller builds one (k+1) x (k+1) incidence matrix per orbit.
     """
     if not (0 <= d <= k):
         raise InputError("need 0 <= subspace_dim <= k")
     # there is at least one orbit, so the sum waits for (k+1)^2 alone to pass
     entries = (k + 1) ** 2
-    if entries > ORBIT_CAP or orbit_count(k, d) * entries > ORBIT_CAP:
+    if entries > ENTRY_CAP or orbit_count(k, d) * entries > ENTRY_CAP:
         raise InputError("the %d-plane orbits for k=%d have more than %d incidence entries"
-                         % (d, k, ORBIT_CAP))
+                         % (d, k, ENTRY_CAP))
     flags = range(1, k + 1)
     grid = [[(i, j) for j in range(k + 1)] for i in range(k + 1)]  # every set shares these pairs
     sets = []

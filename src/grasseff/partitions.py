@@ -4,7 +4,8 @@ These index the Schubert classes sigma_lambda on G(k, n) with w = n - k.
 Parts are stored with explicit trailing zeros (fixed length k); rendering
 trims them. `boxed` is the one table of validated partitions, from which
 every BoxedPartition comes. The five memos, `boxed` and `_enumerate` here
-and three in `chow`, are each capped at `MEMO_CAP`.
+and three in `chow`, are each capped at `MEMO_CAP`. `ENTRY_CAP` is the one
+cap on the entries that `cone sgen`, `orbits` and `giambelli` build.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from grasseff.errors import InputError
 
 # Entries each memo of the package may hold; past it, the least recently used goes.
 MEMO_CAP = 1 << 15
+# Entries one command may build: a `cone sgen` cone's generator entries (r = 400 on G(2,4),
+# dim 1: 321,201, 0.3 s), `enumerate_orbits`' incidence entries (k = d = 5: 393,192) and a
+# Giambelli expansion's monomials x rows (8^8 on G(8,40): 322,560, 0.26 s).
+ENTRY_CAP = 400_000
 
 
 @dataclass(frozen=True)

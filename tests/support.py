@@ -83,9 +83,32 @@ def quadric_resum(terms, r: int) -> tuple:
     return cones.resum(terms, partial(cones.quadric_term_vector, r=r), r + 1)
 
 
+def g25_term_vector(key: tuple, r: int) -> tuple:
+    """Coordinates (a21, a3, b_1..b_r) of a g25 decomposition term."""
+    a21 = a3 = 0
+    bs = [0] * r
+    kind = key[0]
+    if kind == "s21":
+        a21 = 1
+    elif kind == "s3":
+        a3 = 1
+    elif kind == "E":
+        bs[key[1]] = -1
+    elif kind == "s21-2E":
+        a21, bs[key[1]] = 1, 2
+    elif kind == "s21-E-E":
+        a21 = 1
+        bs[key[1]], bs[key[2]] = 1, 1
+    elif kind == "s3-E":
+        a3, bs[key[1]] = 1, 1
+    else:
+        raise ValueError("unknown term key %r" % (key,))
+    return (a21, a3, *bs)
+
+
 def g25_resum(terms, r: int) -> tuple:
     """(a21, a3, b_1..b_r) that G(2,5) three-cycle terms sum to."""
-    return cones.resum(terms, partial(cones.g25_term_vector, r=r), r + 2)
+    return cones.resum(terms, partial(g25_term_vector, r=r), r + 2)
 
 
 def lie_positions(k: int, s: int) -> list:
@@ -133,6 +156,32 @@ def reference_pieri_parts(mu: tuple, w: int, special: int) -> tuple:
                 yield (nu_i,) + rest
 
     return tuple(rec(0, special))
+
+
+def reference_giambelli(lam) -> list:
+    """The Giambelli expansion of a BoxedPartition as a recursion over the rows, trying
+    every free column and dropping dead ends at the last row: (sign, sizes) per
+    permutation with no zero entry, in lexicographic order of the columns taken."""
+    parts, w = lam.parts, lam.box_w
+    rows = len(parts) - parts.count(0)
+    out = []
+
+    def expand(row, used_cols, sign, mono):
+        if row == rows:
+            out.append((sign, tuple(sorted((m for m in mono if m != 0), reverse=True))))
+            return
+        for j in range(rows):
+            if used_cols & (1 << j):
+                continue
+            entry = parts[row] + j - row
+            if entry < 0 or entry > w:
+                continue
+            # parity of the permutation built column by column
+            inversions = bin(used_cols >> (j + 1)).count("1")
+            expand(row + 1, used_cols | (1 << j), sign * (-1) ** inversions, mono + (entry,))
+
+    expand(0, 0, 1, ())
+    return out
 
 
 def reference_multiplicity(ctx, lam, mu) -> int:

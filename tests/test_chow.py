@@ -14,7 +14,7 @@ from grasseff.errors import InputError
 from grasseff.jsonio import MAX_DIGITS
 from grasseff.partitions import dual, enumerate_box
 
-from support import fold_degree, reference_pieri_parts
+from support import fold_degree, reference_giambelli, reference_pieri_parts
 
 G24 = GrassCtx(2, 4)
 G25 = GrassCtx(2, 5)
@@ -97,6 +97,49 @@ def test_giambelli_hook():
     # sigma_{2,1} = sigma_2 sigma_1 - sigma_3 as a signed monomial list
     monos = chow.giambelli(G25.partition((2, 1)))
     assert sorted(monos) == [(-1, (3,)), (1, (2, 1))]
+
+
+GIAMBELLI_BOXES = [(2, 4), (2, 5), (3, 6), (3, 7), (3, 8), (4, 8), (4, 9), (3, 9), (5, 10),
+                   (6, 10), (2, 9), (5, 12), (6, 12), (4, 11)]
+
+
+def test_giambelli_matches_the_recursive_reference_on_every_partition():
+    count = 0
+    for k, n in GIAMBELLI_BOXES:
+        ctx = GrassCtx(k, n)
+        for m in range(ctx.dim + 1):
+            for lam in chow.basis(ctx, m):
+                assert chow.giambelli(lam) == reference_giambelli(lam), (k, n, lam)
+                count += 1
+    assert count == 2951
+
+
+def test_giambelli_refuses_exactly_past_the_entry_cap():
+    # 1^l on G(20,40) has 2^(l-1) monomials of l rows: 1^15 holds 245,760 entries,
+    # 1^16 holds 524,288
+    ctx = GrassCtx(20, 40)
+    monos = chow.giambelli(ctx.partition((1,) * 15))
+    assert len(monos) == 2 ** 14 and len(monos) * 15 <= partitions.ENTRY_CAP
+    assert sum(sign for sign, _ in monos) == 0 and (1, (1,) * 15) in monos
+    with pytest.raises(InputError, match="more than %d entries" % partitions.ENTRY_CAP):
+        chow.giambelli(ctx.partition((1,) * 16))
+    assert 2 ** 15 * 16 > partitions.ENTRY_CAP
+
+
+def test_giambelli_meets_no_dead_end():
+    # the recursion tried every column and met its dead ends at the last row:
+    # 1^13 on G(20,40) took about 40 s that way
+    start = time.perf_counter()
+    monos = chow.giambelli(GrassCtx(20, 40).partition((1,) * 13))
+    assert len(monos) == 4096 and time.perf_counter() - start < 1.0
+
+
+def test_giambelli_of_a_full_rectangle_is_one_monomial():
+    # on w^k, the point class, row i reaches no column right of i, so only the
+    # diagonal survives; the tall boxes are past the interpreter's recursion limit
+    for k, n in [(2, 4), (2, 5), (5, 10), (7, 9), (40, 80), (1100, 2200), (1100, 1103)]:
+        w = n - k
+        assert chow.giambelli(GrassCtx(k, n).partition((w,) * k)) == [(1, (w,) * k)], (k, n)
 
 
 def test_multiply_unit_identity():

@@ -16,6 +16,7 @@ from grasseff import chow, cones, multiplicity, orbits, ring_io
 from grasseff.cli import run_subcommand
 from grasseff.errors import DecompositionError, InputError, InternalError
 from grasseff.jsonio import MAX_DIGITS, canonical_dumps
+from grasseff.partitions import ENTRY_CAP
 
 # stdout of `grasseff verify`, byte for byte
 VERIFY_STDOUT = Path(__file__).with_name("verify_stdout.json")
@@ -279,11 +280,11 @@ def test_orbits_list_stdout_is_pinned(capsys, argv):
 
 def test_orbits_list_refuses_k8_dim3_before_enumerating(capsys):
     # its 44,016 orbits would build 44,016 x 81 incidence entries
-    assert orbits.orbit_count(8, 3) * 9 ** 2 == 3_565_296 > orbits.ORBIT_CAP
+    assert orbits.orbit_count(8, 3) * 9 ** 2 == 3_565_296 > ENTRY_CAP
     started = time.perf_counter()
     code, out, err = run(capsys, "orbits", "list", "--k", "8", "--dim", "3")
     assert code == 2 and out is None and time.perf_counter() - started < 1
-    assert json.loads(err)["error"].endswith("more than %d incidence entries" % orbits.ORBIT_CAP)
+    assert json.loads(err)["error"].endswith("more than %d incidence entries" % ENTRY_CAP)
 
 
 @pytest.mark.parametrize("argv", [("--k", "7", "--dim", "3"), ("--k", "60", "--dim", "1"),
@@ -294,7 +295,7 @@ def test_orbits_list_refuses_work_over_the_listing_cap(capsys, argv):
     code, out, err = run(capsys, "orbits", "list", *argv)
     assert code == 2 and out is None and time.perf_counter() - started < 1
     [msg] = json_lines(err)
-    assert msg["error"].endswith("more than %d incidence entries" % orbits.ORBIT_CAP)
+    assert msg["error"].endswith("more than %d incidence entries" % ENTRY_CAP)
 
 
 def test_orbits_list_has_no_s_option(capsys):
@@ -314,7 +315,7 @@ def test_orbits_check_exits_4_when_an_orbit_dimension_is_wrong(capsys, monkeypat
 def test_cone_sgen_refuses_a_cone_over_the_cap_before_building_it(capsys, tmp_path):
     # G(2,4), --dim 1 has one Schubert class: 2r + 1 generators of r + 1 coordinates, so
     # r = 446 is the largest r under the cap; the pinned r <= 8 grid needs 260 at most
-    assert (2 * 446 + 1) * 447 <= cones.SGEN_CAP < (2 * 447 + 1) * 448
+    assert (2 * 446 + 1) * 447 <= ENTRY_CAP < (2 * 447 + 1) * 448
     path = tmp_path / "cls.json"
     for r in (447, 1600):
         path.write_text(json.dumps({"k": 2, "n": 4, "grading": "dim", "m": 1, "exc": [1] * r,
@@ -324,7 +325,7 @@ def test_cone_sgen_refuses_a_cone_over_the_cap_before_building_it(capsys, tmp_pa
                              "--dim", "1", "--class", str(path))
         assert code == 2 and out is None and time.perf_counter() - started < 1, r
         assert json_lines(err)[-1]["error"].endswith("more than %d generator entries"
-                                                      % cones.SGEN_CAP)
+                                                      % ENTRY_CAP)
 
 
 def test_degree_is_priced_by_its_digits_and_cone_sgen_is_not(capsys):
@@ -374,6 +375,24 @@ def test_tall_boxes_answer_without_a_recursion_per_row(capsys, tmp_path):
                        "--dim", "2", "--class", str(path))
     assert code == 0 and out["verdict"] == "in-span" and out["bound_satisfied"]
     assert out["witness"] == {"s(%s)-E1" % ",".join(map(str, lam)): "1"}
+
+
+@pytest.mark.parametrize("k, n, parts, monomials", [
+    (1100, 2200, [1100] * 1100, 1), (1100, 1103, [3] * 1100, 1), (1100, 2200, [1] * 1050, None),
+    (9, 27, [9] * 9, None), (30, 60, [2] * 25, None)])
+def test_giambelli_answers_or_refuses_tall_expansions_at_once(capsys, k, n, parts, monomials):
+    # the first three exited 4 with a RecursionError; 9^9 printed 15.8 MB and 2^25 ran
+    # past 15 s
+    started = time.perf_counter()
+    code, out, err = run(capsys, "giambelli", "--k", str(k), "--n", str(n),
+                         "--lambda", ",".join(map(str, parts)))
+    assert time.perf_counter() - started < 2
+    if monomials is None:
+        assert code == 2 and out is None
+        assert json_lines(err)[-1]["error"].endswith(
+            "more than %d entries (monomials x %d rows)" % (ENTRY_CAP, len(parts)))
+    else:
+        assert code == 0 and len(out["monomials"]) == monomials
 
 
 def test_cone_sgen_refuses_a_bound_too_long_to_print(capsys):

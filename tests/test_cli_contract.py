@@ -9,6 +9,7 @@ stay small enough that each call costs milliseconds.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -20,13 +21,14 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, find, given, settings, strategies as st
 
 from grasseff import chow
 from grasseff.chow import GrassCtx
 from grasseff.cli import run_subcommand
 from grasseff.delpezzo import FANO_TABLE
 from grasseff.jsonio import MAX_DIGITS
+from grasseff.partitions import ENTRY_CAP
 
 # about 3 s together; the JSON strategies cost more to draw than the calls they feed.
 # print_blob: a failure prints the @reproduce_failure line that replays its example.
@@ -121,6 +123,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 @settings(max_examples=20, derandomize=True, **FUZZ)
 @given(args=argv())
+@example(args=["giambelli", "--k", "1100", "--n", "2200", "--lambda", ",".join(["1100"] * 1100)])
+@example(args=["giambelli", "--k", "1100", "--n", "2200", "--lambda", ",".join(["1"] * 1050)])
+@example(args=["giambelli", "--k", "20", "--n", "40", "--lambda", ",".join(["1"] * 13)])
 def test_an_answer_does_not_depend_on_what_earlier_calls_left_in_the_memos(args, tmp_path_factory):
     # in process, the memos hold what every earlier call and test put there;
     # a fresh interpreter starts with them empty
@@ -179,6 +184,36 @@ def printable_base(k, n):
     return base if base < 10 ** MAX_DIGITS else None
 
 
+# tall and wide `giambelli` inputs: k or n - k up to about 2,000, partitions in runs of
+# equal parts, the first often equal to w, and now and then a part or a row too many
+
+@st.composite
+def tall_giambelli(draw):
+    side = st.integers(1, 40) | st.integers(41, 999) | st.integers(1000, 2100)
+    k, w = draw(side), draw(side)
+    rows = draw(st.integers(1, 4) | st.integers(1, k) | st.sampled_from([k, k + 1]))
+    parts, top, start = [], w + (not draw(st.integers(0, 9))), 0
+    for end in sorted(draw(st.lists(st.integers(0, rows), max_size=3))) + [rows]:
+        top = max(1, top - draw(st.sampled_from([0, 0, 1]) | st.integers(0, top)))
+        parts += [top] * (end - start)
+        start = end
+    return k, w, parts
+
+
+@settings(max_examples=60, **FUZZ)
+@given(case=tall_giambelli())
+def test_tall_giambelli_keeps_the_contract(case):
+    k, w, parts = case
+    args = ["giambelli", "--k", str(k), "--n", str(k + w), "--lambda", ",".join(map(str, parts))]
+    started = time.perf_counter()
+    code, out, err = run_checked(args)
+    assert code in (0, 2) and time.perf_counter() - started < 1, (k, w, len(parts), code, err)
+    if code == 0:
+        monomials = json.loads(out)["monomials"]
+        assert 1 <= len(monomials) * len(parts) <= ENTRY_CAP
+        assert all(sum(m["sizes"]) == sum(parts) and max(m["sizes"]) <= w for m in monomials)
+
+
 # ---------------------------------------------------------------------------
 # input files: random JSON values and near-valid shapes
 
@@ -189,8 +224,10 @@ LEAVES = (st.none() | st.booleans() | st.integers(-3, 9) | st.integers() | st.fl
 JSON = st.recursive(LEAVES, lambda kids: st.lists(kids, max_size=4)
                     | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), kids,
                                       max_size=4), max_leaves=12)
-# one value of each JSON type, drawn more often than a random one
-WRONG = st.sampled_from([None, True, 0, -1, 2.5, "", "x", [], [1], {}, {"label": "a"}])
+# one value of each JSON type, drawn more often than a random one; each draw is a fresh
+# copy, since `near` edits documents in place and would otherwise edit these samples
+WRONG = st.sampled_from([None, True, 0, -1, 2.5, "", "x", [], [1], {}, {"label": "a"}]).map(
+    copy.deepcopy)
 COORD = st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3", "0.5", "0"])
 
 
@@ -225,6 +262,13 @@ def near(draw, valid):
         else:
             del parent[path[-1]]
     return doc
+
+
+def test_wrong_values_are_drawn_as_fresh_copies():
+    # when the samples were shared, an edit by `near` leaked into later examples, and a
+    # dict set inside itself made `paths` recurse without end
+    first, second = find(st.tuples(WRONG, WRONG), lambda pair: pair == ({"label": "a"},) * 2)
+    assert first is not second
 
 
 @st.composite

@@ -10,10 +10,11 @@ from grasseff.orbits import IncidenceMatrix, dense_orbit_dimension_check, \
     incidence_of_representative, \
     make_representative, oracle_check, orbit_dimension, representative_from_incidence
 from grasseff.errors import InputError
+from grasseff.partitions import ENTRY_CAP
 
 from support import lie_positions
 
-REFUSED = "more than %d incidence entries" % orbits.ORBIT_CAP
+REFUSED = "more than %d incidence entries" % ENTRY_CAP
 
 
 def test_representative_validation():
@@ -71,7 +72,7 @@ def test_enumeration_matches_the_combinations_and_filter_reference():
 def test_enumeration_builds_the_closed_form_orbit_count():
     for k in range(8):
         for d in range(k + 1):
-            if orbits.orbit_count(k, d) * (k + 1) ** 2 <= orbits.ORBIT_CAP:
+            if orbits.orbit_count(k, d) * (k + 1) ** 2 <= ENTRY_CAP:
                 assert len(enumerate_orbits(k, d)) == orbits.orbit_count(k, d), (k, d)
             else:
                 with pytest.raises(InputError, match=REFUSED):
@@ -82,7 +83,7 @@ def test_enumeration_builds_the_closed_form_orbit_count():
 def test_enumeration_cap():
     # the cap counts incidence entries, orbits x (k+1)^2: k = d = 5 builds 393,192 and
     # k = 631, d = 0 builds 399,424, while k = 632, d = 0 needs 400,689
-    assert orbits.orbit_count(5, 5) * 6 ** 2 == 393_192 <= orbits.ORBIT_CAP
+    assert orbits.orbit_count(5, 5) * 6 ** 2 == 393_192 <= ENTRY_CAP
     assert enumerate_orbits(631, 0) == [orbits.OrbitRepresentative(631, ())]
     assert orbits.orbit_count(7, 3) * 8 ** 2 == 1_265_152
     with pytest.raises(InputError, match="subspace_dim"):
@@ -248,7 +249,7 @@ def test_listing_estimate_counts_every_orbit():
         for d in range(k + 1):
             reps = enumerate_orbits(k, d)
             assert len(reps) == orbits.orbit_count(k, d), (k, d)
-            assert len(reps) * (k + 1) ** 2 <= orbits.ORBIT_CAP
+            assert len(reps) * (k + 1) ** 2 <= ENTRY_CAP
     assert len(enumerate_orbits(5, 3)) == 2620
 
 

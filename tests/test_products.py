@@ -2,8 +2,9 @@
 
 - A Littlewood-Richardson tableau count (Fulton, Young Tableaux, ch. 5),
   written on plain tuples without grasseff.
-- The earlier product path, `reference_product`: Giambelli monomials folded
-  one Pieri step at a time over BoxedPartition/ChowClass objects, with no memo.
+- The earlier product path, `reference_product`: the recursive Giambelli
+  expansion of `support.reference_giambelli` folded one Pieri step at a time
+  over BoxedPartition/ChowClass objects, with no memo.
 """
 
 import warnings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from grasseff import chow, partitions
 from grasseff.chow import ChowClass, GrassCtx
 from grasseff.partitions import BoxedPartition
+from support import reference_giambelli
 
 
 def make_ctx(k, n):
@@ -110,7 +112,7 @@ def reference_pieri(ctx, special, mu):
 
 def reference_product(ctx, lam, mu):
     acc = {}
-    for sign, mono in chow.giambelli(lam):
+    for sign, mono in reference_giambelli(lam):
         cur = ChowClass(ctx, mu.size, {mu: 1})
         for size in mono:
             nxt = {}
